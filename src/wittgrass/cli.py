@@ -182,44 +182,55 @@ def _cmd_canonical(args) -> int:
     return 0
 
 
+# Smallest d and e each verification suite checks, in report order.
+SUITE_FIRST_FRAME = {"exactness": 1, "degrees": 2, "cond-even": 1, "bord": 2,
+                     "duality": 1, "induction": 2}
+
+
 def _verify_suites(scope: str, max_frame: int) -> dict:
+    for name in (SUITE_FIRST_FRAME if scope == "all" else (scope,)):
+        lo = SUITE_FIRST_FRAME[name]
+        if max_frame < lo:
+            raise ValueError(f"--max-frame {max_frame} leaves suite {name!r} no "
+                             f"frames to check; it needs --max-frame {lo} or more")
     suites: dict[str, dict] = {}
 
-    def frame_range(lo):
+    def frame_range(name):
+        lo = SUITE_FIRST_FRAME[name]
         return [(d, e) for d in range(lo, max_frame + 1)
                 for e in range(lo, max_frame + 1)]
 
     if scope in ("exactness", "all"):
         failures = []
-        for d, e in frame_range(1):
+        for d, e in frame_range("exactness"):
             report = verify_exactness(d, e, primes=(2, 3, 5))
             if not report.ok:
                 failures.append(report.to_json())
-        suites["exactness"] = {"frames": len(frame_range(1)),
+        suites["exactness"] = {"frames": len(frame_range("exactness")),
                                "failures": failures, "ok": not failures}
     if scope in ("degrees", "all"):
         failures = []
-        for d, e in frame_range(2):
+        for d, e in frame_range("degrees"):
             for trivial in (False, True):
                 report = verify_degree_transport(d, e, trivial_base=trivial)
                 if not report.ok:
                     failures.append(report.to_json())
-        suites["degrees"] = {"frames": len(frame_range(2)),
+        suites["degrees"] = {"frames": len(frame_range("degrees")),
                              "failures": failures, "ok": not failures}
     if scope in ("cond-even", "all"):
         failures = []
-        for d, e in frame_range(1):
+        for d, e in frame_range("cond-even"):
             for dg in enumerate_even(d, e):
                 if not verify_cond_even(dg):
                     failures.append({"frame": [d, e], "rows": list(dg.rows)})
                 if not pushforward_admissible(dg) or not canonical_in_pullback_span(dg):
                     failures.append({"frame": [d, e], "rows": list(dg.rows),
                                      "reason": "admissibility"})
-        suites["cond-even"] = {"frames": len(frame_range(1)),
+        suites["cond-even"] = {"frames": len(frame_range("cond-even")),
                                "failures": failures, "ok": not failures}
     if scope in ("bord", "all"):
         failures = []
-        for d, e in frame_range(2):
+        for d, e in frame_range("bord"):
             try:
                 vanishes = bord_vanishes(d, e)
             except RuntimeError as exc:
@@ -227,23 +238,23 @@ def _verify_suites(scope: str, max_frame: int) -> dict:
                 continue
             if vanishes != (d % 2 == 0 and e % 2 == 0):
                 failures.append({"frame": [d, e], "reason": "parity mismatch"})
-        suites["bord"] = {"frames": len(frame_range(2)),
+        suites["bord"] = {"frames": len(frame_range("bord")),
                           "failures": failures, "ok": not failures}
     if scope in ("duality", "all"):
         failures = []
-        for d, e in frame_range(1):
+        for d, e in frame_range("duality"):
             report = duality_check(d, e)
             if not report.ok:
                 failures.append(report.to_json())
-        suites["duality"] = {"frames": len(frame_range(1)),
+        suites["duality"] = {"frames": len(frame_range("duality")),
                              "failures": failures, "ok": not failures}
     if scope in ("induction", "all"):
         failures = []
-        for d, e in frame_range(2):
+        for d, e in frame_range("induction"):
             cert = induction_report(d, e)
             if not cert["ok"]:
                 failures.append(cert)
-        suites["induction"] = {"frames": len(frame_range(2)),
+        suites["induction"] = {"frames": len(frame_range("induction")),
                                "failures": failures, "ok": not failures}
     return suites
 
@@ -279,9 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="run verification suites over frames")
-    p.add_argument("--scope", default="all",
-                   choices=("exactness", "degrees", "cond-even", "bord",
-                            "duality", "induction", "all"))
+    p.add_argument("--scope", default="all", choices=(*SUITE_FIRST_FRAME, "all"))
     p.add_argument("--max-frame", type=int, default=5, dest="max_frame")
     p.set_defaults(func=_cmd_verify)
 

@@ -1,144 +1,217 @@
-"""Exact integer matrix routines on numpy object arrays.
+"""Exact integer matrix routines on lists of int rows.
 
 Everything here is fraction-free: unimodular row/column operations over the
 integers, no floating point, no rationals.  Used by the exactness checker to
 compute kernels, test membership in column spans, and take ranks over the
 integers and over small prime fields.
+
+A matrix is a list of rows, each a list of ints.  A matrix with no rows
+cannot show how many columns it has, so the routines the exactness checker
+may hand one take an optional ``ncols``; without it the width is read off
+the first row.  Elimination
+touches only the rows and columns with a nonzero entry in the pivot's column
+or row, so sparse inputs such as partial permutations eliminate in time close
+to their size.
 """
 
 from __future__ import annotations
 
-import numpy as np
+
+def _width(M, ncols: int | None) -> int:
+    return ncols if ncols is not None else (len(M[0]) if M else 0)
 
 
-def as_int_matrix(rows) -> np.ndarray:
-    """Copy nested sequences (or an array) into a 2-d object array of ints."""
-    arr = np.array(rows, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError("expected a two-dimensional matrix")
-    for v in arr.flat:
-        if not isinstance(v, (int, np.integer)):
+def as_int_matrix(rows, ncols: int | None = None) -> list[list[int]]:
+    """Copy nested sequences into a new list of int rows of equal length.
+
+    Raises ValueError for a non-int entry (bool included), for rows of
+    unequal length, and for rows whose length is not ``ncols`` when given.
+    """
+    try:
+        M = [list(row) for row in rows]
+    except TypeError:
+        raise ValueError("expected a two-dimensional matrix") from None
+    width = _width(M, ncols)
+    for row in M:
+        if len(row) != width:
+            raise ValueError(f"expected rows of length {width}, got {len(row)}")
+        if not set(map(type, row)) <= {int}:
             raise ValueError("matrix entries must be integers")
-    return arr.astype(object)
+    return M
 
 
-def _identity(n: int) -> np.ndarray:
-    ident = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        ident[i, i] = 1
-    return ident
+def _identity(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
-def _min_abs_position(D, t, m, n):
+def _nonzeros(seq) -> list[tuple[int, int]]:
+    """(index, value) of each nonzero entry."""
+    return [(k, v) for k, v in enumerate(seq) if v]
+
+
+def _smallest_nonzero(row, start: int):
+    """(|v|, column) of a smallest nonzero entry of row[start:], or None.
+
+    Stops at the first entry of absolute value 1.
+    """
     best = None
-    pos = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = D[i, j]
-            if v != 0 and (best is None or abs(v) < best):
-                best = abs(v)
-                pos = (i, j)
-    return pos
+    for j in range(start, len(row)):
+        v = row[j]
+        if v:
+            if v in (1, -1):
+                return 1, j
+            if best is None or abs(v) < best[0]:
+                best = abs(v), j
+    return best
 
 
-def diagonalize(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonalize over the integers: returns (U, D, V) with U @ A @ V = D.
+def _swap_columns(M, a: int, b: int, rows) -> None:
+    for i in rows:
+        row = M[i]
+        row[a], row[b] = row[b], row[a]
+
+
+def diagonalize(A, ncols: int | None = None):
+    """Diagonalize over the integers: returns (U, D, V) with U A V = D.
 
     U and V are unimodular; D is diagonal (no divisibility chain is
-    enforced).  Diagonal shape suffices for ranks, kernels and membership.
+    enforced), with its nonzero entries first.  Diagonal shape suffices for
+    ranks, kernels and membership.
     """
-    D = as_int_matrix(A).copy()
-    m, n = D.shape
-    U = _identity(m)
-    V = _identity(n)
+    D = as_int_matrix(A, ncols)
+    m, n = len(D), _width(D, ncols)
+    U, V = _identity(m), _identity(n)
+    # Rows live.. of D are zero.  Row operations only change rows with a
+    # nonzero in the pivot column and column operations only the pivot row,
+    # so a zero row stays zero once it has been moved down there.
+    live = m
     for t in range(min(m, n)):
-        pos = _min_abs_position(D, t, m, n)
-        if pos is None:
+        best = None
+        i = t
+        while i < live:
+            found = _smallest_nonzero(D[i], t)
+            if found is None:
+                live -= 1
+                D[i], D[live] = D[live], D[i]
+                U[i], U[live] = U[live], U[i]
+                continue
+            if best is None or found[0] < best[0]:
+                best = found[0], i, found[1]
+                if found[0] == 1:
+                    break
+            i += 1
+        if best is None:
             break
-        D[[t, pos[0]], :] = D[[pos[0], t], :]
-        U[[t, pos[0]], :] = U[[pos[0], t], :]
-        D[:, [t, pos[1]]] = D[:, [pos[1], t]]
-        V[:, [t, pos[1]]] = V[:, [pos[1], t]]
+        _, i, j = best
+        D[t], D[i] = D[i], D[t]
+        U[t], U[i] = U[i], U[t]
+        _swap_columns(D, t, j, range(t, live))
+        _swap_columns(V, t, j, range(n))
         while True:
-            if D[t, t] < 0:
-                D[t, :] = -D[t, :]
-                U[t, :] = -U[t, :]
-            pivot = D[t, t]
+            if D[t][t] < 0:
+                D[t] = [-v for v in D[t]]
+                U[t] = [-v for v in U[t]]
+            pivot = D[t][t]
             # clear the column below the pivot
-            dirty = False
-            for i in range(t + 1, m):
-                q = D[i, t] // pivot
-                if q:
-                    D[i, :] -= q * D[t, :]
-                    U[i, :] -= q * U[t, :]
-                if D[i, t]:
-                    dirty = True
-            if dirty:
-                # a remainder is strictly smaller than the pivot; promote it
-                i = min((i for i in range(t + 1, m) if D[i, t]),
-                        key=lambda i: abs(D[i, t]))
-                D[[t, i], :] = D[[i, t], :]
-                U[[t, i], :] = U[[i, t], :]
-                continue
-            # clear the row right of the pivot
-            for j in range(t + 1, n):
-                q = D[t, j] // pivot
-                if q:
-                    D[:, j] -= q * D[:, t]
-                    V[:, j] -= q * V[:, t]
-                if D[t, j]:
-                    dirty = True
-            if dirty:
-                j = min((j for j in range(t + 1, n) if D[t, j]),
-                        key=lambda j: abs(D[t, j]))
-                D[:, [t, j]] = D[:, [j, t]]
-                V[:, [t, j]] = V[:, [j, t]]
-                continue
-            break
+            below = [i for i in range(t + 1, live) if D[i][t]]
+            if below:
+                d_row, u_row = _nonzeros(D[t]), _nonzeros(U[t])
+                for i in below:
+                    q = D[i][t] // pivot
+                    d_i, u_i = D[i], U[i]
+                    for k, v in d_row:
+                        d_i[k] -= q * v
+                    for k, v in u_row:
+                        u_i[k] -= q * v
+                dirty = [i for i in below if D[i][t]]
+                if dirty:
+                    # a remainder is strictly smaller than the pivot; promote it
+                    i = min(dirty, key=lambda i: abs(D[i][t]))
+                    D[t], D[i] = D[i], D[t]
+                    U[t], U[i] = U[i], U[t]
+                    continue
+            # clear the row right of the pivot; the pivot is alone in its
+            # column now, so each column operation changes D in row t only
+            d_t = D[t]
+            right = [j for j in range(t + 1, n) if d_t[j]]
+            if not right:
+                break
+            v_col = _nonzeros(row[t] for row in V)
+            for j in right:
+                q = d_t[j] // pivot
+                d_t[j] -= q * pivot
+                for r, v in v_col:
+                    V[r][j] -= q * v
+            dirty = [j for j in right if d_t[j]]
+            if not dirty:
+                break
+            j = min(dirty, key=lambda j: abs(d_t[j]))
+            _swap_columns(D, t, j, range(t, live))
+            _swap_columns(V, t, j, range(n))
     return U, D, V
+
+
+def _rank_of_diagonal(D) -> int:
+    r = 0
+    while r < min(len(D), len(D[0]) if D else 0) and D[r][r]:
+        r += 1
+    return r
 
 
 def rank(A) -> int:
     """Rank over the rationals (count of nonzero diagonal entries)."""
     _, D, _ = diagonalize(A)
-    return sum(1 for t in range(min(D.shape)) if D[t, t] != 0)
+    return _rank_of_diagonal(D)
 
 
-def integer_kernel(A) -> np.ndarray:
+def integer_kernel(A, ncols: int | None = None) -> list[list[int]]:
     """Basis of the integer kernel {x : A x = 0}, one column per basis vector.
 
     The basis spans a saturated sublattice (it is the full kernel), so every
     rational kernel vector is a rational combination of these columns.
     """
-    A = as_int_matrix(A)
-    _, D, V = diagonalize(A)
-    m, n = D.shape
-    free = [j for j in range(n) if j >= m or D[j, j] == 0]
-    if not free:
-        return np.zeros((n, 0), dtype=object)
-    return V[:, free]
+    _, D, V = diagonalize(A, ncols)
+    free = range(_rank_of_diagonal(D), len(V))
+    return [[row[j] for j in free] for row in V]
 
 
-def solve_in_span(A, b):
+def solve_in_span_many(A, vectors, ncols: int | None = None) -> list[list[int] | None]:
+    """For each vector b, an integer x with A x = b, or None when none exists.
+
+    One diagonalization U A V = D serves every vector: b is an integer
+    combination of the columns of A exactly when c = U b vanishes past the
+    rank r of D and D[i][i] divides c[i] for i < r, and then x = V y with
+    y[i] = c[i] / D[i][i].
+    """
+    U, D, V = diagonalize(A, ncols)
+    m = len(U)
+    r = _rank_of_diagonal(D)
+    u_cols = [_nonzeros(col) for col in zip(*U)]
+    v_cols = [_nonzeros(col) for col in list(zip(*V))[:r]]
+    out: list[list[int] | None] = []
+    for b in as_int_matrix(vectors, m):
+        c = [0] * m
+        for j, b_j in _nonzeros(b):
+            for i, u in u_cols[j]:
+                c[i] += u * b_j
+        if any(c[r:]) or any(c[i] % D[i][i] for i in range(r)):
+            out.append(None)
+            continue
+        x = [0] * len(V)
+        for i, c_i in _nonzeros(c[:r]):
+            y = c_i // D[i][i]
+            for k, v in v_cols[i]:
+                x[k] += v * y
+        out.append(x)
+    return out
+
+
+def solve_in_span(A, b) -> list[int] | None:
     """An integer x with A x = b, or None when no such x exists."""
-    A = as_int_matrix(A)
-    U, D, V = diagonalize(A)
-    m, n = D.shape
-    b = np.array(list(b), dtype=object)
-    if b.shape != (m,):
-        raise ValueError(f"vector length {b.shape} does not match {m} rows")
-    c = U.dot(b)
-    y = np.zeros(n, dtype=object)
-    for i in range(m):
-        diag = D[i, i] if i < n else 0
-        if diag == 0:
-            if c[i] != 0:
-                return None
-        elif c[i] % diag != 0:
-            return None
-        else:
-            y[i] = c[i] // diag
-    return V.dot(y)
+    return solve_in_span_many(A, [b])[0]
 
 
 def in_column_span(A, b) -> bool:
@@ -146,16 +219,34 @@ def in_column_span(A, b) -> bool:
     return solve_in_span(A, b) is not None
 
 
+def multiply(A, B, ncols: int | None = None) -> list[list[int]]:
+    """The product A B, where B has ``ncols`` columns; zero entries are skipped."""
+    A = as_int_matrix(A)
+    B = as_int_matrix(B, ncols)
+    if A and len(A[0]) != len(B):
+        raise ValueError(f"cannot multiply {len(A[0])} columns by {len(B)} rows")
+    n = _width(B, ncols)
+    b_rows = [_nonzeros(row) for row in B]
+    out = []
+    for row in A:
+        acc = [0] * n
+        for k, a in _nonzeros(row):
+            for j, v in b_rows[k]:
+                acc[j] += a * v
+        out.append(acc)
+    return out
+
+
 def rank_mod_p(A, p: int) -> int:
     """Rank over the prime field with p elements, by exact elimination."""
     if p < 2:
         raise ValueError("p must be a prime >= 2")
-    M = [[int(v) % p for v in row] for row in as_int_matrix(A).tolist()]
+    M = [[v % p for v in row] for row in as_int_matrix(A)]
     m = len(M)
     n = len(M[0]) if m else 0
     r = 0
     for col in range(n):
-        piv = next((i for i in range(r, m) if M[i][col] % p), None)
+        piv = next((i for i in range(r, m) if M[i][col]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]

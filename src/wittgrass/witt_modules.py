@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import intmatrix
 from .diagrams import FramedDiagram, enumerate_even, peel, shorten, widen
 from .picard import BASE, PicClassMod2, base_det2
@@ -125,9 +123,9 @@ class BasisMap:
                 "target_frame": [self.target.d, self.target.e],
                 "matrix": [list(row) for row in self.matrix]}
 
-    def array(self) -> np.ndarray:
-        return intmatrix.as_int_matrix(self.matrix) if self.matrix else \
-            np.zeros((0, len(self.source)), dtype=object)
+    def array(self) -> list[list[int]]:
+        """The matrix as new int rows; it has ``len(self.source)`` columns."""
+        return [list(row) for row in self.matrix]
 
 
 def _image(which: str, d: int, e: int, elem):
@@ -242,21 +240,22 @@ def _structural_position(incoming: BasisMap, outgoing: BasisMap):
 
 
 def _linear_position(incoming: BasisMap, outgoing: BasisMap) -> bool:
+    """B A = 0 and every integer kernel vector of B is an integer image of A."""
     A = incoming.array()
     B = outgoing.array()
-    if np.any(B.dot(A) != 0):
+    width = len(incoming.source)
+    if any(any(row) for row in intmatrix.multiply(B, A, width)):
         return False
-    K = intmatrix.integer_kernel(B)
-    for idx in range(K.shape[1]):
-        if not intmatrix.in_column_span(A, K[:, idx]):
-            return False
-    return True
+    K = intmatrix.integer_kernel(B, len(outgoing.source))
+    witnesses = intmatrix.solve_in_span_many(A, zip(*K), width)
+    return all(x is not None for x in witnesses)
 
 
 def _mod_p_position(incoming: BasisMap, outgoing: BasisMap, p: int) -> bool:
     A = incoming.array()
     B = outgoing.array()
-    if np.any(B.dot(A) % p != 0):
+    product = intmatrix.multiply(B, A, len(incoming.source))
+    if any(v % p for row in product for v in row):
         return False
     middle = len(outgoing.source)
     return intmatrix.rank_mod_p(A, p) + intmatrix.rank_mod_p(B, p) == middle

@@ -42,6 +42,27 @@ def evenness_oracle(d, e, rows):
     return True
 
 
+def mat_mul(A, B):
+    """Product of two matrices given as lists of rows; B may have no columns.
+
+    Raises AssertionError when a row of A does not match the row count of B.
+    """
+    width = len(B[0]) if B else 0
+    for row in A:
+        assert len(row) == len(B), f"cannot multiply {len(row)} columns by {len(B)} rows"
+    return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(width)]
+            for row in A]
+
+
+def mat_vec(A, x):
+    """A x for a matrix given as a list of rows and a vector given as a list."""
+    return [sum(a * v for a, v in zip(row, x, strict=True)) for row in A]
+
+
+def is_zero(M):
+    return all(v == 0 for row in M for v in row)
+
+
 def minors_gcd(M, k):
     """gcd of all k x k minors of M (list of lists), via sympy determinants."""
     import sympy

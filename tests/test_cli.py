@@ -165,6 +165,27 @@ class TestVerify:
         assert set(payload["suites"]) == {"exactness", "degrees", "cond-even",
                                           "bord", "duality", "induction"}
 
+    @pytest.mark.parametrize("max_frame", ["0", "-3"])
+    def test_no_frames_is_a_usage_error(self, capsys, max_frame):
+        for scope in ("all", "exactness", "bord"):
+            code, out, err = run(capsys, "verify", "--scope", scope,
+                                 "--max-frame", max_frame)
+            assert code == 2
+            assert out == ""
+            assert "--max-frame" in err
+
+    def test_suite_starting_past_max_frame_is_a_usage_error(self, capsys):
+        for scope in ("all", "degrees", "bord", "induction"):
+            code, out, err = run(capsys, "verify", "--scope", scope,
+                                 "--max-frame", "1")
+            assert code == 2
+            assert out == ""
+            assert "no frames" in err
+        code, out, _ = run(capsys, "verify", "--scope", "exactness",
+                           "--max-frame", "1")
+        assert code == 0
+        assert json.loads(out)["suites"]["exactness"]["frames"] == 1
+
 
 class TestUsage:
     def test_missing_subcommand_exits_2(self, capsys):

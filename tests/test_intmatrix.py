@@ -1,23 +1,56 @@
 """Exact integer linear algebra against sympy and minors-gcd oracles."""
 
-import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import mat_mul, mat_vec
 from wittgrass.intmatrix import (as_int_matrix, diagonalize, in_column_span,
-                                 integer_kernel, rank, rank_mod_p,
-                                 solve_in_span)
+                                 integer_kernel, multiply, rank, rank_mod_p,
+                                 solve_in_span, solve_in_span_many)
 
 
 def _is_diagonal(D):
-    m, n = D.shape
-    return all(D[i, j] == 0 for i in range(m) for j in range(n) if i != j)
+    return all(v == 0 for i, row in enumerate(D) for j, v in enumerate(row)
+               if i != j)
 
 
 def _unimodular(M):
-    return int(sympy.Matrix(M.tolist()).det()) in (1, -1)
+    return int(sympy.Matrix(M).det()) in (1, -1)
+
+
+class TestInput:
+    def test_copies_rows(self):
+        rows = ((1, 2), (3, 4))
+        M = as_int_matrix(rows)
+        assert M == [[1, 2], [3, 4]]
+        M[0][0] = 9
+        assert rows[0][0] == 1
+
+    def test_rejects_bool_entries(self):
+        with pytest.raises(ValueError):
+            as_int_matrix([[True, 2]])
+        with pytest.raises(ValueError):
+            diagonalize([[1, False]])
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError):
+            as_int_matrix([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            as_int_matrix([[1, 2]], ncols=3)
+
+    def test_rejects_non_matrices(self):
+        with pytest.raises(ValueError):
+            as_int_matrix([1, 2])
+        with pytest.raises(ValueError):
+            as_int_matrix([[1.0, 2]])
+
+    def test_zero_row_matrix_keeps_its_width(self):
+        assert integer_kernel([], ncols=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert solve_in_span_many([], [[]], ncols=2) == [[0, 0]]
+        assert multiply([[]], [], ncols=2) == [[0, 0]]
 
 
 class TestDiagonalize:
@@ -25,16 +58,22 @@ class TestDiagonalize:
         A = [[2, 4], [6, 8]]
         U, D, V = diagonalize(A)
         assert _is_diagonal(D)
-        assert (U.dot(as_int_matrix(A)).dot(V) == D).all()
+        assert mat_mul(mat_mul(U, A), V) == D
         assert rank(A) == 2
+
+    def test_partial_permutation_needs_no_row_operations(self):
+        A = [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
+        U, D, V = diagonalize(A)
+        assert D == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+        assert mat_mul(mat_mul(U, A), V) == D
+        assert all(sorted(map(abs, row)) == [0, 0, 1] for row in U + V)
 
     @settings(max_examples=60, deadline=None)
     @given(helpers.int_matrices())
     def test_transforms_are_unimodular_and_exact(self, rows):
-        A = as_int_matrix(rows)
         U, D, V = diagonalize(rows)
         assert _is_diagonal(D)
-        assert (U.dot(A).dot(V) == D).all()
+        assert mat_mul(mat_mul(U, rows), V) == D
         assert _unimodular(U)
         assert _unimodular(V)
         assert rank(rows) == sympy.Matrix(rows).rank()
@@ -44,13 +83,12 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(helpers.int_matrices())
     def test_kernel_is_complete_and_saturated(self, rows):
-        A = as_int_matrix(rows)
         K = integer_kernel(rows)
-        assert (A.dot(K) == 0).all()
-        expected_dim = A.shape[1] - sympy.Matrix(rows).rank()
-        assert K.shape[1] == expected_dim
+        assert helpers.is_zero(mat_mul(rows, K))
+        expected_dim = len(rows[0]) - sympy.Matrix(rows).rank()
+        assert len(K[0]) == expected_dim
         if expected_dim:
-            assert sympy.Matrix(K.tolist()).rank() == expected_dim
+            assert sympy.Matrix(K).rank() == expected_dim
         for vec in sympy.Matrix(rows).nullspace():
             scale = sympy.lcm([term.q for term in vec])
             primitive = [int(term * scale) for term in vec]
@@ -61,13 +99,12 @@ class TestSpanMembership:
     @settings(max_examples=60, deadline=None)
     @given(helpers.int_matrices(max_dim=4, max_entry=4), st.data())
     def test_products_are_in_span_with_verified_witness(self, rows, data):
-        A = as_int_matrix(rows)
-        x = data.draw(st.lists(st.integers(-3, 3), min_size=A.shape[1],
-                               max_size=A.shape[1]))
-        b = A.dot(np.array(x, dtype=object))
-        witness = solve_in_span(A, b)
+        x = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows[0]),
+                               max_size=len(rows[0])))
+        b = mat_vec(rows, x)
+        witness = solve_in_span(rows, b)
         assert witness is not None
-        assert (A.dot(witness) == b).all()
+        assert mat_vec(rows, witness) == b
 
     @settings(max_examples=40, deadline=None)
     @given(helpers.int_matrices(max_dim=3, max_entry=3), st.data())
@@ -78,13 +115,76 @@ class TestSpanMembership:
         solvable = helpers.integer_solvable_oracle(rows, b)
         assert (witness is not None) == solvable
         if witness is not None:
-            assert (as_int_matrix(rows).dot(witness) == np.array(b, dtype=object)).all()
+            assert mat_vec(rows, witness) == b
 
     def test_frozen_divisibility(self):
         assert in_column_span([[2]], [4])
         assert not in_column_span([[2]], [3])
         assert not in_column_span([[0]], [1])
         assert in_column_span([[2, 3]], [1])
+
+    def test_rejects_vector_of_wrong_length(self):
+        with pytest.raises(ValueError):
+            solve_in_span([[1, 0], [0, 1]], [1, 2, 3])
+
+
+class TestBatchedMembership:
+    @settings(max_examples=40, deadline=None)
+    @given(helpers.int_matrices(max_dim=3, max_entry=3), st.data())
+    def test_matches_per_column_oracle(self, rows, data):
+        m = len(rows)
+        vectors = data.draw(st.lists(
+            st.lists(st.integers(-4, 4), min_size=m, max_size=m), max_size=4))
+        witnesses = solve_in_span_many(rows, vectors)
+        assert len(witnesses) == len(vectors)
+        for b, x in zip(vectors, witnesses):
+            assert (x is not None) == helpers.integer_solvable_oracle(rows, b)
+            if x is not None:
+                assert mat_vec(rows, x) == b
+
+    @settings(max_examples=40, deadline=None)
+    @given(helpers.int_matrices(max_dim=3, max_entry=3), st.data())
+    def test_exactly_one_column_outside(self, rows, data):
+        # every vector in the span of 2A is even, so adding e_0 to one of
+        # them leaves the span
+        doubled = [[2 * v for v in row] for row in rows]
+        n = len(rows[0])
+        xs = data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=1, max_size=4))
+        vectors = [mat_vec(doubled, x) for x in xs]
+        outside = data.draw(st.integers(0, len(vectors) - 1))
+        vectors[outside][0] += 1
+        witnesses = solve_in_span_many(doubled, vectors)
+        assert [i for i, x in enumerate(witnesses) if x is None] == [outside]
+        for b, x in zip(vectors, witnesses):
+            assert (x is not None) == helpers.integer_solvable_oracle(doubled, b)
+            if x is not None:
+                assert mat_vec(doubled, x) == b
+
+    def test_frozen(self):
+        A = [[2, 0], [0, 1]]
+        vectors = [[2, 3], [1, 0], [4, -1]]
+        witnesses = solve_in_span_many(A, vectors)
+        assert witnesses == [[1, 3], None, [2, -1]]
+        assert [helpers.integer_solvable_oracle(A, b) for b in vectors] == \
+            [True, False, True]
+
+
+class TestMultiply:
+    @settings(max_examples=40, deadline=None)
+    @given(helpers.int_matrices(max_dim=4), st.data())
+    def test_matches_dense_product(self, rows, data):
+        k = len(rows[0])
+        width = data.draw(st.integers(0, 4))
+        other = data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+            min_size=k, max_size=k))
+        assert multiply(rows, other, width) == mat_mul(rows, other)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            multiply([[1, 2]], [[1, 2]])
 
 
 class TestModP:
@@ -98,6 +198,6 @@ class TestModP:
     @given(helpers.int_matrices())
     def test_matches_smith_diagonal(self, rows):
         _, D, _ = diagonalize(rows)
-        diag = [D[i, i] for i in range(min(D.shape))]
+        diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         for p in (2, 3, 5):
             assert rank_mod_p(rows, p) == sum(1 for v in diag if v % p)

@@ -1,12 +1,15 @@
 """Graded bases, the three maps, exactness and degree transport."""
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
+import helpers
 from wittgrass import (FramedDiagram, GradedDegree, PicClassMod2,
                        PointGenerator, base_det2, build_basis, degree,
                        map_matrix, peel, shorten, verify_degree_transport,
                        verify_exactness, widen)
+from wittgrass.witt_modules import _linear_position, _mod_p_position
 
 
 class TestDegrees:
@@ -115,7 +118,7 @@ class TestExactness:
                 for first, second in pairs:
                     A = map_matrix(first, d, e).array()
                     B = map_matrix(second, d, e).array()
-                    assert (B.dot(A) == 0).all(), (first, second, d, e)
+                    assert helpers.is_zero(helpers.mat_mul(B, A)), (first, second, d, e)
 
     def test_report_json_shape(self):
         obj = verify_exactness(2, 2, primes=(2,)).to_json()
@@ -125,6 +128,55 @@ class TestExactness:
         assert set(pos) == {"frame", "incoming", "outgoing", "structural",
                             "linear", "mod_p", "witnesses"}
         assert pos["mod_p"] == {"2": True}
+
+
+def _first_one(bm):
+    return next((i, j) for i, row in enumerate(bm.matrix)
+                for j, v in enumerate(row) if v)
+
+
+def _with_entry(bm, i, j, value):
+    rows = [list(row) for row in bm.matrix]
+    rows[i][j] = value
+    return replace(bm, matrix=tuple(tuple(row) for row in rows))
+
+
+def _without_column(bm, j):
+    return replace(bm, matrix=tuple(
+        tuple(0 if k == j else v for k, v in enumerate(row)) for row in bm.matrix))
+
+
+class TestCheckersDetectBrokenMaps:
+    """The integer-linear and mod-p checkers reject maps one entry off."""
+
+    POSITIONS = [("iota", "kappa"), ("kappa", "bord"), ("bord", "iota")]
+    FRAMES = [(3, 3), (3, 4), (4, 3)]
+
+    def _positions(self):
+        for d, e in self.FRAMES:
+            for first, second in self.POSITIONS:
+                incoming, outgoing = map_matrix(first, d, e), map_matrix(second, d, e)
+                if any(any(row) for row in incoming.matrix):
+                    yield incoming, outgoing
+
+    def test_intact_maps_pass(self):
+        for incoming, outgoing in self._positions():
+            assert _linear_position(incoming, outgoing)
+            assert _mod_p_position(incoming, outgoing, 2)
+
+    def test_entry_scaled_to_two(self):
+        for incoming, outgoing in self._positions():
+            i, j = _first_one(incoming)
+            scaled = _with_entry(incoming, i, j, 2)
+            assert _linear_position(scaled, outgoing) is False
+            assert _mod_p_position(scaled, outgoing, 2) is False
+
+    def test_dropped_image(self):
+        for incoming, outgoing in self._positions():
+            _, j = _first_one(incoming)
+            assert _linear_position(_without_column(incoming, j), outgoing) is False
+            _, j = _first_one(outgoing)
+            assert _linear_position(incoming, _without_column(outgoing, j)) is False
 
 
 class TestTransport:
