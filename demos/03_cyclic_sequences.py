@@ -11,7 +11,7 @@ diagrams each map either produces another even diagram or dies.
 Run with: python3 demos/03_cyclic_sequences.py
 """
 
-from wittgrass import (FramedDiagram, map_matrix, peel, shorten,
+from wittgrass import (FramedDiagram, cyclic_sequence, peel, shorten,
                        verify_exactness, widen)
 from wittgrass.cli import ascii_diagram
 
@@ -37,14 +37,14 @@ print("  ->")
 print(ascii_diagram(FramedDiagram(3, 2, (2, 2, 0))))
 print()
 
-bm = map_matrix("iota", 2, 2)
-print("Matrix of iota at the 2x2 frame, rows indexed by F(2,2), columns")
-print(f"by F(2,1): {bm.matrix}")
-print("Every column hits at most one row, so the maps are partial")
-print("bijections on basis diagrams with integer matrix entries 0 and 1.")
+bm = cyclic_sequence(2, 2).iota
+print("iota at the 2x2 frame sends the basis of F(2,1) to basis indices")
+print(f"of F(2,2) (None means zero): {bm.images}")
+print("No two sources share an image, so the maps are partial bijections on")
+print(f"basis diagrams; as an integer matrix with 0/1 entries: {bm.array()}")
 print()
 
-report = verify_exactness(3, 3, primes=(2, 3, 5))
+report = verify_exactness(cyclic_sequence(3, 3), primes=(2, 3, 5))
 print("Exactness at the 3x3 frame, three positions, checked structurally,")
 print("over the integers and over three prime fields:")
 for pos in report.positions:
@@ -57,11 +57,11 @@ print()
 print("Frames with d=0 or e=0 carry two point generators pt0, pt1 instead")
 print("of diagrams.  The boundary sequences stay exact through them:")
 for pivot in [(1, 4), (4, 1), (1, 1)]:
-    rep = verify_exactness(*pivot, primes=(2,))
+    rep = verify_exactness(cyclic_sequence(*pivot), primes=(2,))
     print(f"  pivot {pivot}: exact={rep.ok}")
 print()
 
-bm = map_matrix("kappa", 1, 3)
+bm = cyclic_sequence(1, 3).kappa
 print("For instance kappa at the 1x3 frame sends the empty diagram to pt0")
-print(f"and kills the full row: matrix {bm.matrix} with source labels "
+print(f"and kills the full row: images {bm.images} with source labels "
       f"{bm.source.labels()} and target labels {bm.target.labels()}")

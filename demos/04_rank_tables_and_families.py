@@ -6,8 +6,8 @@ Run with: python3 demos/04_rank_tables_and_families.py
 import json
 
 from wittgrass import (GeneratorClass, bord_vanishes, class_degree, classify,
-                       duality_check, enumerate_even, expected_rank,
-                       induction_report, rank_table, table_json)
+                       cyclic_sequence, duality_check, enumerate_even,
+                       expected_rank, induction_report, rank_table, table_json)
 
 print("Rank tables fold the diagram basis by graded degree (shift mod 4,")
 print("determinant twist), optionally keeping the mod-2 base class:")
@@ -32,8 +32,9 @@ for cls in GeneratorClass:
 print()
 
 print("The connecting map vanishes exactly on doubly even frames:")
-row = "  " + "  ".join(f"({d},{e}):{'0' if bord_vanishes(d, e) else '.'}"
-                       for d in (2, 3, 4) for e in (2, 3, 4))
+row = "  " + "  ".join(
+    f"({d},{e}):{'0' if bord_vanishes(cyclic_sequence(d, e)) else '.'}"
+    for d in (2, 3, 4) for e in (2, 3, 4))
 print(row)
 print()
 
@@ -44,7 +45,7 @@ print(f"  4x5 vs 5x4: ok={rep.ok} pairs={rep.pairs_checked}")
 print()
 
 print("Per-frame certificate tying it all together (3x3 shown):")
-cert = induction_report(3, 3)
+cert = induction_report(cyclic_sequence(3, 3))
 cert_small = {k: cert[k] for k in ("frame", "modules", "partition",
                                    "bord_zero", "split_short_exact",
                                    "rank_ledger", "ok")}

@@ -10,10 +10,10 @@ floating point.
 
 from .diagrams import (FramedDiagram, JumpTuples, all_diagrams, enumerate_even,
                        from_jump_tuples, peel, shorten, widen)
-from .grassmann_witt import (DualityReport, GeneratorClass, WittBasis,
-                             bord_vanishes, class_degree, classify,
-                             duality_check, expected_rank, induction_report,
-                             rank_table, table_json, total_witt_basis)
+from .grassmann_witt import (DualityReport, GeneratorClass, bord_vanishes,
+                             class_degree, classify, duality_check,
+                             expected_rank, induction_report, rank_table,
+                             table_json, total_witt_basis)
 from .picard import (PicClass, PicClassMod2, base_det, base_det2,
                      canonical_in_pullback_span, cell_canonical_identity,
                      cell_canonicals, les_twists, pullback_to_flag,
@@ -21,10 +21,11 @@ from .picard import (PicClass, PicClassMod2, base_det, base_det2,
                      rel_canonical_flag, rel_canonical_grass,
                      relative_dimension, taut_det, taut_det2, twist_class,
                      verify_cond_even)
-from .witt_modules import (MAP_NAMES, BasisMap, ExactnessReport, GradedBasis,
-                           GradedDegree, PointGenerator, TransportReport,
-                           build_basis, degree, map_matrix,
-                           verify_degree_transport, verify_exactness)
+from .witt_modules import (MAP_NAMES, BasisMap, CyclicSequence, ExactnessReport,
+                           GradedBasis, GradedDegree, PointGenerator,
+                           TransportReport, build_basis, cyclic_sequence,
+                           degree, map_matrix, verify_degree_transport,
+                           verify_exactness)
 
 __version__ = "0.1.0"
 
@@ -37,10 +38,11 @@ __all__ = [
     "twist_class", "verify_cond_even", "pushforward_admissible",
     "canonical_in_pullback_span", "cell_canonicals", "cell_canonical_identity",
     "les_twists",
-    "MAP_NAMES", "BasisMap", "ExactnessReport", "GradedBasis", "GradedDegree",
-    "PointGenerator", "TransportReport", "build_basis", "degree", "map_matrix",
-    "verify_degree_transport", "verify_exactness",
-    "DualityReport", "GeneratorClass", "WittBasis", "bord_vanishes",
+    "MAP_NAMES", "BasisMap", "CyclicSequence", "ExactnessReport", "GradedBasis",
+    "GradedDegree", "PointGenerator", "TransportReport", "build_basis",
+    "cyclic_sequence", "degree", "map_matrix", "verify_degree_transport",
+    "verify_exactness",
+    "DualityReport", "GeneratorClass", "bord_vanishes",
     "class_degree", "classify", "duality_check", "expected_rank",
     "induction_report", "rank_table", "table_json", "total_witt_basis",
     "__version__",

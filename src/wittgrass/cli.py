@@ -23,7 +23,7 @@ from .grassmann_witt import (bord_vanishes, classify, duality_check,
 from .picard import (canonical_in_pullback_span, pushforward_admissible,
                      rel_canonical_fiber, rel_canonical_flag,
                      rel_canonical_grass, relative_dimension, verify_cond_even)
-from .witt_modules import (MAP_NAMES, PointGenerator, map_matrix,
+from .witt_modules import (MAP_NAMES, cyclic_sequence, map_matrix,
                            verify_degree_transport, verify_exactness)
 
 
@@ -97,19 +97,19 @@ def _cmd_enumerate(args) -> int:
     if spec.format == "json":
         payload = {"frame": [args.d, args.e], "count": len(basis),
                    "diagrams": [{**dg.to_json(), "degree": deg.to_json()}
-                                for dg, deg in basis.entries]}
+                                for dg, deg in basis.elements]}
         print(_dumps(payload))
         return 0
     if spec.format == "svg":
         groups: dict[tuple[int, int], list[FramedDiagram]] = {}
-        for dg, deg in basis.entries:
+        for dg, deg in basis.elements:
             groups.setdefault((deg.shift, deg.det_twist), []).append(dg)
         rows = [(f"shift={key[0]} twist={key[1]}", groups[key])
                 for key in sorted(groups)]
         print(_svg_sheet(rows, spec))
         return 0
     blocks = []
-    for dg, deg in basis.entries:
+    for dg, deg in basis.elements:
         header = f"rows={dg.rows}"
         if spec.annotate:
             base = ",".join(str(i) for _, i in deg.base.support)
@@ -134,12 +134,10 @@ def _cmd_maps(args) -> int:
     lines = [f"{bm.which}: F({bm.source.d},{bm.source.e}) -> "
              f"F({bm.target.d},{bm.target.e})",
              "arrows (absent source means mapped to zero):"]
-    src_labels = bm.source.labels()
     tgt_labels = bm.target.labels()
-    for j, label in enumerate(src_labels):
-        hits = [i for i in range(len(tgt_labels)) if bm.matrix[i][j]]
-        if hits:
-            lines.append(f"  {label} -> {tgt_labels[hits[0]]}")
+    for label, i in zip(bm.source.labels(), bm.images):
+        if i is not None:
+            lines.append(f"  {label} -> {tgt_labels[i]}")
     print("\n".join(lines))
     return 0
 
@@ -203,7 +201,7 @@ def _verify_suites(scope: str, max_frame: int) -> dict:
     if scope in ("exactness", "all"):
         failures = []
         for d, e in frame_range("exactness"):
-            report = verify_exactness(d, e, primes=(2, 3, 5))
+            report = verify_exactness(cyclic_sequence(d, e), primes=(2, 3, 5))
             if not report.ok:
                 failures.append(report.to_json())
         suites["exactness"] = {"frames": len(frame_range("exactness")),
@@ -211,8 +209,9 @@ def _verify_suites(scope: str, max_frame: int) -> dict:
     if scope in ("degrees", "all"):
         failures = []
         for d, e in frame_range("degrees"):
+            seq = cyclic_sequence(d, e)
             for trivial in (False, True):
-                report = verify_degree_transport(d, e, trivial_base=trivial)
+                report = verify_degree_transport(seq, trivial_base=trivial)
                 if not report.ok:
                     failures.append(report.to_json())
         suites["degrees"] = {"frames": len(frame_range("degrees")),
@@ -232,7 +231,7 @@ def _verify_suites(scope: str, max_frame: int) -> dict:
         failures = []
         for d, e in frame_range("bord"):
             try:
-                vanishes = bord_vanishes(d, e)
+                vanishes = bord_vanishes(cyclic_sequence(d, e))
             except RuntimeError as exc:
                 failures.append({"frame": [d, e], "reason": str(exc)})
                 continue
@@ -251,7 +250,7 @@ def _verify_suites(scope: str, max_frame: int) -> dict:
     if scope in ("induction", "all"):
         failures = []
         for d, e in frame_range("induction"):
-            cert = induction_report(d, e)
+            cert = induction_report(cyclic_sequence(d, e))
             if not cert["ok"]:
                 failures.append(cert)
         suites["induction"] = {"frames": len(frame_range("induction")),

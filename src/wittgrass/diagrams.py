@@ -37,7 +37,7 @@ class JumpTuples:
         object.__setattr__(self, "evec", tuple(self.evec))
         if len(self.dvec) != len(self.evec) or not self.dvec:
             raise ValueError("dvec and evec must be nonempty and of equal length")
-        if any(not isinstance(v, int) for v in self.dvec + self.evec):
+        if any(type(v) is not int for v in self.dvec + self.evec):
             raise ValueError("jump tuples must be integers")
         if self.dvec[0] < 1 or self.evec[0] < 0:
             raise ValueError("need dvec[0] >= 1 and evec[0] >= 0")
@@ -61,11 +61,11 @@ class FramedDiagram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
-        if self.d < 1 or self.e < 1:
-            raise ValueError("frame dimensions must be at least 1")
+        if type(self.d) is not int or type(self.e) is not int or self.d < 1 or self.e < 1:
+            raise ValueError("frame dimensions must be integers, at least 1")
         if len(self.rows) != self.d:
             raise ValueError(f"expected {self.d} rows, got {len(self.rows)}")
-        if any(not isinstance(r, int) for r in self.rows):
+        if any(type(r) is not int for r in self.rows):
             raise ValueError("row lengths must be integers")
         if any(r < 0 or r > self.e for r in self.rows):
             raise ValueError(f"row lengths must lie in [0, {self.e}]")
@@ -97,7 +97,7 @@ class FramedDiagram:
         return (self.rows[0] + self.rho()) % 2
 
     def is_empty(self) -> bool:
-        return self.rows[-1] == 0 and self.rows[0] == 0
+        return self.rows[0] == 0
 
     def is_full(self) -> bool:
         return self.rows[-1] == self.e

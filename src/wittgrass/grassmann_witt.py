@@ -14,10 +14,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .diagrams import FramedDiagram, enumerate_even
+from .diagrams import FramedDiagram
 from .picard import verify_cond_even
-from .witt_modules import (GradedBasis, GradedDegree, build_basis, degree,
-                           map_matrix, verify_degree_transport, verify_exactness)
+from .witt_modules import (CyclicSequence, GradedBasis, build_basis,
+                           verify_degree_transport, verify_exactness)
 
 
 class GeneratorClass(enum.Enum):
@@ -27,39 +27,26 @@ class GeneratorClass(enum.Enum):
     ROW_COLUMN_PLUS_BLOCKS = "RowColumnPlusBlocks"
 
 
-@dataclass(frozen=True)
-class WittBasis:
-    """Validated diagram basis of one frame."""
-
-    d: int
-    e: int
-    entries: tuple[tuple[FramedDiagram, GradedDegree], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def expected_rank(d: int, e: int) -> int:
     """Closed-form total rank: 2 * C(floor(d/2)+floor(e/2), floor(e/2))."""
     return 2 * math.comb(d // 2 + e // 2, e // 2)
 
 
-def total_witt_basis(d: int, e: int) -> WittBasis:
-    """Basis of the frame with every degree recomputed and every entry validated."""
+def total_witt_basis(d: int, e: int) -> GradedBasis:
+    """Diagram basis of the frame with every entry's twist cancellation validated."""
     if d < 1 or e < 1:
         raise ValueError("frame dimensions must be at least 1")
-    entries = []
-    for diagram in enumerate_even(d, e):
+    basis = build_basis(d, e)
+    for diagram, _ in basis.elements:
         if not verify_cond_even(diagram):
             raise RuntimeError(f"twist cancellation fails for rows={diagram.rows}")
-        entries.append((diagram, degree(diagram)))
-    return WittBasis(d, e, tuple(entries))
+    return basis
 
 
 def rank_table(d: int, e: int, trivial_base: bool = True) -> dict:
     """Ranks keyed by (shift, det_twist), adding the base support when kept."""
     table: dict = {}
-    for _, deg in total_witt_basis(d, e).entries:
+    for _, deg in total_witt_basis(d, e).elements:
         if trivial_base:
             key = (deg.shift, deg.det_twist)
         else:
@@ -134,18 +121,21 @@ def class_degree(cls: GeneratorClass, d: int, e: int) -> tuple[int, int]:
     return ((d + e - 1) % 4, 0)
 
 
-def bord_vanishes(d: int, e: int) -> bool:
-    """Whether the connecting map of the (d,e) sequence is zero.
+def bord_vanishes(seq: CyclicSequence) -> bool:
+    """Whether the connecting map of a cyclic sequence is zero.
 
     Parity criterion (both dimensions even), cross-checked against the
-    actual matrix on every call.
+    images of bord on every call.
     """
-    if d < 1 or e < 1:
-        raise ValueError("the sequence needs d,e >= 1")
+    d, e = seq.d, seq.e
     by_parity = d % 2 == 0 and e % 2 == 0
-    matrix_zero = all(not any(row) for row in map_matrix("bord", d, e).matrix)
-    if by_parity != matrix_zero:
-        raise RuntimeError(f"parity criterion and matrix disagree at ({d},{e})")
+    hit = [j for j, i in enumerate(seq.bord.images) if i is not None]
+    if by_parity and hit:
+        raise RuntimeError(f"parity criterion says bord vanishes at ({d},{e}), but it "
+                           f"maps {seq.bord.source.labels()[hit[0]]} to a nonzero image")
+    if not by_parity and not hit:
+        raise RuntimeError(f"parity criterion says bord is nonzero at ({d},{e}), but "
+                           f"it maps all {len(seq.bord.source)} source elements to zero")
     return by_parity
 
 
@@ -188,34 +178,30 @@ def duality_check(d: int, e: int) -> DualityReport:
     return DualityReport((d, e), len(source.elements), tuple(failures))
 
 
-def induction_report(d: int, e: int) -> dict:
-    """Machine-readable certificate for the (d,e) step of the rank induction."""
-    if d < 1 or e < 1:
-        raise ValueError("the sequence needs d,e >= 1")
-    iota = map_matrix("iota", d, e)
-    kappa = map_matrix("kappa", d, e)
-    bord = map_matrix("bord", d, e)
-    exact = verify_exactness(d, e, primes=(2,))
-    transport = verify_degree_transport(d, e)
+def induction_report(seq: CyclicSequence) -> dict:
+    """Machine-readable certificate for one step of the rank induction."""
+    iota, kappa, bord = seq.maps()
+    exact = verify_exactness(seq, primes=(2,))
+    transport = verify_degree_transport(seq)
 
-    def image_size(bm):
-        return sum(1 for row in bm.matrix if any(row))
+    def supported(bm):
+        return len(bm.images) - bm.images.count(None)
 
-    iota_image = image_size(iota)
-    kappa_image = image_size(kappa)
-    bord_zero = all(not any(row) for row in bord.matrix)
+    iota_image = len(set(iota.images) - {None})
+    kappa_image = len(set(kappa.images) - {None})
+    bord_zero = supported(bord) == 0
     middle = len(iota.target)
-    iota_injective = all(any(bm) for bm in zip(*iota.matrix))
-    kappa_surjective = all(any(row) for row in kappa.matrix)
+    iota_injective = supported(iota) == len(iota.source)
+    kappa_surjective = kappa_image == len(kappa.target)
     split = bord_zero and iota_injective and kappa_surjective and exact.ok
     return {
-        "frame": [d, e],
+        "frame": [seq.d, seq.e],
         "modules": {"source": len(iota.source), "middle": middle,
                     "quotient": len(kappa.target)},
         "partition": {
-            "iota_supported": sum(1 for col in zip(*iota.matrix) if any(col)),
-            "kappa_supported": sum(1 for col in zip(*kappa.matrix) if any(col)),
-            "bord_supported": sum(1 for col in zip(*bord.matrix) if any(col)),
+            "iota_supported": supported(iota),
+            "kappa_supported": supported(kappa),
+            "bord_supported": supported(bord),
         },
         "exactness": exact.to_json(),
         "degree_transport": transport.to_json(),

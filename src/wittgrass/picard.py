@@ -31,11 +31,11 @@ def _validated_terms(n, terms, with_coeff):
         kind, index = term[0], term[1]
         if kind not in _KINDS:
             raise ValueError(f"unknown generator kind {kind!r}")
-        if not isinstance(index, int) or not 1 <= index <= n:
+        if type(index) is not int or not 1 <= index <= n:
             raise ValueError(f"generator index {index!r} outside 1..{n}")
         if with_coeff:
             coeff = term[2]
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 raise ValueError("coefficients must be integers")
             if coeff:
                 out.append((kind, index, coeff))
@@ -56,7 +56,7 @@ class PicClass:
     terms: tuple[tuple[str, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError("ambient rank must be a positive integer")
         object.__setattr__(self, "terms", _validated_terms(self.n, self.terms, True))
 
@@ -125,7 +125,7 @@ class PicClassMod2:
     support: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError("ambient rank must be a positive integer")
         object.__setattr__(self, "support",
                            _validated_terms(self.n, tuple(self.support), False))

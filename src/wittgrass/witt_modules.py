@@ -9,12 +9,12 @@ Each basis element carries a graded degree (shift in Z/4, a mod-2 base class,
 and a determinant twist in Z/2); frames with zero rows or zero columns
 degenerate to a pair of point generators.  Exactness of the sequence is
 verified two independent ways: structurally, from the partial-bijection shape
-of the matrices, and by exact integer linear algebra.
+of the maps, and by exact integer linear algebra on their matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from . import intmatrix
 from .diagrams import FramedDiagram, enumerate_even, peel, shorten, widen
@@ -73,6 +73,11 @@ class GradedBasis:
     d: int
     e: int
     elements: tuple[tuple[FramedDiagram | PointGenerator, GradedDegree], ...]
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index",
+                           {elem: i for i, (elem, _) in enumerate(self.elements)})
 
     @property
     def is_point_frame(self) -> bool:
@@ -89,10 +94,10 @@ class GradedBasis:
         return tuple(out)
 
     def index_of(self, elem) -> int:
-        for i, (candidate, _) in enumerate(self.elements):
-            if candidate == elem:
-                return i
-        raise KeyError(f"{elem!r} not in basis")
+        try:
+            return self._index[elem]
+        except KeyError:
+            raise KeyError(f"{elem!r} not in basis") from None
 
 
 def build_basis(d: int, e: int) -> GradedBasis:
@@ -110,22 +115,30 @@ def build_basis(d: int, e: int) -> GradedBasis:
 
 @dataclass(frozen=True)
 class BasisMap:
-    """Integer matrix of one of the three maps, rows indexed by the target."""
+    """One of the three maps as a partial bijection between two bases.
+
+    ``images[j]`` is the target index of source element j, or None when the
+    map sends that element to zero.
+    """
 
     which: str
     source: GradedBasis
     target: GradedBasis
-    matrix: tuple[tuple[int, ...], ...]
+    images: tuple[int | None, ...]
 
     def to_json(self) -> dict:
         return {"which": self.which,
                 "source_frame": [self.source.d, self.source.e],
                 "target_frame": [self.target.d, self.target.e],
-                "matrix": [list(row) for row in self.matrix]}
+                "matrix": self.array()}
 
     def array(self) -> list[list[int]]:
         """The matrix as new int rows; it has ``len(self.source)`` columns."""
-        return [list(row) for row in self.matrix]
+        rows = [[0] * len(self.source) for _ in self.target.elements]
+        for j, i in enumerate(self.images):
+            if i is not None:
+                rows[i][j] = 1
+        return rows
 
 
 def _image(which: str, d: int, e: int, elem):
@@ -138,36 +151,51 @@ def _image(which: str, d: int, e: int, elem):
         if d == 1:  # target is the point frame
             return PointGenerator(0) if elem.is_empty() else None
         return shorten(elem)
-    if which == "bord":
-        if isinstance(elem, PointGenerator):  # d == 1: source is the point frame
-            if elem.index != 1:
-                return None
-            return PointGenerator(0) if e == 1 else FramedDiagram.empty(1, e - 1)
-        if e == 1:  # target is the point frame
-            return PointGenerator((d + 1) % 2) if elem.rows[-1] % 2 else None
-        return peel(elem)
-    raise ValueError(f"unknown map {which!r}; expected one of {MAP_NAMES}")
+    # bord
+    if isinstance(elem, PointGenerator):  # d == 1: source is the point frame
+        if elem.index != 1:
+            return None
+        return PointGenerator(0) if e == 1 else FramedDiagram.empty(1, e - 1)
+    if e == 1:  # target is the point frame
+        return PointGenerator((d + 1) % 2) if elem.rows[-1] % 2 else None
+    return peel(elem)
+
+
+@dataclass(frozen=True)
+class CyclicSequence:
+    """F(d,e-1) --iota--> F(d,e) --kappa--> F(d-1,e) --bord--> F(d,e-1)."""
+
+    d: int
+    e: int
+    iota: BasisMap
+    kappa: BasisMap
+    bord: BasisMap
+
+    def maps(self) -> tuple[BasisMap, BasisMap, BasisMap]:
+        return (self.iota, self.kappa, self.bord)
+
+
+def cyclic_sequence(d: int, e: int) -> CyclicSequence:
+    """The cyclic sequence anchored at (d,e), each basis built once."""
+    if d < 1 or e < 1:
+        raise ValueError("the sequence needs d,e >= 1")
+    left, middle, right = build_basis(d, e - 1), build_basis(d, e), build_basis(d - 1, e)
+    maps = []
+    for which, source, target in (("iota", left, middle), ("kappa", middle, right),
+                                  ("bord", right, left)):
+        images = []
+        for elem, _ in source.elements:
+            image = _image(which, d, e, elem)
+            images.append(None if image is None else target.index_of(image))
+        maps.append(BasisMap(which, source, target, tuple(images)))
+    return CyclicSequence(d, e, *maps)
 
 
 def map_matrix(which: str, d: int, e: int) -> BasisMap:
-    """Matrix of iota, kappa or bord for the cyclic sequence anchored at (d,e)."""
-    if d < 1 or e < 1:
-        raise ValueError("the sequence needs d,e >= 1")
-    if which == "iota":
-        source, target = build_basis(d, e - 1), build_basis(d, e)
-    elif which == "kappa":
-        source, target = build_basis(d, e), build_basis(d - 1, e)
-    elif which == "bord":
-        source, target = build_basis(d - 1, e), build_basis(d, e - 1)
-    else:
+    """Iota, kappa or bord of the cyclic sequence anchored at (d,e)."""
+    if which not in MAP_NAMES:
         raise ValueError(f"unknown map {which!r}; expected one of {MAP_NAMES}")
-    columns = []
-    for elem, _ in source.elements:
-        image = _image(which, d, e, elem)
-        columns.append(None if image is None else target.index_of(image))
-    matrix = tuple(tuple(1 if columns[j] == i else 0 for j in range(len(source)))
-                   for i in range(len(target)))
-    return BasisMap(which, source, target, matrix)
+    return getattr(cyclic_sequence(d, e), which)
 
 
 def _element_json(elem):
@@ -217,72 +245,58 @@ class ExactnessReport:
                 "exact": self.ok}
 
 
-def _is_partial_bijection(matrix) -> bool:
-    for row in matrix:
-        if any(v not in (0, 1) for v in row):
-            return False
-        if sum(row) > 1:
-            return False
-    cols = len(matrix[0]) if matrix else 0
-    for j in range(cols):
-        if sum(row[j] for row in matrix) > 1:
-            return False
-    return True
+def _is_partial_bijection(bm: BasisMap) -> bool:
+    hit = [i for i in bm.images if i is not None]
+    return len(set(hit)) == len(hit)
 
 
 def _structural_position(incoming: BasisMap, outgoing: BasisMap):
-    hit = {i for i, row in enumerate(incoming.matrix) if any(row)}
-    killed = {j for j in range(len(outgoing.source))
-              if not any(row[j] for row in outgoing.matrix)}
+    hit = {i for i in incoming.images if i is not None}
+    killed = {j for j, i in enumerate(outgoing.images) if i is None}
     ok = hit == killed
     witnesses = tuple(outgoing.source.elements[i][0] for i in sorted(hit ^ killed))
     return ok, witnesses
 
 
-def _linear_position(incoming: BasisMap, outgoing: BasisMap) -> bool:
+def _linear_position(A, B, width: int, middle: int) -> bool:
     """B A = 0 and every integer kernel vector of B is an integer image of A."""
-    A = incoming.array()
-    B = outgoing.array()
-    width = len(incoming.source)
     if any(any(row) for row in intmatrix.multiply(B, A, width)):
         return False
-    K = intmatrix.integer_kernel(B, len(outgoing.source))
+    K = intmatrix.integer_kernel(B, middle)
     witnesses = intmatrix.solve_in_span_many(A, zip(*K), width)
     return all(x is not None for x in witnesses)
 
 
-def _mod_p_position(incoming: BasisMap, outgoing: BasisMap, p: int) -> bool:
-    A = incoming.array()
-    B = outgoing.array()
-    product = intmatrix.multiply(B, A, len(incoming.source))
+def _mod_p_position(A, B, width: int, middle: int, p: int) -> bool:
+    product = intmatrix.multiply(B, A, width)
     if any(v % p for row in product for v in row):
         return False
-    middle = len(outgoing.source)
     return intmatrix.rank_mod_p(A, p) + intmatrix.rank_mod_p(B, p) == middle
 
 
-def verify_exactness(d: int, e: int, primes: tuple[int, ...] = ()) -> ExactnessReport:
-    """Verify exactness of the (d,e) cyclic sequence at all three modules.
+def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> ExactnessReport:
+    """Verify exactness of a cyclic sequence at all three modules.
 
-    Runs the structural partial-bijection argument and the exact integer
-    linear algebra independently; optionally also checks rank equalities
-    over the prime fields listed in ``primes``.
+    Runs the structural partial-bijection argument on the images and the
+    exact integer linear algebra on the matrices, independently; optionally
+    also checks rank equalities over the prime fields listed in ``primes``.
     """
-    iota = map_matrix("iota", d, e)
-    kappa = map_matrix("kappa", d, e)
-    bord = map_matrix("bord", d, e)
-    well_formed = all(_is_partial_bijection(m.matrix) for m in (iota, kappa, bord))
+    well_formed = all(_is_partial_bijection(m) for m in seq.maps())
+    arrays = {m.which: m.array() for m in seq.maps()}
     positions = []
-    for incoming, outgoing in ((iota, kappa), (kappa, bord), (bord, iota)):
+    for incoming, outgoing in ((seq.iota, seq.kappa), (seq.kappa, seq.bord),
+                               (seq.bord, seq.iota)):
         structural, witnesses = _structural_position(incoming, outgoing)
-        linear = _linear_position(incoming, outgoing)
-        mod_p = tuple((p, _mod_p_position(incoming, outgoing, p)) for p in primes)
+        A, B = arrays[incoming.which], arrays[outgoing.which]
+        width, middle = len(incoming.source), len(outgoing.source)
+        linear = _linear_position(A, B, width, middle)
+        mod_p = tuple((p, _mod_p_position(A, B, width, middle, p)) for p in primes)
         positions.append(PositionVerdict(
             frame=(outgoing.source.d, outgoing.source.e),
             incoming=incoming.which, outgoing=outgoing.which,
             structural=structural, linear=linear, mod_p=mod_p,
             witnesses=witnesses))
-    return ExactnessReport((d, e), tuple(positions), well_formed)
+    return ExactnessReport((seq.d, seq.e), tuple(positions), well_formed)
 
 
 def _transport(which: str, d: int, e: int, deg: GradedDegree,
@@ -350,44 +364,41 @@ class TransportReport:
 _DET_OFFSET = {"iota": 1, "kappa": 0, "bord": -1}
 
 
-def verify_degree_transport(d: int, e: int, trivial_base: bool = False) -> TransportReport:
+def verify_degree_transport(seq: CyclicSequence,
+                            trivial_base: bool = False) -> TransportReport:
     """Check that every nonzero matrix entry moves degrees by the stated rule.
 
     Point-generator endpoints carry no assigned shift or base, so entries
     whose source or target is a point generator are checked on the det-twist
     component only and counted separately in the report.
     """
-    if d < 1 or e < 1:
-        raise ValueError("the sequence needs d,e >= 1")
     checked = 0
     det_only = 0
     failures = []
-    for which in MAP_NAMES:
-        bm = map_matrix(which, d, e)
-        for j, (src, src_deg) in enumerate(bm.source.elements):
-            hits = [i for i in range(len(bm.target)) if bm.matrix[i][j]]
-            if not hits:
+    for bm in seq.maps():
+        for (src, src_deg), i in zip(bm.source.elements, bm.images):
+            if i is None:
                 continue
-            tgt, tgt_deg = bm.target.elements[hits[0]]
+            tgt, tgt_deg = bm.target.elements[i]
             checked += 1
             if isinstance(src, PointGenerator) or isinstance(tgt, PointGenerator):
                 det_only += 1
-                expected = (src_deg.det_twist + _DET_OFFSET[which]) % 2
+                expected = (src_deg.det_twist + _DET_OFFSET[bm.which]) % 2
                 if expected != tgt_deg.det_twist:
-                    failures.append(TransportFailure(which, src, expected,
+                    failures.append(TransportFailure(bm.which, src, expected,
                                                      tgt_deg.det_twist))
                 continue
             actual = tgt_deg
             if trivial_base:
-                src_deg = GradedDegree(src_deg.shift, PicClassMod2.zero(src_deg.base.n),
-                                       src_deg.det_twist)
-                actual = GradedDegree(actual.shift, PicClassMod2.zero(actual.base.n),
-                                      actual.det_twist)
+                src_deg = replace(src_deg, base=PicClassMod2.zero(src_deg.base.n))
+                actual = replace(actual, base=PicClassMod2.zero(actual.base.n))
             try:
-                expected = _transport(which, d, e, src_deg, trivial_base)
+                expected = _transport(bm.which, seq.d, seq.e, src_deg, trivial_base)
             except ValueError:
-                failures.append(TransportFailure(which, src, "unrepresentable", actual))
+                failures.append(TransportFailure(bm.which, src, "unrepresentable",
+                                                 actual))
                 continue
             if expected != actual:
-                failures.append(TransportFailure(which, src, expected, actual))
-    return TransportReport((d, e), trivial_base, checked, det_only, tuple(failures))
+                failures.append(TransportFailure(bm.which, src, expected, actual))
+    return TransportReport((seq.d, seq.e), trivial_base, checked, det_only,
+                           tuple(failures))

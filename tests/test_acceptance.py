@@ -15,8 +15,8 @@ import time
 import helpers
 from wittgrass import (FramedDiagram, bord_vanishes,
                        canonical_in_pullback_span, class_degree, classify,
-                       degree, duality_check, enumerate_even, expected_rank,
-                       pushforward_admissible, rank_table,
+                       cyclic_sequence, degree, duality_check, enumerate_even,
+                       expected_rank, pushforward_admissible, rank_table,
                        relative_dimension, verify_cond_even,
                        verify_degree_transport, verify_exactness)
 
@@ -74,7 +74,7 @@ def test_criterion_03_sequences_exact_with_integer_and_mod_p_checks():
     failures = []
     for d in range(2, 8):
         for e in range(2, 8):
-            report = verify_exactness(d, e, primes=(2, 3, 5))
+            report = verify_exactness(cyclic_sequence(d, e), primes=(2, 3, 5))
             if not report.ok:
                 failures.append((d, e))
     elapsed = time.perf_counter() - start
@@ -89,7 +89,7 @@ def test_criterion_03_sequences_exact_with_integer_and_mod_p_checks():
 
 def test_criterion_04_connecting_map_vanishes_iff_both_even():
     bad = [(d, e) for d in range(2, 9) for e in range(2, 9)
-           if bord_vanishes(d, e) != (d % 2 == 0 and e % 2 == 0)]
+           if bord_vanishes(cyclic_sequence(d, e)) != (d % 2 == 0 and e % 2 == 0)]
     ok = not bad
     _verdict(4, "connecting map is zero exactly on doubly even frames, "
                 "2 <= d,e <= 8", ok, f"frames {bad}")
@@ -139,7 +139,8 @@ def test_criterion_07_degree_transport_including_trivial_base():
     for d in range(2, 7):
         for e in range(2, 7):
             for trivial in (False, True):
-                report = verify_degree_transport(d, e, trivial_base=trivial)
+                report = verify_degree_transport(cyclic_sequence(d, e),
+                                                 trivial_base=trivial)
                 if not report.ok:
                     bad.append((d, e, trivial))
     ok = not bad
@@ -212,7 +213,7 @@ def test_criterion_11_boundary_sequences_exact():
     bad = []
     for m in range(2, 7):
         for pivot in [(1, m), (m, 1)]:
-            report = verify_exactness(*pivot, primes=(2, 3, 5))
+            report = verify_exactness(cyclic_sequence(*pivot), primes=(2, 3, 5))
             if not report.ok:
                 bad.append(pivot)
     ok = not bad

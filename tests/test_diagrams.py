@@ -27,6 +27,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             FramedDiagram(3, 3, (1, 1))
 
+    def test_rejects_bool_rows(self):
+        with pytest.raises(ValueError):
+            FramedDiagram(2, 2, (True, False))
+
+    def test_rejects_float_frame(self):
+        with pytest.raises(ValueError):
+            FramedDiagram(2.0, 2, (1, 1))
+
     def test_trailing_zero_rows_are_explicit(self):
         dg = FramedDiagram(3, 2, (2, 0, 0))
         assert dg.rows == (2, 0, 0)
@@ -76,6 +84,10 @@ class TestJumpTuples:
             JumpTuples((1, 2), (1, 1))
         with pytest.raises(ValueError):
             JumpTuples((1, 2), (0,))
+
+    def test_rejects_bool_entries(self):
+        with pytest.raises(ValueError):
+            JumpTuples((True,), (0,))
 
     @given(helpers.framed_diagrams())
     def test_roundtrip(self, dg):
@@ -209,3 +221,7 @@ class TestJson:
             FramedDiagram.from_json({"d": 2, "e": 2})
         with pytest.raises(ValueError):
             FramedDiagram.from_json({"d": 2, "e": 2, "rows": [1, 2], "x": 0})
+
+    def test_rejects_string_frame(self):
+        with pytest.raises(ValueError):
+            FramedDiagram.from_json({"frame": ["2", 2], "rows": [1, 1]})

@@ -1,14 +1,17 @@
 """Rank tables, classification census, duality and induction certificates."""
 
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
 import helpers
 from wittgrass import (FramedDiagram, GeneratorClass, bord_vanishes,
-                       class_degree, classify, degree, duality_check,
-                       enumerate_even, expected_rank, induction_report,
-                       rank_table, table_json, total_witt_basis)
+                       class_degree, classify, cyclic_sequence, degree,
+                       duality_check, enumerate_even, expected_rank,
+                       induction_report, rank_table, table_json,
+                       total_witt_basis)
 
 
 class TestRanks:
@@ -124,11 +127,27 @@ class TestBordVanishing:
     def test_parity_criterion(self):
         for d in range(1, 7):
             for e in range(1, 7):
-                assert bord_vanishes(d, e) == (d % 2 == 0 and e % 2 == 0)
+                assert bord_vanishes(cyclic_sequence(d, e)) == (d % 2 == 0 and e % 2 == 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bord_vanishes(0, 2)
+            bord_vanishes(cyclic_sequence(0, 2))
+
+    def test_added_image_is_named(self):
+        for d, e in [(2, 2), (4, 4)]:
+            seq = cyclic_sequence(d, e)
+            images = (None,) * (len(seq.bord.source) - 1) + (0,)
+            label = seq.bord.source.labels()[-1]
+            with pytest.raises(RuntimeError, match=re.escape(f"maps {label} to")):
+                bord_vanishes(replace(seq, bord=replace(seq.bord, images=images)))
+
+    def test_removed_image_is_reported(self):
+        for d, e in [(2, 3), (3, 2)]:
+            seq = cyclic_sequence(d, e)
+            assert len(seq.bord.images) - seq.bord.images.count(None) == 1
+            images = (None,) * len(seq.bord.source)
+            with pytest.raises(RuntimeError, match=r"at \(\d,\d\), but it maps all"):
+                bord_vanishes(replace(seq, bord=replace(seq.bord, images=images)))
 
 
 class TestDuality:
@@ -146,19 +165,19 @@ class TestDuality:
 
 class TestInduction:
     def test_certificate_keys(self):
-        cert = induction_report(2, 2)
+        cert = induction_report(cyclic_sequence(2, 2))
         assert set(cert) == {"frame", "modules", "partition", "exactness",
                              "degree_transport", "bord_zero",
                              "split_short_exact", "rank_ledger", "ok"}
 
     def test_even_frame_splits(self):
-        cert = induction_report(2, 2)
+        cert = induction_report(cyclic_sequence(2, 2))
         assert cert["ok"] and cert["bord_zero"] and cert["split_short_exact"]
         assert cert["modules"] == {"source": 2, "middle": 4, "quotient": 2}
         assert cert["rank_ledger"]["additive"]
 
     def test_odd_frame_does_not_split_but_verifies(self):
-        cert = induction_report(3, 3)
+        cert = induction_report(cyclic_sequence(3, 3))
         assert cert["ok"]
         assert not cert["bord_zero"]
         assert not cert["split_short_exact"]
@@ -167,4 +186,4 @@ class TestInduction:
     def test_range(self):
         for d in range(1, 6):
             for e in range(1, 6):
-                assert induction_report(d, e)["ok"], (d, e)
+                assert induction_report(cyclic_sequence(d, e))["ok"], (d, e)

@@ -32,6 +32,14 @@ class TestPicClassAlgebra:
         with pytest.raises(ValueError):
             base_det(4, 2) + base_det(5, 2)
 
+    def test_rejects_bool_rank(self):
+        with pytest.raises(ValueError):
+            PicClass(True, ())
+
+    def test_rejects_bool_coefficient(self):
+        with pytest.raises(ValueError):
+            PicClass(4, ((B, 2, True),))
+
     def test_arithmetic(self):
         a = base_det(4, 4)
         b = taut_det(4, 2)

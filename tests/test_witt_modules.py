@@ -6,10 +6,11 @@ import pytest
 
 import helpers
 from wittgrass import (FramedDiagram, GradedDegree, PicClassMod2,
-                       PointGenerator, base_det2, build_basis, degree,
-                       map_matrix, peel, shorten, verify_degree_transport,
-                       verify_exactness, widen)
-from wittgrass.witt_modules import _linear_position, _mod_p_position
+                       PointGenerator, base_det2, build_basis, cyclic_sequence,
+                       degree, map_matrix, peel, shorten,
+                       verify_degree_transport, verify_exactness, widen)
+from wittgrass.witt_modules import (_linear_position, _mod_p_position,
+                                    _structural_position)
 
 
 class TestDegrees:
@@ -66,16 +67,16 @@ class TestMapMatrices:
         bm = map_matrix("iota", 2, 2)
         assert (bm.source.d, bm.source.e) == (2, 1)
         assert (bm.target.d, bm.target.e) == (2, 2)
-        assert bm.matrix == ((1, 0), (0, 0), (0, 1), (0, 0))
+        assert bm.array() == [[1, 0], [0, 0], [0, 1], [0, 0]]
 
-        assert map_matrix("bord", 2, 2).matrix == ((0, 0), (0, 0))
+        assert map_matrix("bord", 2, 2).array() == [[0, 0], [0, 0]]
 
     def test_frozen_boundary(self):
         # single-row frames collapse to the point generators
-        assert map_matrix("kappa", 1, 3).matrix == ((0, 1), (0, 0))
+        assert map_matrix("kappa", 1, 3).array() == [[0, 1], [0, 0]]
         bm = map_matrix("iota", 1, 1)
         assert bm.source.is_point_frame
-        assert bm.matrix == ((0, 1), (0, 0))
+        assert bm.array() == [[0, 1], [0, 0]]
 
     def test_matches_moves_on_interior_frames(self):
         moves = {"iota": widen, "kappa": shorten, "bord": peel}
@@ -83,9 +84,10 @@ class TestMapMatrices:
             for e in range(2, 6):
                 for which, move in moves.items():
                     bm = map_matrix(which, d, e)
+                    matrix = bm.array()
                     for j, (src, _) in enumerate(bm.source.elements):
                         image = move(src)
-                        col = [bm.matrix[i][j] for i in range(len(bm.target))]
+                        col = [matrix[i][j] for i in range(len(bm.target))]
                         if image is None:
                             assert not any(col)
                         else:
@@ -107,7 +109,7 @@ class TestExactness:
     def test_interior_frames(self):
         for d in range(1, 6):
             for e in range(1, 6):
-                report = verify_exactness(d, e, primes=(2, 3, 5))
+                report = verify_exactness(cyclic_sequence(d, e), primes=(2, 3, 5))
                 assert report.ok, report.to_json()
                 assert len(report.positions) == 3
 
@@ -121,7 +123,7 @@ class TestExactness:
                     assert helpers.is_zero(helpers.mat_mul(B, A)), (first, second, d, e)
 
     def test_report_json_shape(self):
-        obj = verify_exactness(2, 2, primes=(2,)).to_json()
+        obj = verify_exactness(cyclic_sequence(2, 2), primes=(2,)).to_json()
         assert obj["exact"] is True
         assert obj["maps_well_formed"] is True
         pos = obj["positions"][0]
@@ -130,20 +132,19 @@ class TestExactness:
         assert pos["mod_p"] == {"2": True}
 
 
-def _first_one(bm):
-    return next((i, j) for i, row in enumerate(bm.matrix)
+def _first_one(matrix):
+    return next((i, j) for i, row in enumerate(matrix)
                 for j, v in enumerate(row) if v)
 
 
-def _with_entry(bm, i, j, value):
-    rows = [list(row) for row in bm.matrix]
+def _with_entry(matrix, i, j, value):
+    rows = [list(row) for row in matrix]
     rows[i][j] = value
-    return replace(bm, matrix=tuple(tuple(row) for row in rows))
+    return rows
 
 
-def _without_column(bm, j):
-    return replace(bm, matrix=tuple(
-        tuple(0 if k == j else v for k, v in enumerate(row)) for row in bm.matrix))
+def _without_column(matrix, j):
+    return [[0 if k == j else v for k, v in enumerate(row)] for row in matrix]
 
 
 class TestCheckersDetectBrokenMaps:
@@ -153,30 +154,92 @@ class TestCheckersDetectBrokenMaps:
     FRAMES = [(3, 3), (3, 4), (4, 3)]
 
     def _positions(self):
+        """(A, B, width, middle) of each position whose incoming map is nonzero."""
         for d, e in self.FRAMES:
+            seq = cyclic_sequence(d, e)
             for first, second in self.POSITIONS:
-                incoming, outgoing = map_matrix(first, d, e), map_matrix(second, d, e)
-                if any(any(row) for row in incoming.matrix):
-                    yield incoming, outgoing
+                incoming, outgoing = getattr(seq, first), getattr(seq, second)
+                A, B = incoming.array(), outgoing.array()
+                if any(any(row) for row in A):
+                    yield A, B, len(incoming.source), len(outgoing.source)
 
     def test_intact_maps_pass(self):
-        for incoming, outgoing in self._positions():
-            assert _linear_position(incoming, outgoing)
-            assert _mod_p_position(incoming, outgoing, 2)
+        for A, B, width, middle in self._positions():
+            assert _linear_position(A, B, width, middle)
+            assert _mod_p_position(A, B, width, middle, 2)
 
     def test_entry_scaled_to_two(self):
-        for incoming, outgoing in self._positions():
-            i, j = _first_one(incoming)
-            scaled = _with_entry(incoming, i, j, 2)
-            assert _linear_position(scaled, outgoing) is False
-            assert _mod_p_position(scaled, outgoing, 2) is False
+        for A, B, width, middle in self._positions():
+            i, j = _first_one(A)
+            scaled = _with_entry(A, i, j, 2)
+            assert _linear_position(scaled, B, width, middle) is False
+            assert _mod_p_position(scaled, B, width, middle, 2) is False
 
     def test_dropped_image(self):
-        for incoming, outgoing in self._positions():
-            _, j = _first_one(incoming)
-            assert _linear_position(_without_column(incoming, j), outgoing) is False
-            _, j = _first_one(outgoing)
-            assert _linear_position(incoming, _without_column(outgoing, j)) is False
+        for A, B, width, middle in self._positions():
+            _, j = _first_one(A)
+            assert _linear_position(_without_column(A, j), B, width, middle) is False
+            _, j = _first_one(B)
+            assert _linear_position(A, _without_column(B, j), width, middle) is False
+
+
+def _with_images(seq, which, images):
+    """The sequence with the images of one map replaced."""
+    return replace(seq, **{which: replace(getattr(seq, which), images=tuple(images))})
+
+
+class TestStructuralCheckersDetectBrokenMaps:
+    """The structural and degree checkers reject broken maps and name the fault."""
+
+    FRAMES = [(3, 3), (3, 4), (4, 3), (4, 4)]
+
+    def test_shared_image_is_not_well_formed(self):
+        for d, e in self.FRAMES:
+            seq = cyclic_sequence(d, e)
+            for which in ("iota", "kappa"):
+                images = list(getattr(seq, which).images)
+                hit = [j for j, i in enumerate(images) if i is not None]
+                lost = images[hit[1]]
+                images[hit[1]] = images[hit[0]]
+                report = verify_exactness(_with_images(seq, which, images))
+                assert report.maps_well_formed is False, (d, e, which)
+                # the middle element no longer hit is named at the next position
+                position = report.positions[0 if which == "iota" else 1]
+                target = getattr(seq, which).target
+                assert position.witnesses == (target.elements[lost][0],)
+
+    def test_dropped_image_names_its_source(self):
+        for d, e in self.FRAMES:
+            seq = cyclic_sequence(d, e)
+            for incoming, outgoing in (("iota", "kappa"), ("kappa", "bord"),
+                                       ("bord", "iota")):
+                images = list(getattr(seq, outgoing).images)
+                j = next((j for j, i in enumerate(images) if i is not None), None)
+                if j is None:  # bord of a doubly even frame is zero
+                    continue
+                images[j] = None
+                broken = _with_images(seq, outgoing, images)
+                ok, witnesses = _structural_position(getattr(broken, incoming),
+                                                     getattr(broken, outgoing))
+                assert ok is False
+                assert witnesses == (getattr(seq, outgoing).source.elements[j][0],)
+
+    def test_perturbed_degree_names_its_element(self):
+        for d, e in self.FRAMES:
+            seq = cyclic_sequence(d, e)
+            for which in ("iota", "kappa", "bord"):
+                bm = getattr(seq, which)
+                j = next((j for j, i in enumerate(bm.images) if i is not None), None)
+                if j is None:
+                    continue
+                elements = list(bm.source.elements)
+                elem, deg = elements[j]
+                elements[j] = (elem, replace(deg, shift=(deg.shift + 1) % 4))
+                source = replace(bm.source, elements=tuple(elements))
+                broken = replace(seq, **{which: replace(bm, source=source)})
+                for trivial in (False, True):
+                    report = verify_degree_transport(broken, trivial_base=trivial)
+                    assert [(f.which, f.source) for f in report.failures] == [(which, elem)]
 
 
 class TestTransport:
@@ -184,19 +247,20 @@ class TestTransport:
         for d in range(2, 6):
             for e in range(2, 6):
                 for trivial in (False, True):
-                    report = verify_degree_transport(d, e, trivial_base=trivial)
+                    report = verify_degree_transport(cyclic_sequence(d, e),
+                                                     trivial_base=trivial)
                     assert report.ok, report.to_json()
                     assert report.checked > 0
                     assert report.point_entries_det_only == 0
 
     def test_boundary_frames_count_point_entries(self):
         for d, e in [(1, 1), (1, 3), (3, 1), (1, 4), (4, 1)]:
-            report = verify_degree_transport(d, e)
+            report = verify_degree_transport(cyclic_sequence(d, e))
             assert report.ok, report.to_json()
             assert report.point_entries_det_only > 0
 
     def test_json_shape(self):
-        obj = verify_degree_transport(2, 2).to_json()
+        obj = verify_degree_transport(cyclic_sequence(2, 2)).to_json()
         assert set(obj) == {"frame", "trivial_base", "checked",
                             "point_entries_det_only", "failures", "ok"}
         assert obj["ok"] is True
