@@ -12,6 +12,7 @@ fixed command line.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -49,8 +50,12 @@ def ascii_diagram(diagram: FramedDiagram) -> str:
     return "\n".join("#" * r + "." * (diagram.e - r) for r in diagram.rows)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False)
+def _print_json(obj) -> None:
+    # print(json.dumps(obj, indent=2)), streamed in batches of encoder chunks
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := "".join(itertools.islice(chunks, 8192)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _svg_sheet(groups, spec: RenderSpec) -> str:
@@ -98,7 +103,7 @@ def _cmd_enumerate(args) -> int:
         payload = {"frame": [args.d, args.e], "count": len(basis),
                    "diagrams": [{**dg.to_json(), "degree": deg.to_json()}
                                 for dg, deg in basis.elements]}
-        print(_dumps(payload))
+        _print_json(payload)
         return 0
     if spec.format == "svg":
         groups: dict[tuple[int, int], list[FramedDiagram]] = {}
@@ -122,14 +127,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    print(_dumps(table_json(args.d, args.e, args.trivial_base)))
+    _print_json(table_json(args.d, args.e, args.trivial_base))
     return 0
 
 
 def _cmd_maps(args) -> int:
     bm = map_matrix(args.which, args.d, args.e)
     if args.format == "json":
-        print(_dumps(bm.to_json()))
+        _print_json(bm.to_json())
         return 0
     lines = [f"{bm.which}: F({bm.source.d},{bm.source.e}) -> "
              f"F({bm.target.d},{bm.target.e})",
@@ -153,7 +158,7 @@ def _cmd_classify(args) -> int:
         payload = {"frame": [args.d, args.e],
                    "classes": [{"rows": list(dg.rows), "class": cls.value}
                                for dg, cls in entries]}
-        print(_dumps(payload))
+        _print_json(payload)
         return 0
     for dg, cls in entries:
         print(f"rows={dg.rows} class={cls.value}")
@@ -176,7 +181,7 @@ def _cmd_canonical(args) -> int:
         "flag": rel_canonical_flag(tuples, n).to_json(),
         "flag_over_grass": rel_canonical_fiber(tuples, d, e).to_json(),
     }
-    print(_dumps(payload))
+    _print_json(payload)
     return 0
 
 
@@ -261,8 +266,8 @@ def _verify_suites(scope: str, max_frame: int) -> dict:
 def _cmd_verify(args) -> int:
     suites = _verify_suites(args.scope, args.max_frame)
     ok = all(s["ok"] for s in suites.values())
-    print(_dumps({"scope": args.scope, "max_frame": args.max_frame,
-                  "suites": suites, "ok": ok}))
+    _print_json({"scope": args.scope, "max_frame": args.max_frame,
+                 "suites": suites, "ok": ok})
     return 0 if ok else 1
 
 

@@ -15,6 +15,7 @@ shuttle diagrams between the frames (d,e-1), (d,e) and (d-1,e).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -65,12 +66,14 @@ class FramedDiagram:
             raise ValueError("frame dimensions must be integers, at least 1")
         if len(self.rows) != self.d:
             raise ValueError(f"expected {self.d} rows, got {len(self.rows)}")
-        if any(type(r) is not int for r in self.rows):
-            raise ValueError("row lengths must be integers")
-        if any(r < 0 or r > self.e for r in self.rows):
-            raise ValueError(f"row lengths must lie in [0, {self.e}]")
-        if any(b > a for a, b in zip(self.rows, self.rows[1:])):
-            raise ValueError("rows must be weakly decreasing")
+        prev = e = self.e  # one pass: an int, and 0 <= row <= the row above it
+        for r in self.rows:
+            if type(r) is not int:
+                raise ValueError("row lengths must be integers")
+            if not 0 <= r <= prev:
+                raise ValueError(f"row lengths must lie in [0, {e}]" if not 0 <= r <= e
+                                 else "rows must be weakly decreasing")
+            prev = r
 
     @classmethod
     def empty(cls, d: int, e: int) -> "FramedDiagram":
@@ -102,15 +105,16 @@ class FramedDiagram:
     def is_full(self) -> bool:
         return self.rows[-1] == self.e
 
+    def _jumps(self) -> tuple[list[int], list[int]]:
+        # (dvec, evec) of jump_tuples as plain lists; the rows are already valid
+        rows = self.rows
+        dvec = [pos for pos in range(1, self.d) if rows[pos] < rows[pos - 1]]
+        dvec.append(self.d)
+        return dvec, [self.e - rows[pos - 1] for pos in dvec]
+
     def jump_tuples(self) -> JumpTuples:
         """Encode as jump tuples: drop positions and their co-lengths."""
-        dvec: list[int] = []
-        evec: list[int] = []
-        for pos in range(1, self.d + 1):
-            if pos == self.d or self.rows[pos] < self.rows[pos - 1]:
-                dvec.append(pos)
-                evec.append(self.e - self.rows[pos - 1])
-        return JumpTuples(tuple(dvec), tuple(evec))
+        return JumpTuples(*self._jumps())
 
     def is_even(self) -> bool:
         """Whether every boundary segment strictly inside the frame has even length.
@@ -120,23 +124,17 @@ class FramedDiagram:
         e_{i+1}-e_i are even; when 0 < e_1 < e the first block height d_1 is
         even; when 0 < e_k < e the last block height d_k-d_{k-1} is even.
         """
-        t = self.jump_tuples()
-        dv, ev, k = t.dvec, t.evec, t.k
-        if any((dv[i + 1] - dv[i]) % 2 for i in range(k - 2)):
+        dv, ev = self._jumps()
+        if any((b - a) % 2 for a, b in zip(dv, dv[1:-1])):
             return False
-        if any((ev[i + 1] - ev[i]) % 2 for i in range(k - 1)):
+        if any((b - a) % 2 for a, b in zip(ev, ev[1:])):
             return False
-        if 0 < ev[0] < self.e and dv[0] % 2:
-            return False
-        if 0 < ev[-1] < self.e:
-            last_gap = dv[-1] - (dv[-2] if k >= 2 else 0)
-            if last_gap % 2:
-                return False
-        return True
+        return _even_ends(dv, ev, self.e)
 
     def dual(self) -> "FramedDiagram":
         """Transpose into the e-by-d frame (column heights become rows)."""
-        heights = tuple(sum(1 for r in self.rows if r >= c) for c in range(1, self.e + 1))
+        ascending = self.rows[::-1]
+        heights = tuple(self.d - bisect_left(ascending, c) for c in range(1, self.e + 1))
         return FramedDiagram(self.e, self.d, heights)
 
     def to_json(self) -> dict:
@@ -161,12 +159,12 @@ def from_jump_tuples(tuples: JumpTuples, d: int, e: int) -> FramedDiagram:
         raise ValueError(f"dvec must end at the row count {d}")
     if tuples.evec[-1] > e:
         raise ValueError(f"evec entries must not exceed the column count {e}")
-    rows: list[int] = []
-    prev = 0
-    for di, ei in zip(tuples.dvec, tuples.evec):
-        rows.extend([e - ei] * (di - prev))
-        prev = di
-    return FramedDiagram(d, e, tuple(rows))
+    return FramedDiagram(d, e, _rows_from_jumps(tuples.dvec, tuples.evec, e))
+
+
+def _rows_from_jumps(dvec, evec, e: int) -> list[int]:
+    # row pos (1-based) lies in the block of the first jump d_i >= pos
+    return [e - evec[bisect_left(dvec, pos)] for pos in range(1, dvec[-1] + 1)]
 
 
 def _even_gap_chains(lo: int, hi: int):
@@ -186,6 +184,12 @@ def _even_gap_chains(lo: int, hi: int):
         yield from grow(first)
 
 
+def _even_ends(dvec, evec, e: int) -> bool:
+    # the block-height conditions of is_even at the first and the last jump
+    last_gap = dvec[-1] - (dvec[-2] if len(dvec) >= 2 else 0)
+    return not (0 < evec[0] < e and dvec[0] % 2 or 0 < evec[-1] < e and last_gap % 2)
+
+
 def _even_jump_candidates(d: int, e: int):
     # dvec: first value and final gap free, interior gaps even, last entry d
     dvecs: dict[int, list[tuple[int, ...]]] = {1: [(d,)]}
@@ -193,13 +197,8 @@ def _even_jump_candidates(d: int, e: int):
         dvecs.setdefault(len(prefix) + 1, []).append(prefix + (d,))
     for evec in _even_gap_chains(0, e):
         for dvec in dvecs.get(len(evec), ()):
-            if 0 < evec[0] < e and dvec[0] % 2:
-                continue
-            if 0 < evec[-1] < e:
-                last_gap = dvec[-1] - (dvec[-2] if len(dvec) >= 2 else 0)
-                if last_gap % 2:
-                    continue
-            yield JumpTuples(dvec, evec)
+            if _even_ends(dvec, evec, e):
+                yield dvec, evec
 
 
 def enumerate_even(d: int, e: int) -> tuple[FramedDiagram, ...]:
@@ -211,9 +210,9 @@ def enumerate_even(d: int, e: int) -> tuple[FramedDiagram, ...]:
     """
     if d < 1 or e < 1:
         raise ValueError("frame dimensions must be at least 1")
-    found = [from_jump_tuples(t, d, e) for t in _even_jump_candidates(d, e)]
-    found.sort(key=lambda dg: dg.rows, reverse=True)
-    return tuple(found)
+    rows = sorted((_rows_from_jumps(dvec, evec, e)
+                   for dvec, evec in _even_jump_candidates(d, e)), reverse=True)
+    return tuple(FramedDiagram(d, e, r) for r in rows)
 
 
 def _require_even(diagram: FramedDiagram, role: str) -> None:

@@ -183,14 +183,24 @@ def quotient_det(n: int) -> PicClass:
     return base_det(n, n) - base_det(n, n - 1)
 
 
-def _normalize_flag(cls: PicClass, tuples: JumpTuples) -> PicClass:
-    # co-length zero steps: the tautological det is pulled back from the base
-    acc = cls.as_dict()
-    for di, ei in zip(tuples.dvec, tuples.evec):
-        if ei == 0 and (TAUT, di) in acc:
-            c = acc.pop((TAUT, di))
-            acc[(BASE, di)] = acc.get((BASE, di), 0) + c
-    return PicClass.from_dict(cls.n, acc)
+def _flag_canonical(tuples: JumpTuples, n: int, last_taut: int,
+                    top_base: int = 0) -> PicClass:
+    # sum_i (d_{i-1}-d_i) BaseDet(d_i+e_i) + sum_{i<k} (d_i-d_{i-1}+e_i-e_{i+1})
+    # TautDet(d_i) + last_taut TautDet(d_k) + top_base BaseDet(n), normalized;
+    # summed in one plain dict and validated once, as a PicClass
+    dv, ev = tuples.dvec, tuples.evec
+    acc = {(BASE, n): top_base}
+    prev = 0
+    for di, ei in zip(dv, ev):
+        acc[(BASE, di + ei)] = acc.get((BASE, di + ei), 0) + prev - di
+        prev = di
+    for i in range(tuples.k - 1):
+        acc[(TAUT, dv[i])] = dv[i] - (dv[i - 1] if i else 0) + ev[i] - ev[i + 1]
+    acc[(TAUT, dv[-1])] = last_taut
+    if ev[0] == 0:  # co-length zero, possible only at the first step as evec
+        # strictly increases: the tautological det is pulled back from the base
+        acc[(BASE, dv[0])] = acc.get((BASE, dv[0]), 0) + acc.pop((TAUT, dv[0]))
+    return PicClass.from_dict(n, acc)
 
 
 def rel_canonical_grass(d: int, n: int) -> PicClass:
@@ -211,17 +221,8 @@ def rel_canonical_flag(tuples: JumpTuples, n: int) -> PicClass:
     dv, ev, k = tuples.dvec, tuples.evec, tuples.k
     if dv[-1] + ev[-1] > n:
         raise ValueError("flag steps exceed the ambient rank")
-    acc = PicClass.zero(n)
-    prev = 0
-    for di, ei in zip(dv, ev):
-        acc = acc + (prev - di) * base_det(n, di + ei)
-        prev = di
-    for i in range(k - 1):
-        d_step = dv[i] - (dv[i - 1] if i else 0)
-        acc = acc + (d_step + ev[i] - ev[i + 1]) * taut_det(n, dv[i])
     last_step = dv[-1] - (dv[-2] if k >= 2 else 0)
-    acc = acc + (last_step + ev[-1]) * taut_det(n, dv[-1])
-    return _normalize_flag(acc, tuples)
+    return _flag_canonical(tuples, n, last_step + ev[-1])
 
 
 def rel_canonical_fiber(tuples: JumpTuples, d: int, e: int) -> PicClass:
@@ -238,18 +239,8 @@ def rel_canonical_fiber(tuples: JumpTuples, d: int, e: int) -> PicClass:
     n = d + e
     if ev[-1] > e:
         raise ValueError("co-lengths must not exceed e")
-    acc = PicClass.zero(n)
-    prev = 0
-    for di, ei in zip(dv, ev):
-        acc = acc + (prev - di) * base_det(n, di + ei)
-        prev = di
-    acc = acc + d * base_det(n, n)
-    for i in range(k - 1):
-        d_step = dv[i] - (dv[i - 1] if i else 0)
-        acc = acc + (d_step + ev[i] - ev[i + 1]) * taut_det(n, dv[i])
     d_prev = dv[-2] if k >= 2 else 0
-    acc = acc + (-d_prev + ev[-1] - e) * taut_det(n, dv[-1])
-    return _normalize_flag(acc, tuples)
+    return _flag_canonical(tuples, n, -d_prev + ev[-1] - e, top_base=d)
 
 
 def pullback_to_flag(cls: PicClassMod2, tuples: JumpTuples) -> PicClassMod2:
@@ -285,12 +276,10 @@ def relative_dimension(tuples: JumpTuples) -> int:
 def twist_class(diagram: FramedDiagram) -> PicClassMod2:
     """Mod-2 twist attached to a diagram: rho * BaseDet(n) + t * TautDet(d)."""
     n = diagram.d + diagram.e
-    acc = PicClassMod2.zero(n)
-    if diagram.rho() % 2:
-        acc = acc + base_det2(n, n)
+    support = [(BASE, n)] if diagram.rho() % 2 else []
     if diagram.twist():
-        acc = acc + taut_det2(n, diagram.d)
-    return acc
+        support.append((TAUT, diagram.d))
+    return PicClassMod2(n, tuple(support))
 
 
 def verify_cond_even(diagram: FramedDiagram) -> bool:

@@ -14,7 +14,8 @@ of the maps, and by exact integer linear algebra on their matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cache
 
 from . import intmatrix
 from .diagrams import FramedDiagram, enumerate_even, peel, shorten, widen
@@ -59,11 +60,15 @@ class PointGenerator:
         return f"pt{self.index}"
 
 
+def _degree(diagram: FramedDiagram, bases) -> GradedDegree:
+    # bases: the base class for an even and for an odd number of nonzero rows
+    return GradedDegree(diagram.area() % 4, bases[diagram.rho() % 2], diagram.twist())
+
+
 def degree(diagram: FramedDiagram) -> GradedDegree:
     """Graded degree of a diagram generator, in its own frame's ambient rank."""
     n = diagram.d + diagram.e
-    base = base_det2(n, n) if diagram.rho() % 2 else PicClassMod2.zero(n)
-    return GradedDegree(diagram.area() % 4, base, diagram.twist())
+    return _degree(diagram, (PicClassMod2.zero(n), base_det2(n, n)))
 
 
 @dataclass(frozen=True)
@@ -104,12 +109,11 @@ def build_basis(d: int, e: int) -> GradedBasis:
     """Basis of the frame (d,e); degenerate frames get the two point generators."""
     if d < 0 or e < 0 or (d == 0 and e == 0):
         raise ValueError("need d,e >= 0 and not both zero")
+    bases = (PicClassMod2.zero(d + e), base_det2(d + e, d + e))
     if d == 0 or e == 0:
-        n = d + e
-        zero = PicClassMod2.zero(n)
-        elems = tuple((PointGenerator(i), GradedDegree(0, zero, i)) for i in (0, 1))
-        return GradedBasis(d, e, elems)
-    elems = tuple((dg, degree(dg)) for dg in enumerate_even(d, e))
+        elems = tuple((PointGenerator(i), GradedDegree(0, bases[0], i)) for i in (0, 1))
+    else:
+        elems = tuple((dg, _degree(dg, bases)) for dg in enumerate_even(d, e))
     return GradedBasis(d, e, elems)
 
 
@@ -299,28 +303,28 @@ def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> Exact
     return ExactnessReport((seq.d, seq.e), tuple(positions), well_formed)
 
 
-def _transport(which: str, d: int, e: int, deg: GradedDegree,
-               trivial_base: bool = False) -> GradedDegree:
+def _transport(which: str, d: int, deg: GradedDegree, base_cls: PicClassMod2,
+               qdet: PicClassMod2) -> GradedDegree:
     """Expected target degree under one map, per the transport rules.
 
-    With a trivial base the quotient-det offsets vanish and the rules become
-    honest homogeneity statements.  Raises ValueError when the transported
-    base cannot live in the target's ambient alphabet; the checker reports
-    that as a failure.
+    ``base_cls`` is the source's base class lifted into the big ambient rank
+    n = d + e of the sequence; ``qdet`` is the quotient det BaseDet(n) +
+    BaseDet(n-1), or zero for a trivial base: the offsets then vanish and
+    the rules become honest homogeneity statements.  Raises ValueError when
+    the transported base cannot live in the target's ambient alphabet; the
+    checker reports that as a failure.
     """
-    n = d + e
-    zero = PicClassMod2.zero(n)
-    qdet = zero if trivial_base else PicClassMod2(n, ((BASE, n), (BASE, n - 1)))
-    s, base_cls, t = deg.shift, deg.base, deg.det_twist
-    base_cls = PicClassMod2(n, base_cls.support)  # lift into the big ambient alphabet
+    n = base_cls.n
+    s, t = deg.shift, deg.det_twist
     if which == "iota":
-        return GradedDegree((s + d) % 4, base_cls + (qdet if d % 2 else zero), (t + 1) % 2)
+        return GradedDegree((s + d) % 4, base_cls + qdet if d % 2 else base_cls,
+                            (t + 1) % 2)
     if which == "kappa":
-        base_cls = base_cls + (qdet if t else zero)
+        base_cls = base_cls + qdet if t else base_cls
         # the target lives one ambient rank down
         return GradedDegree(s, PicClassMod2(n - 1, base_cls.support), t)
     if which == "bord":
-        base_cls = base_cls + (qdet if (t - d) % 2 else zero)
+        base_cls = base_cls + qdet if (t - d) % 2 else base_cls
         return GradedDegree((s - d + 1) % 4, PicClassMod2(n - 1, base_cls.support),
                             (t - 1) % 2)
     raise ValueError(f"unknown map {which!r}")
@@ -372,6 +376,9 @@ def verify_degree_transport(seq: CyclicSequence,
     whose source or target is a point generator are checked on the det-twist
     component only and counted separately in the report.
     """
+    n = seq.d + seq.e
+    zero = cache(PicClassMod2.zero)  # one zero class per ambient rank, for this call
+    qdet = zero(n) if trivial_base else PicClassMod2(n, ((BASE, n), (BASE, n - 1)))
     checked = 0
     det_only = 0
     failures = []
@@ -390,10 +397,10 @@ def verify_degree_transport(seq: CyclicSequence,
                 continue
             actual = tgt_deg
             if trivial_base:
-                src_deg = replace(src_deg, base=PicClassMod2.zero(src_deg.base.n))
-                actual = replace(actual, base=PicClassMod2.zero(actual.base.n))
+                actual = GradedDegree(actual.shift, zero(actual.base.n), actual.det_twist)
             try:
-                expected = _transport(bm.which, seq.d, seq.e, src_deg, trivial_base)
+                lifted = zero(n) if trivial_base else PicClassMod2(n, src_deg.base.support)
+                expected = _transport(bm.which, seq.d, src_deg, lifted, qdet)
             except ValueError:
                 failures.append(TransportFailure(bm.which, src, "unrepresentable",
                                                  actual))

@@ -1,5 +1,6 @@
 """Shared test utilities: independent oracles and hypothesis strategies."""
 
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 
@@ -40,6 +41,54 @@ def evenness_oracle(d, e, rows):
         if 0 < value < d and length % 2:
             return False
     return True
+
+
+def _normalized(coeffs, dvec, evec):
+    # co-length-zero steps: TautDet(d_i) becomes BaseDet(d_i); zeros dropped
+    out = Counter(coeffs)
+    for di, ei in zip(dvec, evec):
+        if ei == 0:
+            out[("BaseDet", di)] += out.pop(("TautDet", di), 0)
+    return {key: c for key, c in out.items() if c}
+
+
+def _flag_coeffs(dvec, evec):
+    """Flag canonical before normalization, term by term (d_0 = 0)."""
+    k = len(dvec)
+    d_ = (0, *dvec)  # d_[i] is d_i, 1-based
+    e_ = (None, *evec)
+    coeffs = Counter()
+    for i in range(1, k + 1):
+        coeffs[("BaseDet", d_[i] + e_[i])] += d_[i - 1] - d_[i]
+    for i in range(1, k):
+        coeffs[("TautDet", d_[i])] += d_[i] - d_[i - 1] + e_[i] - e_[i + 1]
+    coeffs[("TautDet", d_[k])] += d_[k] - d_[k - 1] + e_[k]
+    return coeffs
+
+
+def canonical_flag_oracle(dvec, evec, n):
+    """Relative canonical of the flag bundle, coefficient dict, from the formula
+
+    sum_i (d_{i-1}-d_i) BaseDet(d_i+e_i) + sum_{i<k} (d_i-d_{i-1}+e_i-e_{i+1})
+    TautDet(d_i) + (d_k-d_{k-1}+e_k) TautDet(d_k), then normalized.  Plain
+    integer bookkeeping: no wittgrass class arithmetic.
+    """
+    assert dvec[-1] + evec[-1] <= n
+    return _normalized(_flag_coeffs(dvec, evec), dvec, evec)
+
+
+def canonical_fiber_oracle(dvec, evec, d, e):
+    """Flag canonical minus the pulled-back Grassmann canonical, normalized.
+
+    The Grassmann class is -d BaseDet(n) + n TautDet(d) with n = d + e; the
+    pullback fixes BaseDet and sends TautDet(d) to TautDet(d_k) = TautDet(d).
+    """
+    assert dvec[-1] == d
+    n = d + e
+    coeffs = _flag_coeffs(dvec, evec)
+    coeffs[("BaseDet", n)] += d
+    coeffs[("TautDet", dvec[-1])] -= n
+    return _normalized(coeffs, dvec, evec)
 
 
 def mat_mul(A, B):

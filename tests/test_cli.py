@@ -5,8 +5,8 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from wittgrass.cli import RenderSpec, ascii_diagram, main
-from wittgrass import FramedDiagram
+from wittgrass.cli import RenderSpec, _verify_suites, ascii_diagram, main
+from wittgrass import FramedDiagram, map_matrix
 
 
 def run(capsys, *argv):
@@ -164,6 +164,18 @@ class TestVerify:
         payload = json.loads(out)
         assert set(payload["suites"]) == {"exactness", "degrees", "cond-even",
                                           "bord", "duality", "induction"}
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["maps", "--d", "5", "--e", "5", "--which", "kappa"],
+         lambda: map_matrix("kappa", 5, 5).to_json()),
+        (["verify", "--scope", "all", "--max-frame", "3"],
+         lambda: {"scope": "all", "max_frame": 3,
+                  "suites": _verify_suites("all", 3), "ok": True}),
+    ])
+    def test_streamed_json_equals_dumps(self, capsys, argv, payload):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(payload(), indent=2) + "\n"
 
     @pytest.mark.parametrize("max_frame", ["0", "-3"])
     def test_no_frames_is_a_usage_error(self, capsys, max_frame):

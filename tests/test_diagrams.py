@@ -1,5 +1,6 @@
 """Diagram combinatorics: frames, jump tuples, evenness, the three moves."""
 
+import itertools
 import math
 
 import pytest
@@ -34,6 +35,26 @@ class TestValidation:
     def test_rejects_float_frame(self):
         with pytest.raises(ValueError):
             FramedDiagram(2.0, 2, (1, 1))
+
+    def test_accepts_exactly_decreasing_int_rows_in_frame(self):
+        """Brute force over {-1, ..., e+1}^d for d, e <= 3."""
+        for d in range(1, 4):
+            for e in range(1, 4):
+                for rows in itertools.product(range(-1, e + 2), repeat=d):
+                    valid = (all(0 <= r <= e for r in rows)
+                             and all(a >= b for a, b in zip(rows, rows[1:])))
+                    try:
+                        FramedDiagram(d, e, rows)
+                    except ValueError:
+                        assert not valid, rows
+                    else:
+                        assert valid, rows
+                    if not valid:
+                        continue
+                    for i, r in enumerate(rows):  # the same value with the wrong type
+                        for bad in [float(r)] + ([bool(r)] if r in (0, 1) else []):
+                            with pytest.raises(ValueError):
+                                FramedDiagram(d, e, rows[:i] + (bad,) + rows[i + 1:])
 
     def test_trailing_zero_rows_are_explicit(self):
         dg = FramedDiagram(3, 2, (2, 0, 0))
@@ -149,6 +170,8 @@ class TestDuality:
     def test_involution_and_invariants(self, dg):
         mirror = dg.dual()
         assert (mirror.d, mirror.e) == (dg.e, dg.d)
+        assert mirror.rows == tuple(sum(1 for r in dg.rows if r >= c)
+                                    for c in range(1, dg.e + 1))  # column heights
         assert mirror.dual() == dg
         assert mirror.area() == dg.area()
         assert mirror.is_even() == dg.is_even()

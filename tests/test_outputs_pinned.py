@@ -1,0 +1,37 @@
+"""CLI outputs pinned to the benchmark's recorded digests.
+
+Runs every operation of the benchmark's smoke workload through `cli.main`
+and compares its exit code and stdout sha256 with perfbench/expected.json,
+so that a byte change in an output fails here before the benchmark sees it.
+The file is only read.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from wittgrass.cli import main
+
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text())
+
+FRAME_4 = ["--d", "4", "--e", "4"]
+SMOKE_OPS = [
+    ["verify", "--scope", "all", "--max-frame", "3"],
+    ["enumerate", *FRAME_4, "--format", "json"],
+    ["table", *FRAME_4],
+    ["classify", *FRAME_4],
+    *(["maps", *FRAME_4, "--which", which] for which in ("iota", "kappa", "bord")),
+]
+
+
+@pytest.mark.parametrize("argv", SMOKE_OPS, ids=" ".join)
+def test_output_matches_recorded_digest(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out.encode("utf-8")
+    expected = EXPECTED[" ".join(argv)]
+    assert code == expected["exit"]
+    assert len(out) == expected["bytes"]
+    assert hashlib.sha256(out).hexdigest() == expected["sha256"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
+from wittgrass import cli, picard
 from wittgrass import (FramedDiagram, JumpTuples, PicClass, PicClassMod2,
                        all_diagrams, base_det, base_det2,
                        canonical_in_pullback_span, cell_canonical_identity,
@@ -108,6 +109,17 @@ class TestCanonicalClasses:
                     lhs = rel_canonical_fiber(t, d, e)
                     assert lhs == rel_canonical_flag(t, n) - pb, rows
 
+    def test_flag_and_fiber_match_counter_oracles(self):
+        """Coefficientwise against the docstring formulas, every diagram up to 6x6."""
+        for d in range(1, 7):
+            for e in range(1, 7):
+                for rows in helpers.all_row_vectors(d, e):
+                    t = FramedDiagram(d, e, rows).jump_tuples()
+                    fiber = helpers.canonical_fiber_oracle(t.dvec, t.evec, d, e)
+                    assert rel_canonical_fiber(t, d, e).as_dict() == fiber, rows
+                    flag = helpers.canonical_flag_oracle(t.dvec, t.evec, d + e)
+                    assert rel_canonical_flag(t, d + e).as_dict() == flag, rows
+
     def test_fiber_mod2_route(self):
         for d in range(1, 5):
             for e in range(1, 5):
@@ -158,6 +170,27 @@ class TestTwist:
     def test_rejects_non_even(self):
         with pytest.raises(ValueError):
             verify_cond_even(FramedDiagram(2, 2, (2, 1)))
+
+    def test_suite_reports_a_broken_canonical(self, monkeypatch):
+        """A stray TautDet(d_1) in one diagram's canonical fails exactly that diagram."""
+        broken = FramedDiagram(3, 4, (4, 2, 2))
+        t = broken.jump_tuples()
+        assert broken.is_even() and t.dvec[0] != t.dvec[-1]
+        original = picard.rel_canonical_fiber
+
+        def stray_term(tuples, d, e):
+            cls = original(tuples, d, e)
+            if (tuples, d, e) == (t, broken.d, broken.e):
+                return cls + taut_det(cls.n, tuples.dvec[0])
+            return cls
+
+        monkeypatch.setattr(picard, "rel_canonical_fiber", stray_term)
+        assert not verify_cond_even(broken)
+        assert all(verify_cond_even(dg) for dg in enumerate_even(3, 4) if dg != broken)
+        suite = cli._verify_suites("cond-even", 4)["cond-even"]
+        witness = {"frame": [3, 4], "rows": [4, 2, 2]}
+        assert suite["failures"] == [witness, {**witness, "reason": "admissibility"}]
+        assert not suite["ok"]
 
 
 class TestAdmissibility:
