@@ -3,8 +3,9 @@
 The package is organized around even Young diagrams in a rectangular frame:
 `diagrams` holds the combinatorics, `picard` the symbolic line-bundle
 calculus, `witt_modules` the graded free modules and the three maps between
-neighbouring frames, and `grassmann_witt` the rank tables, classification
-and verification reports.  Everything is integer arithmetic; nothing is
+neighbouring frames, `grassmann_witt` the rank tables, classification
+and verification reports, and `verify` the suites that `wittgrass verify`
+runs over a range of frames.  Everything is integer arithmetic; nothing is
 floating point.
 """
 

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: enumerate (even diagrams of a frame, with degrees), table (rank
-table), verify (run verification suites over a range of frames), maps (one of
-the three matrices), classify (strip-and-blocks families), canonical
-(symbolic canonical classes from jump tuples).  Output goes to stdout as
-ascii, svg or json; diagnostics go to stderr.  Exit codes: 0 success,
+table), verify (the suites of `wittgrass.verify` over a range of frames),
+maps (one of the three matrices), classify (strip-and-blocks families),
+canonical (symbolic canonical classes from jump tuples).  Output goes to
+stdout as ascii, svg or json; diagnostics go to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage error.  JSON output is byte-stable for a
 fixed command line.
 """
@@ -19,13 +19,11 @@ from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
 from .diagrams import FramedDiagram, JumpTuples, enumerate_even
-from .grassmann_witt import (bord_vanishes, classify, duality_check,
-                             induction_report, table_json, total_witt_basis)
-from .picard import (canonical_in_pullback_span, pushforward_admissible,
-                     rel_canonical_fiber, rel_canonical_flag,
-                     rel_canonical_grass, relative_dimension, verify_cond_even)
-from .witt_modules import (MAP_NAMES, cyclic_sequence, map_matrix,
-                           verify_degree_transport, verify_exactness)
+from .grassmann_witt import classify, table_json, total_witt_basis
+from .picard import (rel_canonical_fiber, rel_canonical_flag,
+                     rel_canonical_grass, relative_dimension)
+from .verify import SUITE_FIRST_FRAME, verify_suites
+from .witt_modules import MAP_NAMES, map_matrix
 
 
 @dataclass(frozen=True)
@@ -185,86 +183,8 @@ def _cmd_canonical(args) -> int:
     return 0
 
 
-# Smallest d and e each verification suite checks, in report order.
-SUITE_FIRST_FRAME = {"exactness": 1, "degrees": 2, "cond-even": 1, "bord": 2,
-                     "duality": 1, "induction": 2}
-
-
-def _verify_suites(scope: str, max_frame: int) -> dict:
-    for name in (SUITE_FIRST_FRAME if scope == "all" else (scope,)):
-        lo = SUITE_FIRST_FRAME[name]
-        if max_frame < lo:
-            raise ValueError(f"--max-frame {max_frame} leaves suite {name!r} no "
-                             f"frames to check; it needs --max-frame {lo} or more")
-    suites: dict[str, dict] = {}
-
-    def frame_range(name):
-        lo = SUITE_FIRST_FRAME[name]
-        return [(d, e) for d in range(lo, max_frame + 1)
-                for e in range(lo, max_frame + 1)]
-
-    if scope in ("exactness", "all"):
-        failures = []
-        for d, e in frame_range("exactness"):
-            report = verify_exactness(cyclic_sequence(d, e), primes=(2, 3, 5))
-            if not report.ok:
-                failures.append(report.to_json())
-        suites["exactness"] = {"frames": len(frame_range("exactness")),
-                               "failures": failures, "ok": not failures}
-    if scope in ("degrees", "all"):
-        failures = []
-        for d, e in frame_range("degrees"):
-            seq = cyclic_sequence(d, e)
-            for trivial in (False, True):
-                report = verify_degree_transport(seq, trivial_base=trivial)
-                if not report.ok:
-                    failures.append(report.to_json())
-        suites["degrees"] = {"frames": len(frame_range("degrees")),
-                             "failures": failures, "ok": not failures}
-    if scope in ("cond-even", "all"):
-        failures = []
-        for d, e in frame_range("cond-even"):
-            for dg in enumerate_even(d, e):
-                if not verify_cond_even(dg):
-                    failures.append({"frame": [d, e], "rows": list(dg.rows)})
-                if not pushforward_admissible(dg) or not canonical_in_pullback_span(dg):
-                    failures.append({"frame": [d, e], "rows": list(dg.rows),
-                                     "reason": "admissibility"})
-        suites["cond-even"] = {"frames": len(frame_range("cond-even")),
-                               "failures": failures, "ok": not failures}
-    if scope in ("bord", "all"):
-        failures = []
-        for d, e in frame_range("bord"):
-            try:
-                vanishes = bord_vanishes(cyclic_sequence(d, e))
-            except RuntimeError as exc:
-                failures.append({"frame": [d, e], "reason": str(exc)})
-                continue
-            if vanishes != (d % 2 == 0 and e % 2 == 0):
-                failures.append({"frame": [d, e], "reason": "parity mismatch"})
-        suites["bord"] = {"frames": len(frame_range("bord")),
-                          "failures": failures, "ok": not failures}
-    if scope in ("duality", "all"):
-        failures = []
-        for d, e in frame_range("duality"):
-            report = duality_check(d, e)
-            if not report.ok:
-                failures.append(report.to_json())
-        suites["duality"] = {"frames": len(frame_range("duality")),
-                             "failures": failures, "ok": not failures}
-    if scope in ("induction", "all"):
-        failures = []
-        for d, e in frame_range("induction"):
-            cert = induction_report(cyclic_sequence(d, e))
-            if not cert["ok"]:
-                failures.append(cert)
-        suites["induction"] = {"frames": len(frame_range("induction")),
-                               "failures": failures, "ok": not failures}
-    return suites
-
-
 def _cmd_verify(args) -> int:
-    suites = _verify_suites(args.scope, args.max_frame)
+    suites = verify_suites(args.scope, args.max_frame)
     ok = all(s["ok"] for s in suites.values())
     _print_json({"scope": args.scope, "max_frame": args.max_frame,
                  "suites": suites, "ok": ok})

@@ -140,18 +140,6 @@ class FramedDiagram:
     def to_json(self) -> dict:
         return {"frame": [self.d, self.e], "rows": list(self.rows)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "FramedDiagram":
-        if not isinstance(obj, dict) or set(obj) != {"frame", "rows"}:
-            raise ValueError("diagram object needs exactly the keys 'frame' and 'rows'")
-        frame = obj["frame"]
-        if not (isinstance(frame, (list, tuple)) and len(frame) == 2):
-            raise ValueError("'frame' must be a pair [d, e]")
-        rows = obj["rows"]
-        if not isinstance(rows, (list, tuple)):
-            raise ValueError("'rows' must be a list")
-        return cls(frame[0], frame[1], tuple(rows))
-
 
 def from_jump_tuples(tuples: JumpTuples, d: int, e: int) -> FramedDiagram:
     """Rebuild the diagram of a frame from its jump tuples."""

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .diagrams import FramedDiagram
 from .picard import verify_cond_even
-from .witt_modules import (CyclicSequence, GradedBasis, build_basis,
-                           verify_degree_transport, verify_exactness)
+from .witt_modules import (CyclicSequence, ExactnessReport, GradedBasis,
+                           build_basis, verify_degree_transport)
 
 
 class GeneratorClass(enum.Enum):
@@ -178,10 +178,19 @@ def duality_check(d: int, e: int) -> DualityReport:
     return DualityReport((d, e), len(source.elements), tuple(failures))
 
 
-def induction_report(seq: CyclicSequence) -> dict:
-    """Machine-readable certificate for one step of the rank induction."""
+def induction_report(seq: CyclicSequence, exact: ExactnessReport) -> dict:
+    """Machine-readable certificate for one step of the rank induction.
+
+    ``exact`` is the exactness report of ``seq``.  The certificate keeps its
+    verdicts at p = 2 only, so it is the same whichever other primes were
+    checked; a report without p = 2 raises ValueError.
+    """
+    positions = tuple(replace(pos, mod_p=tuple(v for v in pos.mod_p if v[0] == 2))
+                      for pos in exact.positions)
+    if not all(pos.mod_p for pos in positions):
+        raise ValueError("the exactness report must check p = 2")
+    exact = replace(exact, positions=positions)
     iota, kappa, bord = seq.maps()
-    exact = verify_exactness(seq, primes=(2,))
     transport = verify_degree_transport(seq)
 
     def supported(bm):

@@ -161,12 +161,6 @@ def _rank_of_diagonal(D) -> int:
     return r
 
 
-def rank(A) -> int:
-    """Rank over the rationals (count of nonzero diagonal entries)."""
-    _, D, _ = diagonalize(A)
-    return _rank_of_diagonal(D)
-
-
 def integer_kernel(A, ncols: int | None = None) -> list[list[int]]:
     """Basis of the integer kernel {x : A x = 0}, one column per basis vector.
 
@@ -212,11 +206,6 @@ def solve_in_span_many(A, vectors, ncols: int | None = None) -> list[list[int] |
 def solve_in_span(A, b) -> list[int] | None:
     """An integer x with A x = b, or None when no such x exists."""
     return solve_in_span_many(A, [b])[0]
-
-
-def in_column_span(A, b) -> bool:
-    """Whether b is an integer combination of the columns of A."""
-    return solve_in_span(A, b) is not None
 
 
 def multiply(A, B, ncols: int | None = None) -> list[list[int]]:

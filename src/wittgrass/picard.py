@@ -111,11 +111,6 @@ class PicClass:
         return {"n": self.n,
                 "terms": [{"gen": k, "index": i, "coeff": c} for k, i, c in self.terms]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PicClass":
-        terms = tuple((t["gen"], t["index"], t["coeff"]) for t in obj["terms"])
-        return cls(obj["n"], terms)
-
 
 @dataclass(frozen=True)
 class PicClassMod2:
@@ -148,16 +143,9 @@ class PicClassMod2:
     def has(self, kind: str, index: int) -> bool:
         return (kind, index) in self.support
 
-    def base_part(self) -> "PicClassMod2":
-        return PicClassMod2(self.n, tuple(t for t in self.support if t[0] == BASE))
-
     def to_json(self) -> dict:
         return {"n": self.n,
                 "terms": [{"gen": k, "index": i} for k, i in self.support]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PicClassMod2":
-        return cls(obj["n"], tuple((t["gen"], t["index"]) for t in obj["terms"]))
 
 
 def base_det(n: int, i: int) -> PicClass:

@@ -1,0 +1,103 @@
+"""Verification suites over a range of frames, run in one pass per frame.
+
+Each frame's cyclic sequence and exactness report are computed at most once,
+on first use, and shared by every suite that checks the frame.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+from .diagrams import enumerate_even
+from .grassmann_witt import bord_vanishes, duality_check, induction_report
+from .picard import (canonical_in_pullback_span, pushforward_admissible,
+                     verify_cond_even)
+from .witt_modules import cyclic_sequence, verify_degree_transport, verify_exactness
+
+# Smallest d and e each verification suite checks, in report order.
+SUITE_FIRST_FRAME = {"exactness": 1, "degrees": 2, "cond-even": 1, "bord": 2,
+                     "duality": 1, "induction": 2}
+
+
+@dataclass(frozen=True)
+class _Frame:
+    d: int
+    e: int
+    primes: tuple[int, ...]
+
+    @cached_property
+    def seq(self):
+        return cyclic_sequence(self.d, self.e)
+
+    @cached_property
+    def exact(self):
+        return verify_exactness(self.seq, primes=self.primes)
+
+
+def _failed(reports) -> list:
+    return [r.to_json() for r in reports if not r.ok]
+
+
+def _degrees(f: _Frame) -> list:
+    return _failed(verify_degree_transport(f.seq, trivial_base=t) for t in (False, True))
+
+
+def _cond_even(f: _Frame) -> list:
+    failures = []
+    for dg in enumerate_even(f.d, f.e):
+        if not verify_cond_even(dg):
+            failures.append({"frame": [f.d, f.e], "rows": list(dg.rows)})
+        if not pushforward_admissible(dg) or not canonical_in_pullback_span(dg):
+            failures.append({"frame": [f.d, f.e], "rows": list(dg.rows),
+                             "reason": "admissibility"})
+    return failures
+
+
+def _bord(f: _Frame) -> list:
+    try:
+        vanishes = bord_vanishes(f.seq)
+    except RuntimeError as exc:
+        return [{"frame": [f.d, f.e], "reason": str(exc)}]
+    if vanishes != (f.d % 2 == 0 and f.e % 2 == 0):
+        return [{"frame": [f.d, f.e], "reason": "parity mismatch"}]
+    return []
+
+
+def _induction(f: _Frame) -> list:
+    cert = induction_report(f.seq, f.exact)
+    return [] if cert["ok"] else [cert]
+
+
+# Each suite maps one frame to its failures.
+_SUITES = {"exactness": lambda f: _failed([f.exact]), "degrees": _degrees,
+           "cond-even": _cond_even, "bord": _bord,
+           "duality": lambda f: _failed([duality_check(f.d, f.e)]),
+           "induction": _induction}
+
+
+def verify_suites(scope: str, max_frame: int) -> dict:
+    """Report of each suite ``scope`` selects (one name, or "all").
+
+    A suite checks each frame with first <= d, e <= max_frame and reports the
+    frame count, its failures in (d, e) order and "ok".  Raises ValueError
+    when a selected suite would check no frame.
+    """
+    names = tuple(SUITE_FIRST_FRAME) if scope == "all" else (scope,)
+    for name in names:
+        lo = SUITE_FIRST_FRAME[name]
+        if max_frame < lo:
+            raise ValueError(f"--max-frame {max_frame} leaves suite {name!r} no "
+                             f"frames to check; it needs --max-frame {lo} or more")
+    primes = (2, 3, 5) if "exactness" in names else (2,)
+    failures: dict[str, list] = {name: [] for name in names}
+    first = min(SUITE_FIRST_FRAME[name] for name in names)
+    for d in range(first, max_frame + 1):
+        for e in range(first, max_frame + 1):
+            frame = _Frame(d, e, primes)
+            for name in names:
+                if min(d, e) >= SUITE_FIRST_FRAME[name]:
+                    failures[name] += _SUITES[name](frame)
+    return {name: {"frames": (max_frame - SUITE_FIRST_FRAME[name] + 1) ** 2,
+                   "failures": failures[name], "ok": not failures[name]}
+            for name in names}

@@ -5,7 +5,8 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from wittgrass.cli import RenderSpec, _verify_suites, ascii_diagram, main
+from wittgrass.cli import RenderSpec, ascii_diagram, main
+from wittgrass.verify import verify_suites
 from wittgrass import FramedDiagram, map_matrix
 
 
@@ -170,7 +171,7 @@ class TestVerify:
          lambda: map_matrix("kappa", 5, 5).to_json()),
         (["verify", "--scope", "all", "--max-frame", "3"],
          lambda: {"scope": "all", "max_frame": 3,
-                  "suites": _verify_suites("all", 3), "ok": True}),
+                  "suites": verify_suites("all", 3), "ok": True}),
     ])
     def test_streamed_json_equals_dumps(self, capsys, argv, payload):
         code, out, _ = run(capsys, *argv)

@@ -232,19 +232,3 @@ class TestMoves:
                     if peel(dg) is not None:
                         assert widen(peel(dg)) is None
 
-
-class TestJson:
-    @settings(max_examples=40)
-    @given(helpers.framed_diagrams())
-    def test_roundtrip(self, dg):
-        assert FramedDiagram.from_json(dg.to_json()) == dg
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            FramedDiagram.from_json({"d": 2, "e": 2})
-        with pytest.raises(ValueError):
-            FramedDiagram.from_json({"d": 2, "e": 2, "rows": [1, 2], "x": 0})
-
-    def test_rejects_string_frame(self):
-        with pytest.raises(ValueError):
-            FramedDiagram.from_json({"frame": ["2", 2], "rows": [1, 1]})

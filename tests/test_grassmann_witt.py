@@ -11,7 +11,7 @@ from wittgrass import (FramedDiagram, GeneratorClass, bord_vanishes,
                        class_degree, classify, cyclic_sequence, degree,
                        duality_check, enumerate_even, expected_rank,
                        induction_report, rank_table, table_json,
-                       total_witt_basis)
+                       total_witt_basis, verify_exactness)
 
 
 class TestRanks:
@@ -163,21 +163,26 @@ class TestDuality:
         assert set(obj) == {"frame", "pairs_checked", "failures", "ok"}
 
 
+def _certificate(d, e, primes=(2,)):
+    seq = cyclic_sequence(d, e)
+    return induction_report(seq, verify_exactness(seq, primes=primes))
+
+
 class TestInduction:
     def test_certificate_keys(self):
-        cert = induction_report(cyclic_sequence(2, 2))
+        cert = _certificate(2, 2)
         assert set(cert) == {"frame", "modules", "partition", "exactness",
                              "degree_transport", "bord_zero",
                              "split_short_exact", "rank_ledger", "ok"}
 
     def test_even_frame_splits(self):
-        cert = induction_report(cyclic_sequence(2, 2))
+        cert = _certificate(2, 2)
         assert cert["ok"] and cert["bord_zero"] and cert["split_short_exact"]
         assert cert["modules"] == {"source": 2, "middle": 4, "quotient": 2}
         assert cert["rank_ledger"]["additive"]
 
     def test_odd_frame_does_not_split_but_verifies(self):
-        cert = induction_report(cyclic_sequence(3, 3))
+        cert = _certificate(3, 3)
         assert cert["ok"]
         assert not cert["bord_zero"]
         assert not cert["split_short_exact"]
@@ -186,4 +191,14 @@ class TestInduction:
     def test_range(self):
         for d in range(1, 6):
             for e in range(1, 6):
-                assert induction_report(cyclic_sequence(d, e))["ok"], (d, e)
+                assert _certificate(d, e)["ok"], (d, e)
+
+    def test_certificate_checks_p2_only(self):
+        """The certificate is the same whichever primes beside 2 were checked."""
+        for d in range(2, 7):
+            for e in range(2, 7):
+                assert _certificate(d, e, (2, 3, 5)) == _certificate(d, e), (d, e)
+        seq = cyclic_sequence(3, 3)
+        for primes in ((), (3, 5)):
+            with pytest.raises(ValueError, match="p = 2"):
+                induction_report(seq, verify_exactness(seq, primes=primes))

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import mat_mul, mat_vec
-from wittgrass.intmatrix import (as_int_matrix, diagonalize, in_column_span,
-                                 integer_kernel, multiply, rank, rank_mod_p,
-                                 solve_in_span, solve_in_span_many)
+from wittgrass.intmatrix import (as_int_matrix, diagonalize, integer_kernel,
+                                 multiply, rank_mod_p, solve_in_span,
+                                 solve_in_span_many)
 
 
 def _is_diagonal(D):
     return all(v == 0 for i, row in enumerate(D) for j, v in enumerate(row)
                if i != j)
+
+
+def _nonzero_diagonal(D):
+    """The rank of a diagonal matrix: its count of nonzero diagonal entries."""
+    return sum(1 for i, row in enumerate(D) if i < len(row) and row[i])
 
 
 def _unimodular(M):
@@ -59,7 +64,7 @@ class TestDiagonalize:
         U, D, V = diagonalize(A)
         assert _is_diagonal(D)
         assert mat_mul(mat_mul(U, A), V) == D
-        assert rank(A) == 2
+        assert _nonzero_diagonal(D) == 2
 
     def test_partial_permutation_needs_no_row_operations(self):
         A = [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
@@ -76,7 +81,7 @@ class TestDiagonalize:
         assert mat_mul(mat_mul(U, rows), V) == D
         assert _unimodular(U)
         assert _unimodular(V)
-        assert rank(rows) == sympy.Matrix(rows).rank()
+        assert _nonzero_diagonal(D) == sympy.Matrix(rows).rank()
 
 
 class TestKernel:
@@ -92,7 +97,7 @@ class TestKernel:
         for vec in sympy.Matrix(rows).nullspace():
             scale = sympy.lcm([term.q for term in vec])
             primitive = [int(term * scale) for term in vec]
-            assert in_column_span(K, primitive)
+            assert solve_in_span(K, primitive) is not None
 
 
 class TestSpanMembership:
@@ -118,10 +123,10 @@ class TestSpanMembership:
             assert mat_vec(rows, witness) == b
 
     def test_frozen_divisibility(self):
-        assert in_column_span([[2]], [4])
-        assert not in_column_span([[2]], [3])
-        assert not in_column_span([[0]], [1])
-        assert in_column_span([[2, 3]], [1])
+        assert solve_in_span([[2]], [4]) is not None
+        assert solve_in_span([[2]], [3]) is None
+        assert solve_in_span([[0]], [1]) is None
+        assert solve_in_span([[2, 3]], [1]) is not None
 
     def test_rejects_vector_of_wrong_length(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,109 @@
+"""One verification pass: shared per-frame work, and suites kept independent."""
+
+import importlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from wittgrass import verify, witt_modules
+from wittgrass.verify import SUITE_FIRST_FRAME, verify_suites
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """How often each function verify_suites calls per frame is called, keyed
+    by the frame (d, e) followed by the keyword arguments' values."""
+    seen = {}
+    for name in ("cyclic_sequence", "verify_exactness", "verify_degree_transport",
+                 "enumerate_even", "bord_vanishes", "duality_check",
+                 "induction_report"):
+        seen[name] = Counter()
+
+        def counted(*args, _name=name, _fn=getattr(verify, name), **kwargs):
+            seq = args[0]
+            frame = (seq.d, seq.e) if hasattr(seq, "d") else args[:2]
+            seen[_name][(*frame, *kwargs.values())] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    return seen
+
+
+def _frames(first, last):
+    return Counter((d, e) for d in range(first, last + 1) for e in range(first, last + 1))
+
+
+class TestSharedWork:
+    def test_all_builds_and_checks_each_frame_once(self, calls):
+        assert all(suite["ok"] for suite in verify_suites("all", 5).values())
+        assert calls["cyclic_sequence"] == _frames(1, 5)
+        assert calls["verify_exactness"] == Counter(
+            {(d, e, (2, 3, 5)): 1 for d, e in _frames(1, 5)})
+
+    def test_all_runs_every_check_on_its_suites_frames(self, calls):
+        verify_suites("all", 5)
+        assert calls["verify_degree_transport"] == Counter(
+            {(d, e, trivial): 1 for d, e in _frames(2, 5) for trivial in (False, True)})
+        assert calls["enumerate_even"] == _frames(1, 5)
+        assert calls["bord_vanishes"] == _frames(2, 5)
+        assert calls["duality_check"] == _frames(1, 5)
+        assert calls["induction_report"] == _frames(2, 5)
+
+    @pytest.mark.parametrize("scope", ["duality", "cond-even"])
+    def test_suites_without_maps_build_no_sequence(self, calls, scope):
+        assert verify_suites(scope, 5)[scope]["ok"]
+        assert not calls["cyclic_sequence"]
+        assert not calls["verify_exactness"]
+
+    def test_induction_alone_checks_p2_only(self, calls):
+        assert verify_suites("induction", 5)["induction"]["ok"]
+        assert calls["verify_exactness"] == Counter(
+            {(d, e, (2,)): 1 for d, e in _frames(2, 5)})
+
+    @pytest.mark.parametrize("scope", ["degrees", "bord"])
+    def test_suites_without_exactness_run_none(self, calls, scope):
+        assert verify_suites(scope, 4)[scope]["ok"]
+        assert calls["cyclic_sequence"] == _frames(2, 4)
+        assert not calls["verify_exactness"]
+
+
+class TestOnePass:
+    def test_all_equals_each_suite_alone(self):
+        together = verify_suites("all", 4)
+        assert list(together) == list(SUITE_FIRST_FRAME)
+        for name in SUITE_FIRST_FRAME:
+            assert together[name] == verify_suites(name, 4)[name], name
+
+    def test_mod3_fault_fails_exactness_only(self, monkeypatch):
+        """Induction keeps p = 2 only, so a fault seen at p = 3 alone stays
+        out of its block while the exactness suite reports it."""
+        clean = verify_suites("all", 3)
+        original = witt_modules._mod_p_position
+
+        def fails_at_3(A, B, width, middle, p):
+            return p != 3 and original(A, B, width, middle, p)
+
+        monkeypatch.setattr(witt_modules, "_mod_p_position", fails_at_3)
+        broken = verify_suites("all", 3)
+        assert clean["exactness"]["ok"]
+        assert not broken["exactness"]["ok"]
+        assert len(broken["exactness"]["failures"]) == 9
+        assert all(pos["mod_p"] == {"2": True, "3": False, "5": True}
+                   for report in broken["exactness"]["failures"]
+                   for pos in report["positions"])
+        assert broken["induction"]["ok"]
+        assert broken["induction"] == clean["induction"]
+
+
+def test_traced_functions_exist():
+    """Every function the benchmark tracer wraps is still defined."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.LAYERS.items():
+        module = importlib.import_module(f"wittgrass.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
