@@ -8,7 +8,7 @@ import json
 from wittgrass import (GeneratorClass, bord_vanishes, class_degree, classify,
                        cyclic_sequence, duality_check, enumerate_even,
                        expected_rank, induction_report, rank_table, table_json,
-                       verify_exactness)
+                       verify_degree_transport, verify_exactness)
 
 print("Rank tables fold the diagram basis by graded degree (shift mod 4,")
 print("determinant twist), optionally keeping the mod-2 base class:")
@@ -47,7 +47,8 @@ print()
 
 print("Per-frame certificate tying it all together (3x3 shown):")
 seq = cyclic_sequence(3, 3)
-cert = induction_report(seq, verify_exactness(seq, primes=(2,)))
+cert = induction_report(seq, verify_exactness(seq, primes=(2,)),
+                        verify_degree_transport(seq, trivial_base=False))
 cert_small = {k: cert[k] for k in ("frame", "modules", "partition",
                                    "bord_zero", "split_short_exact",
                                    "rank_ledger", "ok")}

@@ -155,21 +155,10 @@ def _rows_from_jumps(dvec, evec, e: int) -> list[int]:
     return [e - evec[bisect_left(dvec, pos)] for pos in range(1, dvec[-1] + 1)]
 
 
-def _even_gap_chains(lo: int, hi: int):
-    """Strictly increasing chains in [lo, hi] whose consecutive gaps are even."""
-    chain: list[int] = []
-
-    def grow(value: int):
-        chain.append(value)
-        yield tuple(chain)
-        nxt = value + 2
-        while nxt <= hi:
-            yield from grow(nxt)
-            nxt += 2
-        chain.pop()
-
-    for first in range(lo, hi + 1):
-        yield from grow(first)
+def _even_gap_chains(lo: int, hi: int, k: int):
+    """Strictly increasing k-chains in [lo, hi] with even gaps: k values of one parity."""
+    for first in (lo, lo + 1) if k else (lo,):  # the empty chain once
+        yield from itertools.combinations(range(first, hi + 1, 2), k)
 
 
 def _even_ends(dvec, evec, e: int) -> bool:
@@ -179,14 +168,14 @@ def _even_ends(dvec, evec, e: int) -> bool:
 
 
 def _even_jump_candidates(d: int, e: int):
-    # dvec: first value and final gap free, interior gaps even, last entry d
-    dvecs: dict[int, list[tuple[int, ...]]] = {1: [(d,)]}
-    for prefix in _even_gap_chains(1, d - 1):
-        dvecs.setdefault(len(prefix) + 1, []).append(prefix + (d,))
-    for evec in _even_gap_chains(0, e):
-        for dvec in dvecs.get(len(evec), ()):
-            if _even_ends(dvec, evec, e):
-                yield dvec, evec
+    # dvec: first value and final gap free, interior gaps even, last entry d;
+    # an evec has at most e + 1 entries in [0, e]
+    for k in range(1, min(d, e + 1) + 1):
+        dvecs = [prefix + (d,) for prefix in _even_gap_chains(1, d - 1, k - 1)]
+        for evec in _even_gap_chains(0, e, k):
+            for dvec in dvecs:
+                if _even_ends(dvec, evec, e):
+                    yield dvec, evec
 
 
 def enumerate_even(d: int, e: int) -> tuple[FramedDiagram, ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .diagrams import FramedDiagram
 from .picard import verify_cond_even
 from .witt_modules import (CyclicSequence, ExactnessReport, GradedBasis,
-                           build_basis, verify_degree_transport)
+                           TransportReport, build_basis)
 
 
 class GeneratorClass(enum.Enum):
@@ -178,12 +178,14 @@ def duality_check(d: int, e: int) -> DualityReport:
     return DualityReport((d, e), len(source.elements), tuple(failures))
 
 
-def induction_report(seq: CyclicSequence, exact: ExactnessReport) -> dict:
+def induction_report(seq: CyclicSequence, exact: ExactnessReport,
+                     transport: TransportReport) -> dict:
     """Machine-readable certificate for one step of the rank induction.
 
-    ``exact`` is the exactness report of ``seq``.  The certificate keeps its
-    verdicts at p = 2 only, so it is the same whichever other primes were
-    checked; a report without p = 2 raises ValueError.
+    ``exact`` and ``transport`` are the exactness and the degree-transport
+    reports of ``seq``.  The certificate keeps the exactness verdicts at
+    p = 2 only, so it is the same whichever other primes were checked; a
+    report without p = 2 raises ValueError.
     """
     positions = tuple(replace(pos, mod_p=tuple(v for v in pos.mod_p if v[0] == 2))
                       for pos in exact.positions)
@@ -191,7 +193,6 @@ def induction_report(seq: CyclicSequence, exact: ExactnessReport) -> dict:
         raise ValueError("the exactness report must check p = 2")
     exact = replace(exact, positions=positions)
     iota, kappa, bord = seq.maps()
-    transport = verify_degree_transport(seq)
 
     def supported(bm):
         return len(bm.images) - bm.images.count(None)

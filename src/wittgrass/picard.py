@@ -355,24 +355,27 @@ def cell_canonical_identity(d: int, n: int) -> bool:
 def les_twists(d: int, e: int, twist: PicClassMod2) -> tuple[PicClassMod2, PicClassMod2]:
     """Transport a mod-2 twist along the corank-one localization sequence.
 
-    Input lives on the rank-d Grassmann bundle of a rank-n bundle (n = d+e),
-    supported on BaseDet generators and TautDet(d).  Returns the twists on
-    the two smaller Grassmann bundles of the corank-one subbundle: the
-    sub-Grassmannian side (still TautDet(d)) and the complementary side
-    (TautDet(d) replaced by TautDet(d-1) plus the quotient det).
+    Input lives on the rank-d Grassmann bundle of a rank-n bundle (n = d+e,
+    d, e >= 1), supported on BaseDet generators and TautDet(d).  Returns the
+    twists on the two smaller Grassmann bundles of the corank-one subbundle
+    W: the sub-Grassmannian side (still TautDet(d)) and the complementary side
+    (TautDet(d) replaced by TautDet(d-1) plus the quotient det).  At d = 1 the
+    complement P(V) minus P(W) has V/W as its tautological line, so
+    TautDet(0), the det of the zero bundle, is trivial and drops out.
     """
     n = d + e
     if twist.n != n:
         raise ValueError(f"twist must have ambient rank {n}")
-    if d < 2 or e < 1:
-        raise ValueError("need d >= 2 and e >= 1")
+    if d < 1 or e < 1:
+        raise ValueError("need d >= 1 and e >= 1")
     for kind, index in twist.support:
         if kind == TAUT and index != d:
             raise ValueError("twist may only involve TautDet(d) and BaseDet generators")
     qdet = quotient_det(n).mod2()
-    t_det = 1 if twist.has(TAUT, d) else 0
     sub_side = twist + taut_det2(n, d) + (qdet if d % 2 else PicClassMod2.zero(n))
     comp_side = twist
-    if t_det:
-        comp_side = comp_side + taut_det2(n, d) + taut_det2(n, d - 1) + qdet
+    if twist.has(TAUT, d):
+        comp_side = comp_side + taut_det2(n, d) + qdet
+        if d > 1:
+            comp_side = comp_side + taut_det2(n, d - 1)
     return sub_side, comp_side

@@ -19,7 +19,8 @@ from functools import cache
 
 from . import intmatrix
 from .diagrams import FramedDiagram, enumerate_even, peel, shorten, widen
-from .picard import BASE, PicClassMod2, base_det2
+from .picard import (BASE, TAUT, PicClassMod2, base_det2, les_twists, quotient_det,
+                     taut_det2)
 
 MAP_NAMES = ("iota", "kappa", "bord")
 
@@ -303,31 +304,28 @@ def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> Exact
     return ExactnessReport((seq.d, seq.e), tuple(positions), well_formed)
 
 
-def _transport(which: str, d: int, deg: GradedDegree, base_cls: PicClassMod2,
-               qdet: PicClassMod2) -> GradedDegree:
-    """Expected target degree under one map, per the transport rules.
+def _les_target(which: str, d: int, e: int, base: PicClassMod2,
+                t: int) -> tuple[tuple, int]:
+    """Target base support and det twist of one map, read off ``les_twists``.
 
-    ``base_cls`` is the source's base class lifted into the big ambient rank
-    n = d + e of the sequence; ``qdet`` is the quotient det BaseDet(n) +
-    BaseDet(n-1), or zero for a trivial base: the offsets then vanish and
-    the rules become honest homogeneity statements.  Raises ValueError when
-    the transported base cannot live in the target's ambient alphabet; the
-    checker reports that as a failure.
+    The source twist is ``base``, lifted to the sequence's rank n = d + e,
+    plus t times the source's TautDet.  iota lands on the sub side, whose det
+    is TautDet(d).  kappa lands on the complementary side, whose relabeling
+    TautDet(d) -> TautDet(d-1) + quotient det adds the quotient det exactly
+    when the source carries its det; so that is the target's det, also at
+    d = 1, where TautDet(0) is trivial and the target is a point frame.
+    bord's source is a complementary side, so bord reads that relabeling
+    backwards before taking the sub side.
     """
-    n = base_cls.n
-    s, t = deg.shift, deg.det_twist
-    if which == "iota":
-        return GradedDegree((s + d) % 4, base_cls + qdet if d % 2 else base_cls,
-                            (t + 1) % 2)
+    n = d + e
+    if which == "bord" and t:
+        base = base + quotient_det(n).mod2()
+    sub, comp = les_twists(d, e, base + taut_det2(n, d) if t else base)
     if which == "kappa":
-        base_cls = base_cls + qdet if t else base_cls
-        # the target lives one ambient rank down
-        return GradedDegree(s, PicClassMod2(n - 1, base_cls.support), t)
-    if which == "bord":
-        base_cls = base_cls + qdet if (t - d) % 2 else base_cls
-        return GradedDegree((s - d + 1) % 4, PicClassMod2(n - 1, base_cls.support),
-                            (t - 1) % 2)
-    raise ValueError(f"unknown map {which!r}")
+        side, det = comp, (comp + base).has(BASE, n)
+    else:
+        side, det = sub, sub.has(TAUT, d)
+    return tuple(g for g in side.support if g[0] == BASE), int(det)
 
 
 @dataclass(frozen=True)
@@ -365,47 +363,51 @@ class TransportReport:
                 "ok": self.ok}
 
 
-_DET_OFFSET = {"iota": 1, "kappa": 0, "bord": -1}
-
-
 def verify_degree_transport(seq: CyclicSequence,
                             trivial_base: bool = False) -> TransportReport:
     """Check that every nonzero matrix entry moves degrees by the stated rule.
 
-    Point-generator endpoints carry no assigned shift or base, so entries
-    whose source or target is a point generator are checked on the det-twist
-    component only and counted separately in the report.
+    The base class and det twist come from the localization lemma
+    (``picard.les_twists``); the shift moves by d under iota, 0 under kappa
+    and 1 - d under bord.  With ``trivial_base`` the base classes are not
+    compared.  Point-generator endpoints carry no assigned shift or base, so
+    entries whose source or target is a point generator are checked on the
+    det-twist component only and counted separately in the report.
     """
-    n = seq.d + seq.e
-    zero = cache(PicClassMod2.zero)  # one zero class per ambient rank, for this call
-    qdet = zero(n) if trivial_base else PicClassMod2(n, ((BASE, n), (BASE, n - 1)))
+    d, e = seq.d, seq.e
+    shift_offset = {"iota": d, "kappa": 0, "bord": 1 - d}
+
+    @cache  # one rule per map and distinct source degree, for this call
+    def expected(which: str, rank: int, deg: GradedDegree):
+        base, det = _les_target(which, d, e, PicClassMod2(d + e, deg.base.support),
+                                deg.det_twist)
+        shift = (deg.shift + shift_offset[which]) % 4
+        try:
+            base_cls = PicClassMod2.zero(rank) if trivial_base else PicClassMod2(rank, base)
+        except ValueError:  # the base cannot live in the target's rank
+            return "unrepresentable", det
+        return GradedDegree(shift, base_cls, det), det
+
     checked = 0
     det_only = 0
     failures = []
     for bm in seq.maps():
+        rank = bm.target.d + bm.target.e
         for (src, src_deg), i in zip(bm.source.elements, bm.images):
             if i is None:
                 continue
             tgt, tgt_deg = bm.target.elements[i]
             checked += 1
+            want, det = expected(bm.which, rank, src_deg)
             if isinstance(src, PointGenerator) or isinstance(tgt, PointGenerator):
                 det_only += 1
-                expected = (src_deg.det_twist + _DET_OFFSET[bm.which]) % 2
-                if expected != tgt_deg.det_twist:
-                    failures.append(TransportFailure(bm.which, src, expected,
+                if det != tgt_deg.det_twist:
+                    failures.append(TransportFailure(bm.which, src, det,
                                                      tgt_deg.det_twist))
                 continue
             actual = tgt_deg
-            if trivial_base:
-                actual = GradedDegree(actual.shift, zero(actual.base.n), actual.det_twist)
-            try:
-                lifted = zero(n) if trivial_base else PicClassMod2(n, src_deg.base.support)
-                expected = _transport(bm.which, seq.d, src_deg, lifted, qdet)
-            except ValueError:
-                failures.append(TransportFailure(bm.which, src, "unrepresentable",
-                                                 actual))
-                continue
-            if expected != actual:
-                failures.append(TransportFailure(bm.which, src, expected, actual))
-    return TransportReport((seq.d, seq.e), trivial_base, checked, det_only,
-                           tuple(failures))
+            if trivial_base:  # the base is not compared
+                actual = GradedDegree(actual.shift, want.base, actual.det_twist)
+            if want != actual:
+                failures.append(TransportFailure(bm.which, src, want, actual))
+    return TransportReport((d, e), trivial_base, checked, det_only, tuple(failures))

@@ -70,6 +70,12 @@ class TestEnumerate:
         assert len(rects) == 12
         assert root.findall(f".//{ns}text")
 
+    def test_tall_frame(self, capsys):
+        """Enumeration neither recurses per row nor builds every chain of rows."""
+        code, out, err = run(capsys, "enumerate", "--d", "2500", "--e", "1")
+        assert code == 0, err
+        assert out.count("rows=") == 2
+
     def test_svg_rejects_tiny_cells(self, capsys):
         code, _, err = run(capsys, "enumerate", "--d", "2", "--e", "2",
                            "--format", "svg", "--cell-size", "2")

@@ -7,11 +7,13 @@ from dataclasses import replace
 import pytest
 
 import helpers
+from wittgrass import grassmann_witt
 from wittgrass import (FramedDiagram, GeneratorClass, bord_vanishes,
                        class_degree, classify, cyclic_sequence, degree,
                        duality_check, enumerate_even, expected_rank,
                        induction_report, rank_table, table_json,
-                       total_witt_basis, verify_exactness)
+                       total_witt_basis, verify_degree_transport,
+                       verify_exactness)
 
 
 class TestRanks:
@@ -162,10 +164,42 @@ class TestDuality:
         obj = duality_check(3, 2).to_json()
         assert set(obj) == {"frame", "pairs_checked", "failures", "ok"}
 
+    def test_broken_dual_names_the_diagram(self, monkeypatch):
+        """A transpose that sends one diagram to another's mirror fails."""
+        victim, other = enumerate_even(3, 4)[1:3]
+        original = FramedDiagram.dual
+
+        def dual(diagram):
+            return original(other if diagram == victim else diagram)
+
+        monkeypatch.setattr(FramedDiagram, "dual", dual)
+        report = duality_check(3, 4)
+        assert not report.ok
+        assert (victim.rows, "not an involution") in report.failures
+
+    def test_swapped_mirror_degree_names_the_diagrams(self, monkeypatch):
+        """Two mirror elements with their degrees swapped fail, each named by
+        the diagram whose mirror it is."""
+        original = grassmann_witt.build_basis
+        mirror = original(4, 3)
+        elements = list(mirror.elements)
+        degrees = [(deg.shift, deg.det_twist) for _, deg in elements]
+        j = next(j for j in range(1, len(elements)) if degrees[j] != degrees[0])
+        (a, deg_a), (b, deg_b) = elements[0], elements[j]
+        elements[0], elements[j] = (a, deg_b), (b, deg_a)
+        swapped = replace(mirror, elements=tuple(elements))
+        monkeypatch.setattr(grassmann_witt, "build_basis",
+                            lambda d, e: swapped if (d, e) == (4, 3) else original(d, e))
+        report = duality_check(3, 4)
+        assert sorted(report.failures) == sorted(
+            [(a.dual().rows, "degree not preserved"),
+             (b.dual().rows, "degree not preserved")])
+
 
 def _certificate(d, e, primes=(2,)):
     seq = cyclic_sequence(d, e)
-    return induction_report(seq, verify_exactness(seq, primes=primes))
+    return induction_report(seq, verify_exactness(seq, primes=primes),
+                            verify_degree_transport(seq, trivial_base=False))
 
 
 class TestInduction:
@@ -199,6 +233,7 @@ class TestInduction:
             for e in range(2, 7):
                 assert _certificate(d, e, (2, 3, 5)) == _certificate(d, e), (d, e)
         seq = cyclic_sequence(3, 3)
+        transport = verify_degree_transport(seq, trivial_base=False)
         for primes in ((), (3, 5)):
             with pytest.raises(ValueError, match="p = 2"):
-                induction_report(seq, verify_exactness(seq, primes=primes))
+                induction_report(seq, verify_exactness(seq, primes=primes), transport)

@@ -247,16 +247,39 @@ class TestLesTwists:
         assert sub == ell + taut_det2(5, 2)
         assert comp == ell
 
+    def test_frozen_d1(self):
+        """At d = 1 TautDet(0) is trivial: the complementary side keeps only
+        the quotient det."""
+        vv1 = quotient_det(4).mod2()
+        sub, comp = les_twists(1, 3, PicClassMod2.zero(4))
+        assert sub == taut_det2(4, 1) + vv1
+        assert comp.is_zero()
+
+        sub, comp = les_twists(1, 3, taut_det2(4, 1))
+        assert sub == vv1
+        assert comp == vv1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             les_twists(2, 2, PicClassMod2.zero(5))
         with pytest.raises(ValueError):
             les_twists(2, 2, taut_det2(4, 1))
         with pytest.raises(ValueError):
-            les_twists(1, 3, PicClassMod2.zero(4))
+            les_twists(0, 4, PicClassMod2.zero(4))
+
+    def test_sub_side_is_the_sub_grassmannian_canonical(self):
+        """The localization lemma's sub side adds exactly the relative
+        canonical class of the sub-Grassmannian from the blow-up square."""
+        for d in range(2, 11):
+            for e in range(2, 11):
+                n = d + e
+                for twist in (PicClassMod2.zero(n), taut_det2(n, d),
+                              base_det2(n, n) + base_det2(n, 1) + taut_det2(n, d)):
+                    sub, _ = les_twists(d, e, twist)
+                    assert sub == twist + cell_canonicals(d, n).sub_grassmannian.mod2()
 
     @settings(max_examples=50)
-    @given(helpers.even_diagrams(min_d=2))
+    @given(helpers.even_diagrams())
     def test_involutive_on_sub_side(self, dg):
         """Applying the sub-side shift twice returns the original twist."""
         tw = twist_class(dg)

@@ -51,6 +51,25 @@ class TestSharedWork:
         assert calls["duality_check"] == _frames(1, 5)
         assert calls["induction_report"] == _frames(2, 5)
 
+    def test_induction_runs_no_transport_check_of_its_own(self, monkeypatch):
+        """Induction reads the frame's transport report, which the degrees
+        suite also reads; counted at the report's constructor, so a call made
+        from any module is seen."""
+        built = Counter()
+        original = witt_modules.TransportReport
+
+        def counted(frame, trivial_base, *args):
+            built[(*frame, trivial_base)] += 1
+            return original(frame, trivial_base, *args)
+
+        monkeypatch.setattr(witt_modules, "TransportReport", counted)
+        verify_suites("all", 4)
+        assert built == Counter(
+            {(d, e, trivial): 1 for d, e in _frames(2, 4) for trivial in (False, True)})
+        built.clear()
+        verify_suites("induction", 4)
+        assert built == Counter({(d, e, False): 1 for d, e in _frames(2, 4)})
+
     @pytest.mark.parametrize("scope", ["duality", "cond-even"])
     def test_suites_without_maps_build_no_sequence(self, calls, scope):
         assert verify_suites(scope, 5)[scope]["ok"]
