@@ -56,6 +56,18 @@ def _print_json(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _print_map_json(bm) -> None:
+    # _print_json(bm.to_json()), with the matrix encoded one dense row at a
+    # time; indent=2 puts each int of a row on a line of its own, and no
+    # basis is empty, so neither the matrix nor a row is "[]"
+    head = json.dumps(bm.frames_json(), indent=2)[:-len("\n}")]
+    sys.stdout.write(head + ',\n  "matrix": [')
+    for k, row in enumerate(bm.sparse().dense_rows()):
+        cells = ",\n      ".join(map(str, row))
+        sys.stdout.write(("," if k else "") + f"\n    [\n      {cells}\n    ]")
+    sys.stdout.write("\n  ]\n}\n")
+
+
 def _svg_sheet(groups, spec: RenderSpec) -> str:
     """Diagrams grouped into labeled rows, each diagram a framed cell grid."""
     s = spec.cell_size
@@ -132,7 +144,7 @@ def _cmd_table(args) -> int:
 def _cmd_maps(args) -> int:
     bm = map_matrix(args.which, args.d, args.e)
     if args.format == "json":
-        _print_json(bm.to_json())
+        _print_map_json(bm)
         return 0
     lines = [f"{bm.which}: F({bm.source.d},{bm.source.e}) -> "
              f"F({bm.target.d},{bm.target.e})",

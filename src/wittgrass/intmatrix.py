@@ -1,251 +1,328 @@
-"""Exact integer matrix routines on lists of int rows.
+"""Exact integer matrix routines on sparse matrices.
 
 Everything here is fraction-free: unimodular row/column operations over the
 integers, no floating point, no rationals.  Used by the exactness checker to
 compute kernels, test membership in column spans, and take ranks over the
 integers and over small prime fields.
 
-A matrix is a list of rows, each a list of ints.  A matrix with no rows
-cannot show how many columns it has, so the routines the exactness checker
-may hand one take an optional ``ncols``; without it the width is read off
-the first row.  Elimination
-touches only the rows and columns with a nonzero entry in the pivot's column
-or row, so sparse inputs such as partial permutations eliminate in time close
-to their size.
+A matrix is a ``SparseMatrix``: one dict {column: nonzero int} per row, and
+its shape.  Every routine also takes a dense matrix, a list of int rows, and
+converts it once (``as_sparse``).  A dense matrix with no rows cannot show
+how many columns it has; give such a matrix as ``as_sparse(rows, ncols)``.
+
+Elimination keeps each row and each column of the working matrix as a dict.
+An entry alone in its row and its column is a pivot taken at once, with no
+operation, so a partial permutation eliminates in time close to its size.
+Other pivots are picked Markowitz-style by a scan of the live entries: a unit
+entry in the sparsest row or column first, and otherwise the smallest entry,
+reduced by Euclidean remainders.
 """
 
 from __future__ import annotations
 
-
-def _width(M, ncols: int | None) -> int:
-    return ncols if ncols is not None else (len(M[0]) if M else 0)
+from math import isqrt
 
 
-def as_int_matrix(rows, ncols: int | None = None) -> list[list[int]]:
-    """Copy nested sequences into a new list of int rows of equal length.
+class SparseMatrix:
+    """An integer matrix of ``shape`` (m, n) as m dicts {column: nonzero int}.
+
+    The routines here never modify a matrix they are given.
+    """
+
+    __slots__ = ("rows", "shape")
+
+    def __init__(self, rows: list[dict[int, int]], shape: tuple[int, int]) -> None:
+        self.rows = rows
+        self.shape = shape
+
+    @classmethod
+    def from_entries(cls, shape: tuple[int, int], entries) -> SparseMatrix:
+        """The matrix with the given (row, column, value) entries, zero elsewhere.
+
+        Raises ValueError for an index outside ``shape`` or a value that is
+        not a nonzero int.
+        """
+        m, n = shape
+        rows: list[dict[int, int]] = [{} for _ in range(m)]
+        for i, j, v in entries:
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValueError(f"entry ({i}, {j}) outside a {m}x{n} matrix")
+            if type(v) is not int or not v:
+                raise ValueError("matrix entries must be nonzero integers")
+            rows[i][j] = v
+        return cls(rows, (m, n))
+
+    def dense_rows(self):
+        """Each row as a new list of ints, one row at a time."""
+        n = self.shape[1]
+        for row in self.rows:
+            dense = [0] * n
+            for j, v in row.items():
+                dense[j] = v
+            yield dense
+
+    def dense(self) -> list[list[int]]:
+        return list(self.dense_rows())
+
+    def transpose(self) -> SparseMatrix:
+        m, n = self.shape
+        cols: list[dict[int, int]] = [{} for _ in range(n)]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return SparseMatrix(cols, (n, m))
+
+
+def as_sparse(A, ncols: int | None = None) -> SparseMatrix:
+    """A itself when it is a SparseMatrix, else the dense matrix A converted.
 
     Raises ValueError for a non-int entry (bool included), for rows of
-    unequal length, and for rows whose length is not ``ncols`` when given.
+    unequal length, and for a width other than ``ncols`` when given.
     """
+    if isinstance(A, SparseMatrix):
+        if ncols is not None and A.shape[1] != ncols:
+            raise ValueError(f"expected {ncols} columns, got {A.shape[1]}")
+        return A
     try:
-        M = [list(row) for row in rows]
+        dense = [list(row) for row in A]
     except TypeError:
         raise ValueError("expected a two-dimensional matrix") from None
-    width = _width(M, ncols)
-    for row in M:
+    width = ncols if ncols is not None else (len(dense[0]) if dense else 0)
+    rows = []
+    for row in dense:
         if len(row) != width:
             raise ValueError(f"expected rows of length {width}, got {len(row)}")
         if not set(map(type, row)) <= {int}:
             raise ValueError("matrix entries must be integers")
-    return M
+        rows.append({j: v for j, v in enumerate(row) if v})
+    return SparseMatrix(rows, (len(rows), width))
 
 
-def _identity(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
+class _Elimination:
+    """A matrix under elimination: row dicts and mirrored column dicts.
 
-
-def _nonzeros(seq) -> list[tuple[int, int]]:
-    """(index, value) of each nonzero entry."""
-    return [(k, v) for k, v in enumerate(seq) if v]
-
-
-def _smallest_nonzero(row, start: int):
-    """(|v|, column) of a smallest nonzero entry of row[start:], or None.
-
-    Stops at the first entry of absolute value 1.
+    With a prime ``p`` the entries are kept reduced mod p and every one is a
+    unit.  A removed line (row or column) is None.
     """
-    best = None
-    for j in range(start, len(row)):
-        v = row[j]
+
+    def __init__(self, A: SparseMatrix, p: int | None = None) -> None:
+        self.p = p
+        if p:
+            rows = [{j: r for j, v in row.items() if (r := v % p)} for row in A.rows]
+        else:
+            rows = [dict(row) for row in A.rows]
+        cols: list[dict[int, int]] = [{} for _ in range(A.shape[1])]
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        # An entry alone in its row and its column is a pivot that needs no
+        # operation, the cheapest choice of all: (row, column, value) of each
+        # is taken at once.  A partial permutation is all such entries.
+        self.isolated = []
+        for i, row in enumerate(rows):
+            if len(row) == 1:
+                (j, v), = row.items()
+                if len(cols[j]) == 1:
+                    self.isolated.append((i, j, v))
+                    rows[i] = cols[j] = None
+        self.lines = (rows, cols)
+
+    def set(self, i: int, j: int, v: int) -> None:
+        if self.p:
+            v %= self.p
+        rows, cols = self.lines
         if v:
-            if v in (1, -1):
-                return 1, j
-            if best is None or abs(v) < best[0]:
-                best = abs(v), j
-    return best
+            rows[i][j] = cols[j][i] = v
+        else:
+            rows[i].pop(j, None)
+            cols[j].pop(i, None)
+
+    def add_row(self, k: int, i: int, c: int) -> None:
+        """Row k += c * row i."""
+        rows = self.lines[0]
+        row_k = rows[k]
+        for j, v in rows[i].items():
+            self.set(k, j, row_k.get(j, 0) + c * v)
+
+    def next_pivot(self) -> tuple[int, int] | None:
+        """(row, column) of the next pivot, or None when no entry is left.
+
+        A scan of the live entries for the least |value| (over the integers),
+        then the sparsest line through it.
+        """
+        rows, cols = self.lines
+        best = pivot_at = None
+        for i, row in enumerate(rows):
+            if not row:
+                continue
+            for j, v in row.items():
+                key = (1 if self.p else abs(v), min(len(row), len(cols[j])))
+                if best is None or key < best:
+                    best, pivot_at = key, (i, j)
+        return pivot_at
+
+    def remove(self, i: int, j: int) -> None:
+        """Remove row i and column j, whose other entries the caller has settled."""
+        rows, cols = self.lines
+        for l in rows[i]:
+            if l != j:
+                del cols[l][i]
+        for k in cols[j]:
+            if k != i:
+                del rows[k][j]
+        rows[i] = cols[j] = None
 
 
-def _swap_columns(M, a: int, b: int, rows) -> None:
-    for i in rows:
-        row = M[i]
-        row[a], row[b] = row[b], row[a]
+def _add(dst: dict[int, int], src: dict[int, int], c: int) -> None:
+    """dst += c * src on sparse vectors."""
+    for k, v in src.items():
+        w = dst.get(k, 0) + c * v
+        if w:
+            dst[k] = w
+        else:
+            del dst[k]
 
 
-def diagonalize(A, ncols: int | None = None):
+def diagonalize(A):
     """Diagonalize over the integers: returns (U, D, V) with U A V = D.
 
     U and V are unimodular; D is diagonal (no divisibility chain is
-    enforced), with its nonzero entries first.  Diagonal shape suffices for
-    ranks, kernels and membership.
+    enforced), with its nonzero entries first and positive.  Diagonal shape
+    suffices for ranks, kernels and membership.  All three are SparseMatrix.
     """
-    D = as_int_matrix(A, ncols)
-    m, n = len(D), _width(D, ncols)
-    U, V = _identity(m), _identity(n)
-    # Rows live.. of D are zero.  Row operations only change rows with a
-    # nonzero in the pivot column and column operations only the pivot row,
-    # so a zero row stays zero once it has been moved down there.
-    live = m
-    for t in range(min(m, n)):
-        best = None
-        i = t
-        while i < live:
-            found = _smallest_nonzero(D[i], t)
-            if found is None:
-                live -= 1
-                D[i], D[live] = D[live], D[i]
-                U[i], U[live] = U[live], U[i]
-                continue
-            if best is None or found[0] < best[0]:
-                best = found[0], i, found[1]
-                if found[0] == 1:
-                    break
-            i += 1
-        if best is None:
-            break
-        _, i, j = best
-        D[t], D[i] = D[i], D[t]
-        U[t], U[i] = U[i], U[t]
-        _swap_columns(D, t, j, range(t, live))
-        _swap_columns(V, t, j, range(n))
+    A = as_sparse(A)
+    m, n = A.shape
+    work = _Elimination(A)
+    rows, cols = work.lines
+    U = [{i: 1} for i in range(m)]  # rows of U, changed by the row operations
+    V = [{j: 1} for j in range(n)]  # columns of V, changed by the column operations
+    pivots = list(work.isolated)
+    while (pivot_at := work.next_pivot()) is not None:
+        i, j = pivot_at
         while True:
-            if D[t][t] < 0:
-                D[t] = [-v for v in D[t]]
-                U[t] = [-v for v in U[t]]
-            pivot = D[t][t]
-            # clear the column below the pivot
-            below = [i for i in range(t + 1, live) if D[i][t]]
-            if below:
-                d_row, u_row = _nonzeros(D[t]), _nonzeros(U[t])
-                for i in below:
-                    q = D[i][t] // pivot
-                    d_i, u_i = D[i], U[i]
-                    for k, v in d_row:
-                        d_i[k] -= q * v
-                    for k, v in u_row:
-                        u_i[k] -= q * v
-                dirty = [i for i in below if D[i][t]]
-                if dirty:
-                    # a remainder is strictly smaller than the pivot; promote it
-                    i = min(dirty, key=lambda i: abs(D[i][t]))
-                    D[t], D[i] = D[i], D[t]
-                    U[t], U[i] = U[i], U[t]
-                    continue
-            # clear the row right of the pivot; the pivot is alone in its
-            # column now, so each column operation changes D in row t only
-            d_t = D[t]
-            right = [j for j in range(t + 1, n) if d_t[j]]
-            if not right:
+            pivot = rows[i][j]
+            # clear the column; a remainder is smaller than the pivot: promote it
+            for k in [k for k in cols[j] if k != i]:
+                q = rows[k][j] // pivot
+                if q:
+                    work.add_row(k, i, -q)
+                    _add(U[k], U[i], -q)
+            rest = [k for k in cols[j] if k != i]
+            if rest:
+                i = min(rest, key=lambda k: abs(rows[k][j]))
+                continue
+            # clear the row; the pivot is alone in its column now, so each
+            # column operation changes row i only
+            for l in [l for l in rows[i] if l != j]:
+                q = rows[i][l] // pivot
+                if q:
+                    work.set(i, l, rows[i][l] - q * pivot)
+                    _add(V[l], V[j], -q)
+            rest = [l for l in rows[i] if l != j]
+            if not rest:
                 break
-            v_col = _nonzeros(row[t] for row in V)
-            for j in right:
-                q = d_t[j] // pivot
-                d_t[j] -= q * pivot
-                for r, v in v_col:
-                    V[r][j] -= q * v
-            dirty = [j for j in right if d_t[j]]
-            if not dirty:
-                break
-            j = min(dirty, key=lambda j: abs(d_t[j]))
-            _swap_columns(D, t, j, range(t, live))
-            _swap_columns(V, t, j, range(n))
-    return U, D, V
+            j = min(rest, key=lambda l: abs(rows[i][l]))
+        work.remove(i, j)
+        pivots.append((i, j, pivot))
+    # pivot k moves to (k, k): its row first in U, its column first in V
+    u_rows = [U[i] for i in _order(m, [i for i, _, _ in pivots])]
+    for k, (_, _, pivot) in enumerate(pivots):
+        if pivot < 0:
+            u_rows[k] = {c: -v for c, v in u_rows[k].items()}
+    D = [{k: abs(pivot)} for k, (_, _, pivot) in enumerate(pivots)]
+    D += [{} for _ in range(m - len(pivots))]
+    V_t = SparseMatrix([V[j] for j in _order(n, [j for _, j, _ in pivots])], (n, n))
+    return SparseMatrix(u_rows, (m, m)), SparseMatrix(D, (m, n)), V_t.transpose()
 
 
-def _rank_of_diagonal(D) -> int:
-    r = 0
-    while r < min(len(D), len(D[0]) if D else 0) and D[r][r]:
-        r += 1
-    return r
+def _order(size: int, first: list[int]) -> list[int]:
+    """``first``, then the other indices below ``size`` in increasing order."""
+    placed = set(first)
+    return first + [k for k in range(size) if k not in placed]
 
 
-def integer_kernel(A, ncols: int | None = None) -> list[list[int]]:
+def _rank_of_diagonal(D: SparseMatrix) -> int:
+    return sum(1 for row in D.rows if row)
+
+
+def integer_kernel(A) -> SparseMatrix:
     """Basis of the integer kernel {x : A x = 0}, one column per basis vector.
 
     The basis spans a saturated sublattice (it is the full kernel), so every
     rational kernel vector is a rational combination of these columns.
     """
-    _, D, V = diagonalize(A, ncols)
-    free = range(_rank_of_diagonal(D), len(V))
-    return [[row[j] for j in free] for row in V]
-
-
-def solve_in_span_many(A, vectors, ncols: int | None = None) -> list[list[int] | None]:
-    """For each vector b, an integer x with A x = b, or None when none exists.
-
-    One diagonalization U A V = D serves every vector: b is an integer
-    combination of the columns of A exactly when c = U b vanishes past the
-    rank r of D and D[i][i] divides c[i] for i < r, and then x = V y with
-    y[i] = c[i] / D[i][i].
-    """
-    U, D, V = diagonalize(A, ncols)
-    m = len(U)
+    _, D, V = diagonalize(A)
     r = _rank_of_diagonal(D)
-    u_cols = [_nonzeros(col) for col in zip(*U)]
-    v_cols = [_nonzeros(col) for col in list(zip(*V))[:r]]
-    out: list[list[int] | None] = []
-    for b in as_int_matrix(vectors, m):
-        c = [0] * m
-        for j, b_j in _nonzeros(b):
-            for i, u in u_cols[j]:
-                c[i] += u * b_j
-        if any(c[r:]) or any(c[i] % D[i][i] for i in range(r)):
+    n = V.shape[0]
+    return SparseMatrix([{k - r: v for k, v in row.items() if k >= r} for row in V.rows],
+                        (n, n - r))
+
+
+def solve_in_span_many(A, vectors) -> list[dict[int, int] | None]:
+    """For each row b of ``vectors``, an integer x with A x = b, or None.
+
+    ``vectors`` is a matrix, dense or sparse, whose rows are the right-hand
+    sides.  Each x is sparse, {index: nonzero int}.  One diagonalization
+    U A V = D serves every vector: b is an integer combination of the columns
+    of A exactly when c = U b vanishes past the rank r of D and D[i][i]
+    divides c[i] for i < r, and then x = V y with y[i] = c[i] / D[i][i].
+    """
+    U, D, V = diagonalize(A)
+    m = D.shape[0]
+    r = _rank_of_diagonal(D)
+    diag = [D.rows[i][i] for i in range(r)]
+    u_cols = U.transpose().rows
+    v_cols = V.transpose().rows
+    out: list[dict[int, int] | None] = []
+    for b in as_sparse(vectors, m).rows:
+        c: dict[int, int] = {}
+        for j, b_j in b.items():
+            _add(c, u_cols[j], b_j)
+        if any(i >= r or c_i % diag[i] for i, c_i in c.items()):
             out.append(None)
             continue
-        x = [0] * len(V)
-        for i, c_i in _nonzeros(c[:r]):
-            y = c_i // D[i][i]
-            for k, v in v_cols[i]:
-                x[k] += v * y
+        x: dict[int, int] = {}
+        for i, c_i in c.items():
+            _add(x, v_cols[i], c_i // diag[i])
         out.append(x)
     return out
 
 
-def solve_in_span(A, b) -> list[int] | None:
-    """An integer x with A x = b, or None when no such x exists."""
+def solve_in_span(A, b) -> dict[int, int] | None:
+    """An integer x with A x = b, sparse, or None when no such x exists."""
     return solve_in_span_many(A, [b])[0]
 
 
-def multiply(A, B, ncols: int | None = None) -> list[list[int]]:
-    """The product A B, where B has ``ncols`` columns; zero entries are skipped."""
-    A = as_int_matrix(A)
-    B = as_int_matrix(B, ncols)
-    if A and len(A[0]) != len(B):
-        raise ValueError(f"cannot multiply {len(A[0])} columns by {len(B)} rows")
-    n = _width(B, ncols)
-    b_rows = [_nonzeros(row) for row in B]
+def multiply(A, B) -> SparseMatrix:
+    """The product A B."""
+    A = as_sparse(A)
+    B = as_sparse(B)
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"cannot multiply {A.shape[1]} columns by {B.shape[0]} rows")
     out = []
-    for row in A:
-        acc = [0] * n
-        for k, a in _nonzeros(row):
-            for j, v in b_rows[k]:
-                acc[j] += a * v
+    for row in A.rows:
+        acc: dict[int, int] = {}
+        for k, a in row.items():
+            _add(acc, B.rows[k], a)
         out.append(acc)
-    return out
+    return SparseMatrix(out, (A.shape[0], B.shape[1]))
 
 
 def rank_mod_p(A, p: int) -> int:
-    """Rank over the prime field with p elements, by exact elimination."""
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-    M = [[v % p for v in row] for row in as_int_matrix(A)]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][col], -1, p)
-        M[r] = [(v * inv) % p for v in M[r]]
-        for i in range(m):
-            if i != r and M[i][col]:
-                f = M[i][col]
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank over the prime field with p elements, by sparse elimination.
+
+    Raises ValueError unless p is a prime int (bool excluded).
+    """
+    if type(p) is not int or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime int, got {p!r}")
+    work = _Elimination(as_sparse(A), p)
+    rows, cols = work.lines
+    rank = len(work.isolated)
+    while (pivot_at := work.next_pivot()) is not None:
+        i, j = pivot_at
+        inv = pow(rows[i][j], -1, p)
+        for k in [k for k in cols[j] if k != i]:
+            work.add_row(k, i, -rows[k][j] * inv)
+        work.remove(i, j)
+        rank += 1
+    return rank

@@ -131,19 +131,25 @@ class BasisMap:
     target: GradedBasis
     images: tuple[int | None, ...]
 
-    def to_json(self) -> dict:
+    def frames_json(self) -> dict:
+        """The wire form's fields before its matrix."""
         return {"which": self.which,
                 "source_frame": [self.source.d, self.source.e],
-                "target_frame": [self.target.d, self.target.e],
-                "matrix": self.array()}
+                "target_frame": [self.target.d, self.target.e]}
+
+    def to_json(self) -> dict:
+        """The wire form; ``wittgrass maps`` writes its bytes a row at a time."""
+        return {**self.frames_json(), "matrix": self.array()}
+
+    def sparse(self) -> intmatrix.SparseMatrix:
+        """The matrix, one entry 1 in row images[j] of each column j mapped."""
+        return intmatrix.SparseMatrix.from_entries(
+            (len(self.target), len(self.source)),
+            ((i, j, 1) for j, i in enumerate(self.images) if i is not None))
 
     def array(self) -> list[list[int]]:
-        """The matrix as new int rows; it has ``len(self.source)`` columns."""
-        rows = [[0] * len(self.source) for _ in self.target.elements]
-        for j, i in enumerate(self.images):
-            if i is not None:
-                rows[i][j] = 1
-        return rows
+        """The matrix as new dense int rows; it has ``len(self.source)`` columns."""
+        return self.sparse().dense()
 
 
 def _image(which: str, d: int, e: int, elem):
@@ -263,20 +269,22 @@ def _structural_position(incoming: BasisMap, outgoing: BasisMap):
     return ok, witnesses
 
 
-def _linear_position(A, B, width: int, middle: int) -> bool:
-    """B A = 0 and every integer kernel vector of B is an integer image of A."""
-    if any(any(row) for row in intmatrix.multiply(B, A, width)):
+def _linear_position(A, B, product) -> bool:
+    """B A = 0 and every integer kernel vector of B is an integer image of A.
+
+    ``product`` is B A; A, B and it are ``intmatrix.SparseMatrix``.
+    """
+    if any(product.rows):
         return False
-    K = intmatrix.integer_kernel(B, middle)
-    witnesses = intmatrix.solve_in_span_many(A, zip(*K), width)
-    return all(x is not None for x in witnesses)
+    kernel = intmatrix.integer_kernel(B).transpose()  # one row per kernel vector
+    return all(x is not None for x in intmatrix.solve_in_span_many(A, kernel))
 
 
-def _mod_p_position(A, B, width: int, middle: int, p: int) -> bool:
-    product = intmatrix.multiply(B, A, width)
-    if any(v % p for row in product for v in row):
+def _mod_p_position(A, B, product, p: int) -> bool:
+    """B A = 0 mod p and rank A + rank B is the middle rank, over F_p."""
+    if any(v % p for row in product.rows for v in row.values()):
         return False
-    return intmatrix.rank_mod_p(A, p) + intmatrix.rank_mod_p(B, p) == middle
+    return intmatrix.rank_mod_p(A, p) + intmatrix.rank_mod_p(B, p) == A.shape[0]
 
 
 def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> ExactnessReport:
@@ -285,17 +293,18 @@ def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> Exact
     Runs the structural partial-bijection argument on the images and the
     exact integer linear algebra on the matrices, independently; optionally
     also checks rank equalities over the prime fields listed in ``primes``.
+    Each map's matrix is built once, and each position's product B A once.
     """
     well_formed = all(_is_partial_bijection(m) for m in seq.maps())
-    arrays = {m.which: m.array() for m in seq.maps()}
+    matrices = {m.which: m.sparse() for m in seq.maps()}
     positions = []
     for incoming, outgoing in ((seq.iota, seq.kappa), (seq.kappa, seq.bord),
                                (seq.bord, seq.iota)):
         structural, witnesses = _structural_position(incoming, outgoing)
-        A, B = arrays[incoming.which], arrays[outgoing.which]
-        width, middle = len(incoming.source), len(outgoing.source)
-        linear = _linear_position(A, B, width, middle)
-        mod_p = tuple((p, _mod_p_position(A, B, width, middle, p)) for p in primes)
+        A, B = matrices[incoming.which], matrices[outgoing.which]
+        product = intmatrix.multiply(B, A)
+        linear = _linear_position(A, B, product)
+        mod_p = tuple((p, _mod_p_position(A, B, product, p)) for p in primes)
         positions.append(PositionVerdict(
             frame=(outgoing.source.d, outgoing.source.e),
             incoming=incoming.which, outgoing=outgoing.which,

@@ -170,3 +170,34 @@ def int_matrices(draw, max_dim=5, max_entry=6):
     return draw(st.lists(
         st.lists(st.integers(-max_entry, max_entry), min_size=n, max_size=n),
         min_size=m, max_size=m))
+
+
+def rank_mod_p_oracle(M, p):
+    """Rank of M over the field with p elements, by sympy's domain matrices."""
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    m = len(M)
+    n = len(M[0]) if m else 0
+    return DomainMatrix([[ZZ(v) for v in row] for row in M], (m, n), ZZ).convert_to(GF(p)).rank()
+
+
+@st.composite
+def sparse_int_matrices(draw, max_dim=7, max_entry=6):
+    """(dense rows, SparseMatrix) of one mostly-zero matrix with entries in
+    -max_entry..max_entry; about half of the draws hold no entry ±1 at all,
+    so that elimination must take Euclidean remainders."""
+    from wittgrass.intmatrix import SparseMatrix
+
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    no_unit = draw(st.booleans())
+    values = [v for v in range(-max_entry, max_entry + 1)
+              if v and not (no_unit and abs(v) == 1)]
+    cells = draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                         max_size=max(1, m * n // 3)))
+    entries = [(i, j, draw(st.sampled_from(values))) for i, j in sorted(cells)]
+    rows = [[0] * n for _ in range(m)]
+    for i, j, v in entries:
+        rows[i][j] = v
+    return rows, SparseMatrix.from_entries((m, n), entries)

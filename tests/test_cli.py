@@ -104,6 +104,14 @@ class TestMaps:
         assert payload["target_frame"] == [2, 1]
         assert payload["matrix"] == [[0, 0], [0, 0]]
 
+    @pytest.mark.parametrize("d,e", [(1, 1), (1, 3), (3, 1), (2, 3), (5, 4)])
+    def test_json_written_by_row_equals_the_wire_form(self, capsys, d, e):
+        for which in ("iota", "kappa", "bord"):
+            code, out, _ = run(capsys, "maps", "--d", str(d), "--e", str(e),
+                               "--which", which)
+            assert code == 0
+            assert out == json.dumps(map_matrix(which, d, e).to_json(), indent=2) + "\n"
+
     def test_ascii_arrows(self, capsys):
         code, out, _ = run(capsys, "maps", "--d", "2", "--e", "2",
                            "--which", "iota", "--format", "ascii")

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import mat_mul, mat_vec
-from wittgrass.intmatrix import (as_int_matrix, diagonalize, integer_kernel,
-                                 multiply, rank_mod_p, solve_in_span,
-                                 solve_in_span_many)
+from wittgrass.intmatrix import (SparseMatrix, as_sparse,
+                                 diagonalize, integer_kernel, multiply,
+                                 rank_mod_p, solve_in_span, solve_in_span_many)
 
 
 def _is_diagonal(D):
@@ -26,49 +26,59 @@ def _unimodular(M):
     return int(sympy.Matrix(M).det()) in (1, -1)
 
 
+def _dense_diagonalize(A):
+    """diagonalize(A) with U, D and V as dense rows."""
+    return [M.dense() for M in diagonalize(A)]
+
+
+def _vec(x, n):
+    """A sparse witness {index: value} as a list of n ints."""
+    return [x.get(k, 0) for k in range(n)]
+
+
 class TestInput:
     def test_copies_rows(self):
         rows = ((1, 2), (3, 4))
-        M = as_int_matrix(rows)
-        assert M == [[1, 2], [3, 4]]
-        M[0][0] = 9
+        M = as_sparse(rows)
+        assert M.dense() == [[1, 2], [3, 4]]
+        M.rows[0][0] = 9
         assert rows[0][0] == 1
 
     def test_rejects_bool_entries(self):
         with pytest.raises(ValueError):
-            as_int_matrix([[True, 2]])
+            as_sparse([[True, 2]])
         with pytest.raises(ValueError):
             diagonalize([[1, False]])
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
-            as_int_matrix([[1, 2], [3]])
+            as_sparse([[1, 2], [3]])
         with pytest.raises(ValueError):
-            as_int_matrix([[1, 2]], ncols=3)
+            as_sparse([[1, 2]], ncols=3)
 
     def test_rejects_non_matrices(self):
         with pytest.raises(ValueError):
-            as_int_matrix([1, 2])
+            as_sparse([1, 2])
         with pytest.raises(ValueError):
-            as_int_matrix([[1.0, 2]])
+            as_sparse([[1.0, 2]])
 
     def test_zero_row_matrix_keeps_its_width(self):
-        assert integer_kernel([], ncols=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert solve_in_span_many([], [[]], ncols=2) == [[0, 0]]
-        assert multiply([[]], [], ncols=2) == [[0, 0]]
+        assert integer_kernel(as_sparse([], 3)).dense() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert [_vec(x, 2) for x in solve_in_span_many(as_sparse([], 2), [[]])] == [[0, 0]]
+        assert multiply([[]], as_sparse([], 2)).dense() == [[0, 0]]
 
 
 class TestDiagonalize:
     def test_frozen_small(self):
         A = [[2, 4], [6, 8]]
-        U, D, V = diagonalize(A)
+        U, D, V = _dense_diagonalize(A)
         assert _is_diagonal(D)
         assert mat_mul(mat_mul(U, A), V) == D
         assert _nonzero_diagonal(D) == 2
 
     def test_partial_permutation_needs_no_row_operations(self):
         A = [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
-        U, D, V = diagonalize(A)
+        U, D, V = _dense_diagonalize(A)
         assert D == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
         assert mat_mul(mat_mul(U, A), V) == D
         assert all(sorted(map(abs, row)) == [0, 0, 1] for row in U + V)
@@ -76,7 +86,7 @@ class TestDiagonalize:
     @settings(max_examples=60, deadline=None)
     @given(helpers.int_matrices())
     def test_transforms_are_unimodular_and_exact(self, rows):
-        U, D, V = diagonalize(rows)
+        U, D, V = _dense_diagonalize(rows)
         assert _is_diagonal(D)
         assert mat_mul(mat_mul(U, rows), V) == D
         assert _unimodular(U)
@@ -88,7 +98,7 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(helpers.int_matrices())
     def test_kernel_is_complete_and_saturated(self, rows):
-        K = integer_kernel(rows)
+        K = integer_kernel(rows).dense()
         assert helpers.is_zero(mat_mul(rows, K))
         expected_dim = len(rows[0]) - sympy.Matrix(rows).rank()
         assert len(K[0]) == expected_dim
@@ -109,7 +119,7 @@ class TestSpanMembership:
         b = mat_vec(rows, x)
         witness = solve_in_span(rows, b)
         assert witness is not None
-        assert mat_vec(rows, witness) == b
+        assert mat_vec(rows, _vec(witness, len(rows[0]))) == b
 
     @settings(max_examples=40, deadline=None)
     @given(helpers.int_matrices(max_dim=3, max_entry=3), st.data())
@@ -120,7 +130,7 @@ class TestSpanMembership:
         solvable = helpers.integer_solvable_oracle(rows, b)
         assert (witness is not None) == solvable
         if witness is not None:
-            assert mat_vec(rows, witness) == b
+            assert mat_vec(rows, _vec(witness, len(rows[0]))) == b
 
     def test_frozen_divisibility(self):
         assert solve_in_span([[2]], [4]) is not None
@@ -145,7 +155,7 @@ class TestBatchedMembership:
         for b, x in zip(vectors, witnesses):
             assert (x is not None) == helpers.integer_solvable_oracle(rows, b)
             if x is not None:
-                assert mat_vec(rows, x) == b
+                assert mat_vec(rows, _vec(x, len(rows[0]))) == b
 
     @settings(max_examples=40, deadline=None)
     @given(helpers.int_matrices(max_dim=3, max_entry=3), st.data())
@@ -165,13 +175,14 @@ class TestBatchedMembership:
         for b, x in zip(vectors, witnesses):
             assert (x is not None) == helpers.integer_solvable_oracle(doubled, b)
             if x is not None:
-                assert mat_vec(doubled, x) == b
+                assert mat_vec(doubled, _vec(x, n)) == b
 
     def test_frozen(self):
         A = [[2, 0], [0, 1]]
         vectors = [[2, 3], [1, 0], [4, -1]]
         witnesses = solve_in_span_many(A, vectors)
-        assert witnesses == [[1, 3], None, [2, -1]]
+        assert [None if x is None else _vec(x, 2) for x in witnesses] == \
+            [[1, 3], None, [2, -1]]
         assert [helpers.integer_solvable_oracle(A, b) for b in vectors] == \
             [True, False, True]
 
@@ -185,7 +196,7 @@ class TestMultiply:
         other = data.draw(st.lists(
             st.lists(st.integers(-3, 3), min_size=width, max_size=width),
             min_size=k, max_size=k))
-        assert multiply(rows, other, width) == mat_mul(rows, other)
+        assert multiply(rows, as_sparse(other, width)).dense() == mat_mul(rows, other)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
@@ -202,7 +213,78 @@ class TestModP:
     @settings(max_examples=60, deadline=None)
     @given(helpers.int_matrices())
     def test_matches_smith_diagonal(self, rows):
-        _, D, _ = diagonalize(rows)
+        _, D, _ = _dense_diagonalize(rows)
         diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         for p in (2, 3, 5):
             assert rank_mod_p(rows, p) == sum(1 for v in diag if v % p)
+
+    @pytest.mark.parametrize("p", [1, 4, 9, True])
+    def test_rejects_a_modulus_that_is_not_a_prime_int(self, p):
+        with pytest.raises(ValueError):
+            rank_mod_p([[1, 0], [0, 1]], p)
+
+
+class TestSparseForm:
+    def test_from_entries(self):
+        M = SparseMatrix.from_entries((2, 3), [(0, 2, 5), (1, 0, -1)])
+        assert M.shape == (2, 3)
+        assert M.dense() == [[0, 0, 5], [-1, 0, 0]]
+        assert M.transpose().dense() == [[0, -1], [0, 0], [5, 0]]
+        assert as_sparse(M.dense()).rows == M.rows
+        assert as_sparse(M, ncols=3) is M
+
+    @pytest.mark.parametrize("entry", [(2, 0, 1), (0, 3, 1), (-1, 0, 1),
+                                       (0, 0, 0), (0, 0, True), (0, 0, 1.0)])
+    def test_from_entries_rejects(self, entry):
+        with pytest.raises(ValueError):
+            SparseMatrix.from_entries((2, 3), [entry])
+
+    def test_rejects_width_other_than_ncols(self):
+        with pytest.raises(ValueError):
+            as_sparse(SparseMatrix.from_entries((1, 2), []), ncols=3)
+
+
+class TestSparseNonUnit:
+    """Mostly-zero matrices given in sparse form, many with no unit entry,
+    against the sympy rank, minors-gcd and Smith-diagonal oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(helpers.sparse_int_matrices())
+    def test_diagonalize_and_kernel(self, drawn):
+        rows, A = drawn
+        U, D, V = _dense_diagonalize(A)
+        assert _is_diagonal(D)
+        assert mat_mul(mat_mul(U, rows), V) == D
+        assert _unimodular(U)
+        assert _unimodular(V)
+        rank = sympy.Matrix(rows).rank()
+        assert _nonzero_diagonal(D) == rank
+        K = integer_kernel(A)
+        assert K.shape == (len(rows[0]), len(rows[0]) - rank)
+        assert helpers.is_zero(mat_mul(rows, K.dense()))
+        for vec in sympy.Matrix(rows).nullspace():
+            scale = sympy.lcm([term.q for term in vec])
+            assert solve_in_span(K, [int(term * scale) for term in vec]) is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(helpers.sparse_int_matrices(max_dim=4, max_entry=4), st.data())
+    def test_span_membership_matches_minors_gcd(self, drawn, data):
+        rows, A = drawn
+        m, n = A.shape
+        vectors = data.draw(st.lists(
+            st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=1, max_size=3))
+        for b, x in zip(vectors, solve_in_span_many(A, vectors)):
+            assert (x is not None) == helpers.integer_solvable_oracle(rows, b)
+            if x is not None:
+                assert mat_vec(rows, _vec(x, n)) == b
+
+    @settings(max_examples=80, deadline=None)
+    @given(helpers.sparse_int_matrices())
+    def test_rank_mod_p_matches_oracles(self, drawn):
+        rows, A = drawn
+        _, D, _ = _dense_diagonalize(A)
+        diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
+        for p in (2, 3, 5):
+            rank = rank_mod_p(A, p)
+            assert rank == helpers.rank_mod_p_oracle(rows, p)
+            assert rank == sum(1 for v in diag if v % p)

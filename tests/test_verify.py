@@ -1,5 +1,6 @@
 """One verification pass: shared per-frame work, and suites kept independent."""
 
+import hashlib
 import importlib
 import importlib.util
 from collections import Counter
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from wittgrass import verify, witt_modules
+from wittgrass.cli import main
 from wittgrass.verify import SUITE_FIRST_FRAME, verify_suites
 
 
@@ -101,8 +103,8 @@ class TestOnePass:
         clean = verify_suites("all", 3)
         original = witt_modules._mod_p_position
 
-        def fails_at_3(A, B, width, middle, p):
-            return p != 3 and original(A, B, width, middle, p)
+        def fails_at_3(A, B, product, p):
+            return p != 3 and original(A, B, product, p)
 
         monkeypatch.setattr(witt_modules, "_mod_p_position", fails_at_3)
         broken = verify_suites("all", 3)
@@ -126,3 +128,12 @@ def test_traced_functions_exist():
         module = importlib.import_module(f"wittgrass.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_frontier_digest(capsys):
+    """`verify --scope all --max-frame 10` prints the bytes it printed when the
+    exactness checks ran on dense matrices."""
+    assert main(["verify", "--scope", "all", "--max-frame", "10"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == \
+        "cf84a83c60350041c9a6491e17bda61542277f6d86a211dcc013df8fc52f8d33"

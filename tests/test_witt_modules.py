@@ -9,6 +9,7 @@ from wittgrass import (FramedDiagram, GradedDegree, PicClassMod2,
                        PointGenerator, base_det2, build_basis, cyclic_sequence,
                        degree, map_matrix, peel, shorten,
                        verify_degree_transport, verify_exactness, widen)
+from wittgrass.intmatrix import as_sparse, multiply
 from wittgrass.witt_modules import (_linear_position, _mod_p_position,
                                     _structural_position)
 
@@ -147,6 +148,17 @@ def _without_column(matrix, j):
     return [[0 if k == j else v for k, v in enumerate(row)] for row in matrix]
 
 
+def _linear(A, B, width, middle):
+    """The integer-linear verdict on dense matrices, converted at intmatrix's edge."""
+    A, B = as_sparse(A, width), as_sparse(B, middle)
+    return _linear_position(A, B, multiply(B, A))
+
+
+def _mod_p(A, B, width, middle, p):
+    A, B = as_sparse(A, width), as_sparse(B, middle)
+    return _mod_p_position(A, B, multiply(B, A), p)
+
+
 class TestCheckersDetectBrokenMaps:
     """The integer-linear and mod-p checkers reject maps one entry off."""
 
@@ -165,22 +177,37 @@ class TestCheckersDetectBrokenMaps:
 
     def test_intact_maps_pass(self):
         for A, B, width, middle in self._positions():
-            assert _linear_position(A, B, width, middle)
-            assert _mod_p_position(A, B, width, middle, 2)
+            assert _linear(A, B, width, middle)
+            assert _mod_p(A, B, width, middle, 2)
 
     def test_entry_scaled_to_two(self):
         for A, B, width, middle in self._positions():
             i, j = _first_one(A)
             scaled = _with_entry(A, i, j, 2)
-            assert _linear_position(scaled, B, width, middle) is False
-            assert _mod_p_position(scaled, B, width, middle, 2) is False
+            assert _linear(scaled, B, width, middle) is False
+            assert _mod_p(scaled, B, width, middle, 2) is False
 
     def test_dropped_image(self):
         for A, B, width, middle in self._positions():
             _, j = _first_one(A)
-            assert _linear_position(_without_column(A, j), B, width, middle) is False
+            assert _linear(_without_column(A, j), B, width, middle) is False
             _, j = _first_one(B)
-            assert _linear_position(A, _without_column(B, j), width, middle) is False
+            assert _linear(A, _without_column(B, j), width, middle) is False
+
+    def test_dropped_image_fails_verify_exactness(self):
+        """The same fault in ``images`` reaches the checkers through each
+        map's sparse matrix."""
+        for d, e in self.FRAMES:
+            seq = cyclic_sequence(d, e)
+            for k, (first, second) in enumerate(self.POSITIONS):
+                images = list(getattr(seq, second).images)
+                j = next((j for j, i in enumerate(images) if i is not None), None)
+                if j is None:  # bord of a doubly even frame is zero
+                    continue
+                images[j] = None
+                report = verify_exactness(_with_images(seq, second, images), primes=(2,))
+                assert report.positions[k].linear is False, (d, e, second)
+                assert report.positions[k].mod_p == ((2, False),)
 
 
 def _with_images(seq, which, images):
