@@ -9,19 +9,18 @@ runs over a range of frames.  Everything is integer arithmetic; nothing is
 floating point.
 """
 
-from .diagrams import (FramedDiagram, JumpTuples, all_diagrams, enumerate_even,
-                       from_jump_tuples, peel, shorten, widen)
+from .diagrams import (FramedDiagram, JumpTuples, enumerate_even, from_jump_tuples,
+                       peel, shorten, widen)
 from .grassmann_witt import (DualityReport, GeneratorClass, bord_vanishes,
                              class_degree, classify, duality_check,
                              expected_rank, induction_report, rank_table,
                              table_json, total_witt_basis)
 from .picard import (PicClass, PicClassMod2, base_det, base_det2,
-                     canonical_in_pullback_span, cell_canonical_identity,
-                     cell_canonicals, les_twists, pullback_to_flag,
-                     pushforward_admissible, quotient_det, rel_canonical_fiber,
-                     rel_canonical_flag, rel_canonical_grass,
-                     relative_dimension, taut_det, taut_det2, twist_class,
-                     verify_cond_even)
+                     canonical_in_pullback_span, cell_canonicals, les_twists,
+                     pullback_to_flag, pushforward_admissible, quotient_det,
+                     rel_canonical_fiber, rel_canonical_flag,
+                     rel_canonical_grass, relative_dimension, taut_det,
+                     taut_det2, twist_class, verify_cond_even)
 from .witt_modules import (MAP_NAMES, BasisMap, CyclicSequence, ExactnessReport,
                            GradedBasis, GradedDegree, PointGenerator,
                            TransportReport, build_basis, cyclic_sequence,
@@ -31,14 +30,13 @@ from .witt_modules import (MAP_NAMES, BasisMap, CyclicSequence, ExactnessReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FramedDiagram", "JumpTuples", "all_diagrams", "enumerate_even",
-    "from_jump_tuples", "peel", "shorten", "widen",
+    "FramedDiagram", "JumpTuples", "enumerate_even", "from_jump_tuples",
+    "peel", "shorten", "widen",
     "PicClass", "PicClassMod2", "base_det", "base_det2", "taut_det",
     "taut_det2", "quotient_det", "rel_canonical_grass", "rel_canonical_flag",
     "rel_canonical_fiber", "pullback_to_flag", "relative_dimension",
     "twist_class", "verify_cond_even", "pushforward_admissible",
-    "canonical_in_pullback_span", "cell_canonicals", "cell_canonical_identity",
-    "les_twists",
+    "canonical_in_pullback_span", "cell_canonicals", "les_twists",
     "MAP_NAMES", "BasisMap", "CyclicSequence", "ExactnessReport", "GradedBasis",
     "GradedDegree", "PointGenerator", "TransportReport", "build_basis",
     "cyclic_sequence", "degree", "map_matrix", "verify_degree_transport",

@@ -15,7 +15,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
 from .diagrams import FramedDiagram, JumpTuples, enumerate_even
@@ -24,23 +23,6 @@ from .picard import (rel_canonical_fiber, rel_canonical_flag,
                      rel_canonical_grass, relative_dimension)
 from .verify import SUITE_FIRST_FRAME, verify_suites
 from .witt_modules import MAP_NAMES, map_matrix
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    """How to draw diagrams: output format, svg cell size, captions."""
-
-    format: str = "ascii"
-    cell_size: int = 24
-    annotate: bool = False
-
-    def __post_init__(self) -> None:
-        if self.format not in ("ascii", "svg", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.cell_size < 1:
-            raise ValueError("cell_size must be positive")
-        if self.format == "svg" and self.cell_size < 4:
-            raise ValueError("svg needs cell_size >= 4")
 
 
 def ascii_diagram(diagram: FramedDiagram) -> str:
@@ -68,11 +50,11 @@ def _print_map_json(bm) -> None:
     sys.stdout.write("\n  ]\n}\n")
 
 
-def _svg_sheet(groups, spec: RenderSpec) -> str:
+def _svg_sheet(groups, cell_size: int, annotate: bool) -> str:
     """Diagrams grouped into labeled rows, each diagram a framed cell grid."""
-    s = spec.cell_size
+    s = cell_size
     gap = s
-    caption_h = s if spec.annotate else 0
+    caption_h = s if annotate else 0
     margin = s
     width = margin * 2
     for _, diagrams in groups:
@@ -81,7 +63,7 @@ def _svg_sheet(groups, spec: RenderSpec) -> str:
     root = ET.Element("svg", xmlns="http://www.w3.org/2000/svg")
     y = margin
     for label, diagrams in groups:
-        if spec.annotate:
+        if annotate:
             text = ET.SubElement(root, "text", x=str(margin), y=str(y + s // 2))
             text.set("font-family", "monospace")
             text.set("font-size", str(max(10, s // 2)))
@@ -107,26 +89,29 @@ def _svg_sheet(groups, spec: RenderSpec) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    spec = RenderSpec(args.format, args.cell_size, args.annotate)
+    if args.cell_size < 1:
+        raise ValueError("cell_size must be positive")
+    if args.format == "svg" and args.cell_size < 4:
+        raise ValueError("svg needs cell_size >= 4")
     basis = total_witt_basis(args.d, args.e)
-    if spec.format == "json":
+    if args.format == "json":
         payload = {"frame": [args.d, args.e], "count": len(basis),
                    "diagrams": [{**dg.to_json(), "degree": deg.to_json()}
                                 for dg, deg in basis.elements]}
         _print_json(payload)
         return 0
-    if spec.format == "svg":
+    if args.format == "svg":
         groups: dict[tuple[int, int], list[FramedDiagram]] = {}
         for dg, deg in basis.elements:
             groups.setdefault((deg.shift, deg.det_twist), []).append(dg)
         rows = [(f"shift={key[0]} twist={key[1]}", groups[key])
                 for key in sorted(groups)]
-        print(_svg_sheet(rows, spec))
+        print(_svg_sheet(rows, args.cell_size, args.annotate))
         return 0
     blocks = []
     for dg, deg in basis.elements:
         header = f"rows={dg.rows}"
-        if spec.annotate:
+        if args.annotate:
             base = ",".join(str(i) for _, i in deg.base.support)
             header += f" shift={deg.shift} twist={deg.det_twist}"
             if base:
@@ -253,6 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # "--d=--": argparse drops the "--" and keeps []
+        parser.error("'--' is not a value")
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -102,9 +102,6 @@ class FramedDiagram:
     def is_empty(self) -> bool:
         return self.rows[0] == 0
 
-    def is_full(self) -> bool:
-        return self.rows[-1] == self.e
-
     def _jumps(self) -> tuple[list[int], list[int]]:
         # (dvec, evec) of jump_tuples as plain lists; the rows are already valid
         rows = self.rows
@@ -237,11 +234,3 @@ def peel(diagram: FramedDiagram) -> FramedDiagram | None:
         return None
     rows = tuple(r - 1 for r in diagram.rows) + (0,)
     return FramedDiagram(diagram.d + 1, diagram.e - 1, rows)
-
-
-def all_diagrams(d: int, e: int):
-    """Every diagram of the frame (even or not), largest row vector first."""
-    if d < 1 or e < 1:
-        raise ValueError("frame dimensions must be at least 1")
-    for combo in itertools.combinations_with_replacement(range(e, -1, -1), d):
-        yield FramedDiagram(d, e, combo)

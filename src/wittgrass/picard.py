@@ -61,18 +61,8 @@ class PicClass:
         object.__setattr__(self, "terms", _validated_terms(self.n, self.terms, True))
 
     @classmethod
-    def zero(cls, n: int) -> "PicClass":
-        return cls(n, ())
-
-    @classmethod
     def from_dict(cls, n: int, coeffs: dict) -> "PicClass":
         return cls(n, tuple((k, i, c) for (k, i), c in coeffs.items() if c))
-
-    def coeff(self, kind: str, index: int) -> int:
-        for k, i, c in self.terms:
-            if (k, i) == (kind, index):
-                return c
-        return 0
 
     def as_dict(self) -> dict:
         return {(k, i): c for k, i, c in self.terms}
@@ -142,10 +132,6 @@ class PicClassMod2:
 
     def has(self, kind: str, index: int) -> bool:
         return (kind, index) in self.support
-
-    def to_json(self) -> dict:
-        return {"n": self.n,
-                "terms": [{"gen": k, "index": i} for k, i in self.support]}
 
 
 def base_det(n: int, i: int) -> PicClass:
@@ -315,41 +301,24 @@ def canonical_in_pullback_span(diagram: FramedDiagram) -> bool:
 
 class CellCanonicals(NamedTuple):
     sub_grassmannian: PicClass
-    blow_down: PicClass
     exceptional_divisor: PicClass
-    exceptional_projection: PicClass
 
 
 def cell_canonicals(d: int, n: int) -> CellCanonicals:
-    """Relative canonical classes of the four maps in the blow-up square.
+    """Relative canonical classes of two maps in the blow-up square.
 
     ``sub_grassmannian``: inclusion of the corank-one sub-Grassmannian;
-    ``blow_down``: projection of the blow-up to the ambient Grassmann bundle;
-    ``exceptional_divisor``: inclusion of the exceptional divisor;
-    ``exceptional_projection``: its bundle projection to the smaller
-    Grassmann bundle.  Tautological dets of ranks d and d-1 appear.
+    ``exceptional_divisor``: inclusion of the exceptional divisor.  Mod 2
+    they are what ``les_twists`` adds on its sub side, and on its
+    complementary side to a twist carrying TautDet(d).  Tautological dets
+    of ranks d and d-1 appear.
     """
     if d < 2 or n - d < 2:
         raise ValueError("need subbundle rank >= 2 and corank >= 2")
     qdet = quotient_det(n)
     sub = -taut_det(n, d) + d * qdet
-    blow = (d - 1) * taut_det(n, d - 1) + (1 - d) * taut_det(n, d) + (d - 1) * qdet
     exc = qdet + taut_det(n, d - 1) - taut_det(n, d)
-    proj = d * taut_det(n, d - 1) + (1 - d) * taut_det(n, d)
-    return CellCanonicals(sub, blow, exc, proj)
-
-
-def cell_canonical_identity(d: int, n: int) -> bool:
-    """Coefficientwise identity tying the four cell canonicals together.
-
-    Both compositions through the exceptional divisor agree, so
-    exceptional_divisor + blow_down = exceptional_projection +
-    pullback(sub_grassmannian), the pullback fixing every generator.
-    """
-    cc = cell_canonicals(d, n)
-    lhs = cc.exceptional_divisor + cc.blow_down
-    rhs = cc.exceptional_projection + cc.sub_grassmannian
-    return lhs == rhs
+    return CellCanonicals(sub, exc)
 
 
 def les_twists(d: int, e: int, twist: PicClassMod2) -> tuple[PicClassMod2, PicClassMod2]:

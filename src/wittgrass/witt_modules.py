@@ -85,10 +85,6 @@ class GradedBasis:
         object.__setattr__(self, "_index",
                            {elem: i for i, (elem, _) in enumerate(self.elements)})
 
-    @property
-    def is_point_frame(self) -> bool:
-        return self.d == 0 or self.e == 0
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -91,6 +91,56 @@ def canonical_fiber_oracle(dvec, evec, d, e):
     return _normalized(coeffs, dvec, evec)
 
 
+def _rank_mod2(rows):
+    """Rank over GF(2) of vectors given as int bit masks, by xor elimination."""
+    pivots = {}
+    for v in rows:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def sq2_rank_oracle(d, e, twist):
+    """Witt ranks of Gr(d, d+e) over a point by shift, from Sq² cohomology.
+
+    Zibrowius ("Witt groups of complex cellular varieties", Doc. Math. 16,
+    2011): the Witt groups of a complex cellular variety are the cohomology
+    of its mod-2 Chow ring under Sq², twisted by a line bundle L to
+    Sq² + c1(L).  The Schubert classes of Gr(d, d+e) are all diagrams in the
+    d x e frame; Sq² sends a diagram to the sum of the diagrams with one box
+    more of odd content (column - row), and O(1) adds sigma_1 (Pieri: every
+    box), so twist 1 takes the boxes of even content instead.  The rank of
+    W^i is the cohomology summed over the areas k = i mod 4.  Returns
+    {shift: rank} for the nonzero ranks.  Plain integer bookkeeping: no
+    wittgrass arithmetic.
+    """
+    by_area = {}
+    for rows in all_row_vectors(d, e):
+        by_area.setdefault(sum(rows), []).append(rows)
+    index = {lam: i for lams in by_area.values() for i, lam in enumerate(lams)}
+    boundary_rank = {}  # rank of the differential out of each area
+    for k, lams in by_area.items():
+        images = []
+        for lam in lams:
+            v = 0
+            for r, length in enumerate(lam):
+                addable = length < e and (r == 0 or lam[r - 1] > length)
+                if addable and (length - r) % 2 != twist:
+                    v |= 1 << index[lam[:r] + (length + 1,) + lam[r + 1:]]
+            images.append(v)
+        boundary_rank[k] = _rank_mod2(images)
+    ranks = {}
+    for k, lams in by_area.items():
+        h = len(lams) - boundary_rank[k] - boundary_rank.get(k - 1, 0)
+        if h:
+            ranks[k % 4] = ranks.get(k % 4, 0) + h
+    return ranks
+
+
 def mat_mul(A, B):
     """Product of two matrices given as lists of rows; B may have no columns.
 

@@ -1,11 +1,15 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wittgrass.cli import RenderSpec, ascii_diagram, main
+from wittgrass.cli import ascii_diagram, main
 from wittgrass.verify import verify_suites
 from wittgrass import FramedDiagram, map_matrix
 
@@ -16,21 +20,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-class TestRenderSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RenderSpec("pdf")
-        with pytest.raises(ValueError):
-            RenderSpec("svg", cell_size=2)
-        with pytest.raises(ValueError):
-            RenderSpec("ascii", cell_size=0)
-        assert RenderSpec("ascii", cell_size=2).cell_size == 2
-
+class TestEnumerate:
     def test_ascii_diagram(self):
         assert ascii_diagram(FramedDiagram(2, 3, (2, 0))) == "##.\n..."
 
+    def test_render_options_are_usage_errors(self, capsys):
+        for argv, message in [
+                (("--format", "svg", "--cell-size", "3"), "svg needs cell_size >= 4"),
+                (("--cell-size", "0"), "cell_size must be positive"),
+                (("--format", "json", "--cell-size", "-1"), "cell_size must be positive")]:
+            code, out, err = run(capsys, "enumerate", "--d", "2", "--e", "2", *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+        code, out, _ = run(capsys, "enumerate", "--d", "2", "--e", "2", "--cell-size", "2")
+        assert code == 0 and out.startswith("rows=(2, 2)")
 
-class TestEnumerate:
     def test_ascii_golden(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--d", "2", "--e", "2")
         assert code == 0
@@ -224,3 +227,64 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--d", "2", "--e", "2", "--format", "png"])
         assert exc.value.code == 2
+
+
+# Malformed values: text that int() rejects, and ints that frames reject.  A
+# value that int() accepts stays small, so no drawn command runs long.
+_NOT_INTS = st.sampled_from(["", " ", "x", "1.5", "1e2", "0x3", "nan", "2,3",
+                             "--", "-x", "½", "3 3"])
+
+
+def _small_int(lo, hi):
+    ints = st.integers(lo, hi).map(str)
+    return st.one_of(ints, ints, ints, _NOT_INTS)
+
+
+def _int_list(lo, hi):
+    # comma-separated ints: increasing ones (valid jump tuples and reversed
+    # row lists), any ones, junk items mixed in, and raw text
+    ints = st.integers(lo, hi)
+    increasing = st.lists(ints, unique=True, min_size=1, max_size=4).map(sorted)
+    lists = st.one_of(increasing, increasing.map(lambda v: v[::-1]),
+                      st.lists(st.one_of(ints, _NOT_INTS), max_size=5))
+    return st.one_of(lists.map(lambda items: ",".join(map(str, items))),
+                     st.text("0123456789,- x.", max_size=8))
+
+
+@st.composite
+def _malformed_argv(draw):
+    # "--opt=value", so that argparse hands a value such as "-1,2" to the
+    # command instead of reading it as an option
+    frame = [f"--d={draw(_small_int(-2, 5))}", f"--e={draw(_small_int(-2, 5))}"]
+    command = draw(st.sampled_from(["enumerate", "table", "maps", "classify",
+                                    "canonical", "verify"]))
+    if command == "maps":
+        return ["maps", *frame, "--which", draw(st.sampled_from(["iota", "kappa", "bord"]))]
+    if command == "classify":
+        return ["classify", *frame, f"--rows={draw(_int_list(-1, 5))}"]
+    if command == "canonical":
+        return ["canonical", f"--dvec={draw(_int_list(-1, 5))}",
+                f"--evec={draw(_int_list(-1, 5))}", f"--ambient={draw(_small_int(-2, 10))}"]
+    if command == "verify":
+        return ["verify", f"--max-frame={draw(_small_int(-2, 3))}",
+                "--scope", draw(st.sampled_from(["all", "exactness", "degrees",
+                                                 "cond-even", "bord", "duality",
+                                                 "induction"]))]
+    return [command, *frame]
+
+
+class TestFuzzedArguments:
+    @settings(max_examples=200, deadline=None)
+    @given(_malformed_argv())
+    @example(["enumerate", "--d=2", "--e=--"])
+    def test_exit_0_or_2_and_no_traceback(self, argv):
+        """Malformed frames, row lists, jump tuples, ambient ranks and
+        --max-frame values end in exit 0 or a usage error (2), never in an
+        uncaught exception."""
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the command line
+                code = exc.code
+        assert code in (0, 2), argv

@@ -49,6 +49,21 @@ class TestRanks:
         for e in range(1, 9):
             assert rank_table(1, e) == {(0, 0): 1, (e % 4, (e + 1) % 2): 1}
 
+    def test_matches_sq2_cohomology(self):
+        """Every frame up to 6 x 6 has, at each (shift, twist), the rank of
+        Zibrowius's Sq² cohomology of the Schubert classes; with the two
+        twists swapped the oracle disagrees, so it sees the twist grading."""
+        swapped_disagree = 0
+        for d in range(1, 7):
+            for e in range(1, 7):
+                table = rank_table(d, e)
+                by_twist = [{s: r for (s, t), r in table.items() if t == twist}
+                            for twist in (0, 1)]
+                oracle = [helpers.sq2_rank_oracle(d, e, twist) for twist in (0, 1)]
+                assert oracle == by_twist, (d, e)
+                swapped_disagree += oracle[::-1] != by_twist
+        assert swapped_disagree > 0
+
     def test_odd_frames_have_no_twist_one_diagram(self):
         """In an odd x odd frame every even diagram has first row plus
         nonzero-row count even, so the frame's ranks all sit at twist 0."""

@@ -45,7 +45,7 @@ class TestBases:
     def test_point_frames_have_two_generators(self):
         for d, e in [(0, 3), (3, 0), (0, 1), (1, 0)]:
             basis = build_basis(d, e)
-            assert basis.is_point_frame
+            assert all(isinstance(elem, PointGenerator) for elem, _ in basis.elements)
             assert basis.labels() == ("pt0", "pt1")
             degs = [deg for _, deg in basis.elements]
             assert [dg.det_twist for dg in degs] == [0, 1]
@@ -54,7 +54,7 @@ class TestBases:
     def test_diagram_frame(self):
         basis = build_basis(2, 2)
         assert len(basis) == 4
-        assert not basis.is_point_frame
+        assert not any(isinstance(elem, PointGenerator) for elem, _ in basis.elements)
         assert basis.labels()[0] == "(2, 2)"
         assert basis.index_of(FramedDiagram(2, 2, (1, 1))) == 2
 
@@ -76,7 +76,7 @@ class TestMapMatrices:
         # single-row frames collapse to the point generators
         assert map_matrix("kappa", 1, 3).array() == [[0, 1], [0, 0]]
         bm = map_matrix("iota", 1, 1)
-        assert bm.source.is_point_frame
+        assert bm.source.labels() == ("pt0", "pt1")
         assert bm.array() == [[0, 1], [0, 0]]
 
     def test_matches_moves_on_interior_frames(self):
