@@ -112,7 +112,7 @@ def _cmd_enumerate(args) -> int:
     for dg, deg in basis.elements:
         header = f"rows={dg.rows}"
         if args.annotate:
-            base = ",".join(str(i) for _, i in deg.base.support)
+            base = ",".join(map(str, deg.base))
             header += f" shift={deg.shift} twist={deg.det_twist}"
             if base:
                 header += f" base=[{base}]"

@@ -44,13 +44,13 @@ def total_witt_basis(d: int, e: int) -> GradedBasis:
 
 
 def rank_table(d: int, e: int, trivial_base: bool = True) -> dict:
-    """Ranks keyed by (shift, det_twist), adding the base support when kept."""
+    """Ranks keyed by (shift, det_twist), adding the base indices when kept."""
     table: dict = {}
     for _, deg in total_witt_basis(d, e).elements:
         if trivial_base:
             key = (deg.shift, deg.det_twist)
         else:
-            key = (deg.shift, tuple(i for _, i in deg.base.support), deg.det_twist)
+            key = (deg.shift, deg.base, deg.det_twist)
         table[key] = table.get(key, 0) + 1
     return table
 

@@ -16,7 +16,7 @@ constructor here applies it.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .diagrams import FramedDiagram, JumpTuples
 
@@ -229,7 +229,6 @@ def pullback_to_flag(cls: PicClassMod2, tuples: JumpTuples) -> PicClassMod2:
         if kind == TAUT:
             if index != dk:
                 raise ValueError("Grassmann classes may only involve TautDet(d_k)")
-            index = dk
         support.add((kind, index))
     if tuples.evec[0] == 0 and (TAUT, tuples.dvec[0]) in support:
         support.discard((TAUT, tuples.dvec[0]))

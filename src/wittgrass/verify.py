@@ -83,8 +83,14 @@ def verify_suites(scope: str, max_frame: int) -> dict:
 
     A suite checks each frame with first <= d, e <= max_frame and reports the
     frame count, its failures in (d, e) order and "ok".  Raises ValueError
-    when a selected suite would check no frame.
+    on an unknown scope, a ``max_frame`` that is not an int, or when a
+    selected suite would check no frame.
     """
+    if scope != "all" and scope not in SUITE_FIRST_FRAME:
+        raise ValueError(f"unknown scope {scope!r}; expected one of "
+                         f"{(*SUITE_FIRST_FRAME, 'all')}")
+    if type(max_frame) is not int:
+        raise ValueError(f"max_frame must be an int, not {max_frame!r}")
     names = tuple(SUITE_FIRST_FRAME) if scope == "all" else (scope,)
     for name in names:
         lo = SUITE_FIRST_FRAME[name]

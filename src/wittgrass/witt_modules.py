@@ -19,18 +19,17 @@ from functools import cache
 
 from . import intmatrix
 from .diagrams import FramedDiagram, enumerate_even, peel, shorten, widen
-from .picard import (BASE, TAUT, PicClassMod2, base_det2, les_twists, quotient_det,
-                     taut_det2)
+from .picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
 
 MAP_NAMES = ("iota", "kappa", "bord")
 
 
 @dataclass(frozen=True)
 class GradedDegree:
-    """Shift in Z/4, mod-2 base class, determinant twist in Z/2."""
+    """Shift in Z/4, mod-2 base class as increasing BaseDet indices, det twist in Z/2."""
 
     shift: int
-    base: PicClassMod2
+    base: tuple[int, ...]
     det_twist: int
 
     def __post_init__(self) -> None:
@@ -38,13 +37,13 @@ class GradedDegree:
             raise ValueError("shift must be reduced mod 4")
         if self.det_twist not in (0, 1):
             raise ValueError("det_twist must be 0 or 1")
-        if any(kind != BASE for kind, _ in self.base.support):
-            raise ValueError("degree base part must be supported on BaseDet generators")
+        base = self.base
+        if (type(base) is not tuple or any(type(i) is not int or i < 1 for i in base)
+                or list(base) != sorted(set(base))):
+            raise ValueError("degree base must be increasing positive BaseDet indices")
 
     def to_json(self) -> dict:
-        return {"shift": self.shift,
-                "base": [i for _, i in self.base.support],
-                "twist": self.det_twist}
+        return {"shift": self.shift, "base": list(self.base), "twist": self.det_twist}
 
 
 @dataclass(frozen=True)
@@ -61,15 +60,10 @@ class PointGenerator:
         return f"pt{self.index}"
 
 
-def _degree(diagram: FramedDiagram, bases) -> GradedDegree:
-    # bases: the base class for an even and for an odd number of nonzero rows
-    return GradedDegree(diagram.area() % 4, bases[diagram.rho() % 2], diagram.twist())
-
-
 def degree(diagram: FramedDiagram) -> GradedDegree:
-    """Graded degree of a diagram generator, in its own frame's ambient rank."""
-    n = diagram.d + diagram.e
-    return _degree(diagram, (PicClassMod2.zero(n), base_det2(n, n)))
+    """Graded degree of a diagram generator: base BaseDet(d+e) when rho is odd."""
+    base = (diagram.d + diagram.e,) if diagram.rho() % 2 else ()
+    return GradedDegree(diagram.area() % 4, base, diagram.twist())
 
 
 @dataclass(frozen=True)
@@ -106,11 +100,10 @@ def build_basis(d: int, e: int) -> GradedBasis:
     """Basis of the frame (d,e); degenerate frames get the two point generators."""
     if d < 0 or e < 0 or (d == 0 and e == 0):
         raise ValueError("need d,e >= 0 and not both zero")
-    bases = (PicClassMod2.zero(d + e), base_det2(d + e, d + e))
     if d == 0 or e == 0:
-        elems = tuple((PointGenerator(i), GradedDegree(0, bases[0], i)) for i in (0, 1))
+        elems = tuple((PointGenerator(i), GradedDegree(0, (), i)) for i in (0, 1))
     else:
-        elems = tuple((dg, _degree(dg, bases)) for dg in enumerate_even(d, e))
+        elems = tuple((dg, degree(dg)) for dg in enumerate_even(d, e))
     return GradedBasis(d, e, elems)
 
 
@@ -309,9 +302,9 @@ def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> Exact
     return ExactnessReport((seq.d, seq.e), tuple(positions), well_formed)
 
 
-def _les_target(which: str, d: int, e: int, base: PicClassMod2,
-                t: int) -> tuple[tuple, int]:
-    """Target base support and det twist of one map, read off ``les_twists``.
+def _les_target(which: str, d: int, e: int, base: tuple[int, ...],
+                t: int) -> tuple[tuple[int, ...], int]:
+    """Target BaseDet indices and det twist of one map, read off ``les_twists``.
 
     The source twist is ``base``, lifted to the sequence's rank n = d + e,
     plus t times the source's TautDet.  iota lands on the sub side, whose det
@@ -323,21 +316,22 @@ def _les_target(which: str, d: int, e: int, base: PicClassMod2,
     backwards before taking the sub side.
     """
     n = d + e
+    cls = PicClassMod2(n, tuple((BASE, i) for i in base))
     if which == "bord" and t:
-        base = base + quotient_det(n).mod2()
-    sub, comp = les_twists(d, e, base + taut_det2(n, d) if t else base)
+        cls = cls + quotient_det(n).mod2()
+    sub, comp = les_twists(d, e, cls + taut_det2(n, d) if t else cls)
     if which == "kappa":
-        side, det = comp, (comp + base).has(BASE, n)
+        side, det = comp, (comp + cls).has(BASE, n)
     else:
         side, det = sub, sub.has(TAUT, d)
-    return tuple(g for g in side.support if g[0] == BASE), int(det)
+    return tuple(i for kind, i in side.support if kind == BASE), int(det)
 
 
 @dataclass(frozen=True)
 class TransportFailure:
     which: str
     source: FramedDiagram | PointGenerator
-    expected: GradedDegree | int
+    expected: GradedDegree | int | str
     actual: GradedDegree | int
 
     def to_json(self) -> dict:
@@ -384,14 +378,12 @@ def verify_degree_transport(seq: CyclicSequence,
 
     @cache  # one rule per map and distinct source degree, for this call
     def expected(which: str, rank: int, deg: GradedDegree):
-        base, det = _les_target(which, d, e, PicClassMod2(d + e, deg.base.support),
-                                deg.det_twist)
-        shift = (deg.shift + shift_offset[which]) % 4
-        try:
-            base_cls = PicClassMod2.zero(rank) if trivial_base else PicClassMod2(rank, base)
-        except ValueError:  # the base cannot live in the target's rank
+        base, det = _les_target(which, d, e, deg.base, deg.det_twist)
+        if trivial_base:
+            base = ()
+        elif base and base[-1] > rank:  # the base cannot live in the target's rank
             return "unrepresentable", det
-        return GradedDegree(shift, base_cls, det), det
+        return GradedDegree((deg.shift + shift_offset[which]) % 4, base, det), det
 
     checked = 0
     det_only = 0
@@ -412,7 +404,7 @@ def verify_degree_transport(seq: CyclicSequence,
                 continue
             actual = tgt_deg
             if trivial_base:  # the base is not compared
-                actual = GradedDegree(actual.shift, want.base, actual.det_twist)
+                actual = GradedDegree(actual.shift, (), actual.det_twist)
             if want != actual:
                 failures.append(TransportFailure(bm.which, src, want, actual))
     return TransportReport((d, e), trivial_base, checked, det_only, tuple(failures))

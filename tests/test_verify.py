@@ -118,6 +118,18 @@ class TestOnePass:
         assert broken["induction"] == clean["induction"]
 
 
+class TestStrictInputs:
+    def test_unknown_scope_names_the_valid_ones(self):
+        with pytest.raises(ValueError, match="unknown scope 'bogus'") as info:
+            verify_suites("bogus", 3)
+        assert all(repr(name) in str(info.value) for name in (*SUITE_FIRST_FRAME, "all"))
+
+    @pytest.mark.parametrize("max_frame", ["3", True, 3.0, None])
+    def test_max_frame_must_be_an_int(self, max_frame):
+        with pytest.raises(ValueError, match="max_frame must be an int"):
+            verify_suites("all", max_frame)
+
+
 def test_traced_functions_exist():
     """Every function the benchmark tracer wraps is still defined."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"

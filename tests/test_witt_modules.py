@@ -5,9 +5,9 @@ from dataclasses import replace
 import pytest
 
 import helpers
-from wittgrass import (FramedDiagram, GradedDegree, PicClassMod2,
-                       PointGenerator, base_det2, build_basis, cyclic_sequence,
-                       degree, map_matrix, peel, shorten,
+from wittgrass import (FramedDiagram, GradedDegree, PointGenerator,
+                       build_basis, cyclic_sequence,
+                       degree, induction_report, map_matrix, peel, shorten,
                        verify_degree_transport, verify_exactness, widen)
 from wittgrass.intmatrix import as_sparse, multiply
 from wittgrass.witt_modules import (_linear_position, _mod_p_position,
@@ -18,26 +18,28 @@ class TestDegrees:
     def test_frozen(self):
         deg = degree(FramedDiagram(2, 2, (1, 1)))
         assert (deg.shift, deg.det_twist) == (2, 1)
-        assert deg.base.is_zero()
+        assert deg.base == ()
 
         deg = degree(FramedDiagram.full(5, 5))
         assert (deg.shift, deg.det_twist) == (1, 0)
-        assert deg.base == base_det2(10, 10)
+        assert deg.base == (10,)
 
         deg = degree(FramedDiagram.empty(3, 4))
         assert (deg.shift, deg.det_twist) == (0, 0)
-        assert deg.base.is_zero()
+        assert deg.base == ()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GradedDegree(4, PicClassMod2.zero(4), 0)
+            GradedDegree(4, (), 0)
         with pytest.raises(ValueError):
-            GradedDegree(0, PicClassMod2.zero(4), 2)
-        with pytest.raises(ValueError):
-            GradedDegree(0, PicClassMod2(4, (("TautDet", 2),)), 0)
+            GradedDegree(0, (), 2)
+        for base in ((0,), (3, 2), (2, 2), [4], (True,), (("TautDet", 2),)):
+            with pytest.raises(ValueError):
+                GradedDegree(0, base, 0)
+        assert GradedDegree(0, (1, 4), 0).base == (1, 4)
 
     def test_json(self):
-        deg = GradedDegree(3, base_det2(6, 6), 1)
+        deg = GradedDegree(3, (6,), 1)
         assert deg.to_json() == {"shift": 3, "base": [6], "twist": 1}
 
 
@@ -49,7 +51,7 @@ class TestBases:
             assert basis.labels() == ("pt0", "pt1")
             degs = [deg for _, deg in basis.elements]
             assert [dg.det_twist for dg in degs] == [0, 1]
-            assert all(dg.shift == 0 and dg.base.is_zero() for dg in degs)
+            assert all(dg.shift == 0 and dg.base == () for dg in degs)
 
     def test_diagram_frame(self):
         basis = build_basis(2, 2)
@@ -215,6 +217,36 @@ def _with_images(seq, which, images):
     return replace(seq, **{which: replace(getattr(seq, which), images=tuple(images))})
 
 
+def _without_middle_element(seq, k):
+    """The sequence with element k of its middle module dropped, and iota's
+    images and kappa's sources re-indexed to the smaller basis."""
+    middle = seq.kappa.source
+    middle = replace(middle, elements=middle.elements[:k] + middle.elements[k + 1:])
+    iota = tuple(None if i is None or i == k else i - (i > k) for i in seq.iota.images)
+    kappa = seq.kappa.images[:k] + seq.kappa.images[k + 1:]
+    return replace(seq, iota=replace(seq.iota, target=middle, images=iota),
+                   kappa=replace(seq.kappa, source=middle, images=kappa))
+
+
+class TestDroppedBasisElement:
+    """Every checker sees a middle module missing one generator."""
+
+    def test_each_dropped_middle_element_is_caught(self):
+        cases = 0
+        for d, e in [(3, 3), (3, 4), (4, 3), (2, 5)]:
+            seq = cyclic_sequence(d, e)
+            for k in range(len(seq.kappa.source)):
+                broken = _without_middle_element(seq, k)
+                report = verify_exactness(broken, primes=(2,))
+                assert any(not p.structural and p.witnesses and not p.linear
+                           and p.mod_p == ((2, False),)
+                           for p in report.positions), (d, e, k)
+                cert = induction_report(broken, report, verify_degree_transport(broken))
+                assert cert["ok"] is False, (d, e, k)
+                cases += 1
+        assert cases == 22
+
+
 class TestStructuralCheckersDetectBrokenMaps:
     """The structural and degree checkers reject broken maps and name the fault."""
 
@@ -285,6 +317,21 @@ class TestTransport:
             report = verify_degree_transport(cyclic_sequence(d, e))
             assert report.ok, report.to_json()
             assert report.point_entries_det_only > 0
+
+    def test_base_outside_the_target_rank_is_unrepresentable(self):
+        """kappa cannot carry BaseDet(4) of F(2,2) into the rank-3 frame F(1,2)."""
+        seq = cyclic_sequence(2, 2)
+        kappa = seq.kappa
+        elements = list(kappa.source.elements)
+        j = kappa.source.index_of(FramedDiagram.empty(2, 2))
+        odd = next(deg for dg, deg in elements if dg.rho() % 2)
+        elements[j] = (elements[j][0], replace(elements[j][1], base=odd.base))
+        source = replace(kappa.source, elements=tuple(elements))
+        report = verify_degree_transport(replace(seq, kappa=replace(kappa, source=source)))
+        target_degree = kappa.target.elements[kappa.images[j]][1]
+        assert [f.to_json() for f in report.failures] == [
+            {"which": "kappa", "source": FramedDiagram.empty(2, 2).to_json(),
+             "expected": "unrepresentable", "actual": target_degree.to_json()}]
 
     def test_json_shape(self):
         obj = verify_degree_transport(cyclic_sequence(2, 2)).to_json()
