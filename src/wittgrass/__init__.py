@@ -15,8 +15,9 @@ from .grassmann_witt import (DualityReport, GeneratorClass, bord_vanishes,
                              class_degree, classify, duality_check,
                              expected_rank, induction_report, rank_table,
                              table_json, total_witt_basis)
-from .picard import (PicClass, PicClassMod2, base_det, base_det2,
-                     canonical_in_pullback_span, cell_canonicals, les_twists,
+from .picard import (PicClass, PicClassMod2, base_det,
+                     canonical_in_pullback_span, cell_canonicals,
+                     cond_even_verdicts, les_twists,
                      pullback_to_flag, pushforward_admissible, quotient_det,
                      rel_canonical_fiber, rel_canonical_flag,
                      rel_canonical_grass, relative_dimension, taut_det,
@@ -32,11 +33,12 @@ __version__ = "0.1.0"
 __all__ = [
     "FramedDiagram", "JumpTuples", "enumerate_even", "from_jump_tuples",
     "peel", "shorten", "widen",
-    "PicClass", "PicClassMod2", "base_det", "base_det2", "taut_det",
+    "PicClass", "PicClassMod2", "base_det", "taut_det",
     "taut_det2", "quotient_det", "rel_canonical_grass", "rel_canonical_flag",
     "rel_canonical_fiber", "pullback_to_flag", "relative_dimension",
     "twist_class", "verify_cond_even", "pushforward_admissible",
-    "canonical_in_pullback_span", "cell_canonicals", "les_twists",
+    "canonical_in_pullback_span", "cell_canonicals", "cond_even_verdicts",
+    "les_twists",
     "MAP_NAMES", "BasisMap", "CyclicSequence", "ExactnessReport", "GradedBasis",
     "GradedDegree", "PointGenerator", "TransportReport", "build_basis",
     "cyclic_sequence", "degree", "map_matrix", "verify_degree_transport",

@@ -52,7 +52,7 @@ class JumpTuples:
         return len(self.dvec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FramedDiagram:
     """Weakly decreasing row lengths in a d-by-e frame, zeros explicit."""
 

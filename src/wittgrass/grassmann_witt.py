@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .diagrams import FramedDiagram
@@ -154,10 +155,16 @@ class DualityReport:
                 "failures": [list(f) for f in self.failures], "ok": self.ok}
 
 
-def duality_check(d: int, e: int) -> DualityReport:
-    """Transposition is a degree-preserving bijection onto the mirror frame."""
-    source = build_basis(d, e)
-    target = build_basis(e, d)
+def duality_check(d: int, e: int,
+                  basis: Callable[[int, int], GradedBasis] | None = None) -> DualityReport:
+    """Transposition is a degree-preserving bijection onto the mirror frame.
+
+    ``basis`` maps a frame to its graded basis, as in ``cyclic_sequence``;
+    by default the bases of (d, e) and (e, d) are built here.
+    """
+    if basis is None:
+        basis = build_basis
+    source, target = basis(d, e), basis(e, d)
     failures = []
     images = set()
     for diagram, deg in source.elements:

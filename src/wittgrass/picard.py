@@ -142,10 +142,6 @@ def taut_det(n: int, j: int) -> PicClass:
     return PicClass(n, ((TAUT, j, 1),))
 
 
-def base_det2(n: int, i: int) -> PicClassMod2:
-    return PicClassMod2(n, ((BASE, i),))
-
-
 def taut_det2(n: int, j: int) -> PicClassMod2:
     return PicClassMod2(n, ((TAUT, j),))
 
@@ -255,6 +251,32 @@ def twist_class(diagram: FramedDiagram) -> PicClassMod2:
     return PicClassMod2(n, tuple(support))
 
 
+def _fiber_canonical(diagram: FramedDiagram, tuples: JumpTuples) -> PicClassMod2:
+    return rel_canonical_fiber(tuples, diagram.d, diagram.e).mod2()
+
+
+def _cancels(diagram: FramedDiagram, tuples: JumpTuples, canonical: PicClassMod2) -> bool:
+    # the fiber canonical plus the pullback of the diagram's twist vanishes mod 2
+    return (canonical + pullback_to_flag(twist_class(diagram), tuples)).is_zero()
+
+
+def _admissible(diagram: FramedDiagram, tuples: JumpTuples) -> bool:
+    # the parity conditions of pushforward_admissible, read off the jump tuples
+    dv, ev, k = tuples.dvec, tuples.evec, tuples.k
+    for i in range(2, k):  # 1-based interior steps
+        if (dv[i - 1] - dv[i - 2] + ev[i] - ev[i - 1]) % 2:
+            return False
+    if k >= 2 and 0 < ev[0] < diagram.e and (dv[0] + ev[1] - ev[0]) % 2:
+        return False
+    return True
+
+
+def _in_span(tuples: JumpTuples, canonical: PicClassMod2) -> bool:
+    # no TautDet but TautDet(d_k) survives in the fiber canonical
+    dk = tuples.dvec[-1]
+    return all(kind == BASE or index == dk for kind, index in canonical.support)
+
+
 def verify_cond_even(diagram: FramedDiagram) -> bool:
     """Check the mod-2 cancellation of the fiber canonical against the twist.
 
@@ -264,8 +286,7 @@ def verify_cond_even(diagram: FramedDiagram) -> bool:
     if not diagram.is_even():
         raise ValueError("verify_cond_even expects an even diagram")
     t = diagram.jump_tuples()
-    canonical = rel_canonical_fiber(t, diagram.d, diagram.e).mod2()
-    return (canonical + pullback_to_flag(twist_class(diagram), t)).is_zero()
+    return _cancels(diagram, t, _fiber_canonical(diagram, t))
 
 
 def pushforward_admissible(diagram: FramedDiagram) -> bool:
@@ -275,14 +296,7 @@ def pushforward_admissible(diagram: FramedDiagram) -> bool:
     d_1+e_2-e_1 even.  Both are vacuous for k = 1.  Every even diagram
     passes; some non-even diagrams do too.
     """
-    t = diagram.jump_tuples()
-    dv, ev, k = t.dvec, t.evec, t.k
-    for i in range(2, k):  # 1-based interior steps
-        if (dv[i - 1] - dv[i - 2] + ev[i] - ev[i - 1]) % 2:
-            return False
-    if k >= 2 and 0 < ev[0] < diagram.e and (dv[0] + ev[1] - ev[0]) % 2:
-        return False
-    return True
+    return _admissible(diagram, diagram.jump_tuples())
 
 
 def canonical_in_pullback_span(diagram: FramedDiagram) -> bool:
@@ -293,9 +307,22 @@ def canonical_in_pullback_span(diagram: FramedDiagram) -> bool:
     Agrees with pushforward_admissible on every diagram.
     """
     t = diagram.jump_tuples()
-    canonical = rel_canonical_fiber(t, diagram.d, diagram.e).mod2()
-    dk = t.dvec[-1]
-    return all(kind == BASE or index == dk for kind, index in canonical.support)
+    return _in_span(t, _fiber_canonical(diagram, t))
+
+
+def cond_even_verdicts(diagram: FramedDiagram) -> tuple[bool, bool, bool]:
+    """``verify_cond_even``, ``pushforward_admissible`` and
+    ``canonical_in_pullback_span`` of an even diagram, in that order.
+
+    The three verdicts stay separate, but read one jump-tuple encoding and
+    one fiber canonical.  Raises ValueError on a diagram that is not even.
+    """
+    if not diagram.is_even():
+        raise ValueError("cond_even_verdicts expects an even diagram")
+    t = diagram.jump_tuples()
+    canonical = _fiber_canonical(diagram, t)
+    return (_cancels(diagram, t, canonical), _admissible(diagram, t),
+            _in_span(t, canonical))
 
 
 class CellCanonicals(NamedTuple):

@@ -2,18 +2,21 @@
 
 Each frame's sequence and its exactness and transport reports are computed at
 most once, on first use, and shared by every suite that checks the frame.
+The graded bases come from one store per run, which keeps two rows of
+frames at most, so each basis a sequence reads is built once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 from .diagrams import enumerate_even
 from .grassmann_witt import bord_vanishes, duality_check, induction_report
-from .picard import (canonical_in_pullback_span, pushforward_admissible,
-                     verify_cond_even)
-from .witt_modules import cyclic_sequence, verify_degree_transport, verify_exactness
+from .picard import cond_even_verdicts
+from .witt_modules import (GradedBasis, build_basis, cyclic_sequence,
+                           verify_degree_transport, verify_exactness)
 
 # Smallest d and e each verification suite checks, in report order.
 SUITE_FIRST_FRAME = {"exactness": 1, "degrees": 2, "cond-even": 1, "bord": 2,
@@ -25,10 +28,11 @@ class _Frame:
     d: int
     e: int
     primes: tuple[int, ...]
+    basis: Callable[[int, int], GradedBasis]  # the run's basis store
 
     @cached_property
     def seq(self):
-        return cyclic_sequence(self.d, self.e)
+        return cyclic_sequence(self.d, self.e, self.basis)
 
     @cached_property
     def exact(self):
@@ -50,9 +54,10 @@ def _degrees(f: _Frame) -> list:
 def _cond_even(f: _Frame) -> list:
     failures = []
     for dg in enumerate_even(f.d, f.e):
-        if not verify_cond_even(dg):
+        cancels, admissible, in_span = cond_even_verdicts(dg)
+        if not cancels:
             failures.append({"frame": [f.d, f.e], "rows": list(dg.rows)})
-        if not pushforward_admissible(dg) or not canonical_in_pullback_span(dg):
+        if not (admissible and in_span):
             failures.append({"frame": [f.d, f.e], "rows": list(dg.rows),
                              "reason": "admissibility"})
     return failures
@@ -74,8 +79,23 @@ def _induction(f: _Frame) -> list:
 # Each suite maps one frame to its failures.
 _SUITES = {"exactness": lambda f: _failed([f.exact]), "degrees": _degrees,
            "cond-even": _cond_even, "bord": _bord,
-           "duality": lambda f: _failed([duality_check(f.d, f.e)]),
+           "duality": lambda f: _failed([duality_check(f.d, f.e, f.basis)]),
            "induction": _induction}
+
+
+def _store_reader(bases: dict, d: int) -> Callable[[int, int], GradedBasis]:
+    """Basis lookup for the frames of row d: reads ``bases``, builds what it
+    lacks and keeps the bases of rows d - 1 and d, the rows the row's
+    sequences read; any other frame, a duality mirror, is built for its one
+    call."""
+    def basis(r: int, c: int) -> GradedBasis:
+        found = bases.get((r, c))
+        if found is None:
+            found = build_basis(r, c)
+            if d - 1 <= r <= d:
+                bases[r, c] = found
+        return found
+    return basis
 
 
 def verify_suites(scope: str, max_frame: int) -> dict:
@@ -100,12 +120,19 @@ def verify_suites(scope: str, max_frame: int) -> dict:
     primes = (2, 3, 5) if "exactness" in names else (2,)
     failures: dict[str, list] = {name: [] for name in names}
     first = min(SUITE_FIRST_FRAME[name] for name in names)
+    bases: dict = {}  # (d, e) -> GradedBasis, of the two rows being swept
     for d in range(first, max_frame + 1):
+        basis = _store_reader(bases, d)
         for e in range(first, max_frame + 1):
-            frame = _Frame(d, e, primes)
+            frame = _Frame(d, e, primes, basis)
             for name in names:
                 if min(d, e) >= SUITE_FIRST_FRAME[name]:
                     failures[name] += _SUITES[name](frame)
+            # no later sequence reads row d - 1 up to column e: the one at
+            # (d, c) is the last to read (d - 1, c), and only the one at
+            # (d - 1, first) reads (d - 1, first - 1)
+            bases.pop((d - 1, e - 1), None)
+            bases.pop((d - 1, e), None)
     return {name: {"frames": (max_frame - SUITE_FIRST_FRAME[name] + 1) ** 2,
                    "failures": failures[name], "ok": not failures[name]}
             for name in names}

@@ -14,6 +14,7 @@ of the maps, and by exact integer linear algebra on their matrices.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -24,7 +25,7 @@ from .picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det
 MAP_NAMES = ("iota", "kappa", "bord")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedDegree:
     """Shift in Z/4, mod-2 base class as increasing BaseDet indices, det twist in Z/2."""
 
@@ -97,13 +98,21 @@ class GradedBasis:
 
 
 def build_basis(d: int, e: int) -> GradedBasis:
-    """Basis of the frame (d,e); degenerate frames get the two point generators."""
+    """Basis of the frame (d,e); degenerate frames get the two point generators.
+
+    Elements of equal degree share one ``GradedDegree``; a frame has at most 16.
+    """
     if d < 0 or e < 0 or (d == 0 and e == 0):
         raise ValueError("need d,e >= 0 and not both zero")
     if d == 0 or e == 0:
         elems = tuple((PointGenerator(i), GradedDegree(0, (), i)) for i in (0, 1))
     else:
-        elems = tuple((dg, degree(dg)) for dg in enumerate_even(d, e))
+        shared: dict[GradedDegree, GradedDegree] = {}
+        elems = []
+        for dg in enumerate_even(d, e):
+            deg = degree(dg)
+            elems.append((dg, shared.setdefault(deg, deg)))
+        elems = tuple(elems)
     return GradedBasis(d, e, elems)
 
 
@@ -175,11 +184,18 @@ class CyclicSequence:
         return (self.iota, self.kappa, self.bord)
 
 
-def cyclic_sequence(d: int, e: int) -> CyclicSequence:
-    """The cyclic sequence anchored at (d,e), each basis built once."""
+def cyclic_sequence(d: int, e: int,
+                    basis: Callable[[int, int], GradedBasis] | None = None) -> CyclicSequence:
+    """The cyclic sequence anchored at (d,e), each of its three bases read once.
+
+    ``basis`` maps a frame (d, e) to its graded basis, such as a store that
+    a caller shares between sequences; by default each is a new ``build_basis``.
+    """
     if d < 1 or e < 1:
         raise ValueError("the sequence needs d,e >= 1")
-    left, middle, right = build_basis(d, e - 1), build_basis(d, e), build_basis(d - 1, e)
+    if basis is None:
+        basis = build_basis
+    left, middle, right = basis(d, e - 1), basis(d, e), basis(d - 1, e)
     maps = []
     for which, source, target in (("iota", left, middle), ("kappa", middle, right),
                                   ("bord", right, left)):
@@ -371,13 +387,17 @@ def verify_degree_transport(seq: CyclicSequence,
     and 1 - d under bord.  With ``trivial_base`` the base classes are not
     compared.  Point-generator endpoints carry no assigned shift or base, so
     entries whose source or target is a point generator are checked on the
-    det-twist component only and counted separately in the report.
+    det-twist component only and counted separately in the report.  A source
+    base index above d + e has no class to lift, so in both modes its entry
+    fails with the expectation ``"unrepresentable"``.
     """
     d, e = seq.d, seq.e
     shift_offset = {"iota": d, "kappa": 0, "bord": 1 - d}
 
     @cache  # one rule per map and distinct source degree, for this call
     def expected(which: str, rank: int, deg: GradedDegree):
+        if deg.base and deg.base[-1] > d + e:  # no class of the sequence's rank
+            return "unrepresentable", None
         base, det = _les_target(which, d, e, deg.base, deg.det_twist)
         if trivial_base:
             base = ()
@@ -396,6 +416,9 @@ def verify_degree_transport(seq: CyclicSequence,
             tgt, tgt_deg = bm.target.elements[i]
             checked += 1
             want, det = expected(bm.which, rank, src_deg)
+            if det is None:  # the source degree cannot be lifted, in either mode
+                failures.append(TransportFailure(bm.which, src, want, tgt_deg))
+                continue
             if isinstance(src, PointGenerator) or isinstance(tgt, PointGenerator):
                 det_only += 1
                 if det != tgt_deg.det_twist:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 import helpers
 from wittgrass import picard
 from wittgrass import (FramedDiagram, JumpTuples, PicClass, PicClassMod2,
-                       base_det, base_det2, canonical_in_pullback_span,
-                       cell_canonicals, enumerate_even, les_twists,
+                       base_det, canonical_in_pullback_span,
+                       cell_canonicals, cond_even_verdicts, enumerate_even,
+                       les_twists,
                        pullback_to_flag, pushforward_admissible, quotient_det,
                        rel_canonical_fiber, rel_canonical_flag,
                        rel_canonical_grass, relative_dimension, taut_det,
@@ -56,8 +57,8 @@ class TestPicClassAlgebra:
         assert (cls + cls).mod2().is_zero()
 
     def test_mod2_symmetric_difference(self):
-        x = base_det2(4, 4) + taut_det2(4, 2)
-        y = taut_det2(4, 2) + base_det2(4, 3)
+        x = PicClassMod2(4, ((B, 4),)) + taut_det2(4, 2)
+        y = taut_det2(4, 2) + PicClassMod2(4, ((B, 3),))
         assert (x + y).support == ((B, 3), (B, 4))
         assert (x + x).is_zero()
 
@@ -135,7 +136,7 @@ class TestCanonicalClasses:
 class TestPullback:
     def test_fixes_base_and_matches_last_jump(self):
         t = JumpTuples((1, 3), (1, 2))
-        cls = base_det2(6, 6) + taut_det2(6, 3)
+        cls = PicClassMod2(6, ((B, 6),)) + taut_det2(6, 3)
         assert pullback_to_flag(cls, t) == cls
 
     def test_rejects_other_taut_indices(self):
@@ -144,14 +145,14 @@ class TestPullback:
 
     def test_normalizes_colength_zero(self):
         t = JumpTuples((3,), (0,))
-        assert pullback_to_flag(taut_det2(5, 3), t) == base_det2(5, 3)
+        assert pullback_to_flag(taut_det2(5, 3), t) == PicClassMod2(5, ((B, 3),))
 
 
 class TestTwist:
     def test_frozen(self):
         assert twist_class(FramedDiagram(2, 2, (1, 1))) == taut_det2(4, 2)
         assert twist_class(FramedDiagram(2, 2, (2, 0))) == (
-            base_det2(4, 4) + taut_det2(4, 2))
+            PicClassMod2(4, ((B, 4),)) + taut_det2(4, 2))
         assert twist_class(FramedDiagram.empty(3, 3)).is_zero()
 
     def test_cancellation_for_all_even_diagrams(self):
@@ -184,6 +185,60 @@ class TestTwist:
         witness = {"frame": [3, 4], "rows": [4, 2, 2]}
         assert suite["failures"] == [witness, {**witness, "reason": "admissibility"}]
         assert not suite["ok"]
+
+    def test_suite_reports_a_broken_admissibility_parity(self, monkeypatch):
+        """A parity check that fails one diagram fails exactly that diagram's
+        admissibility, and no cancellation."""
+        broken = FramedDiagram(3, 4, (4, 2, 2))
+        original = picard._admissible
+
+        def fails_broken(diagram, tuples):
+            return diagram != broken and original(diagram, tuples)
+
+        monkeypatch.setattr(picard, "_admissible", fails_broken)
+        assert not pushforward_admissible(broken)
+        assert verify_cond_even(broken) and canonical_in_pullback_span(broken)
+        suite = verify_suites("cond-even", 4)["cond-even"]
+        assert suite["failures"] == [
+            {"frame": [3, 4], "rows": [4, 2, 2], "reason": "admissibility"}]
+
+
+class TestCondEvenVerdicts:
+    """One jump-tuple encoding and one fiber canonical give all three verdicts."""
+
+    def test_equal_to_the_three_checks(self):
+        for d in range(1, 9):
+            for e in range(1, 9):
+                for dg in enumerate_even(d, e):
+                    assert cond_even_verdicts(dg) == (
+                        verify_cond_even(dg), pushforward_admissible(dg),
+                        canonical_in_pullback_span(dg)), dg.rows
+
+    def test_equal_to_the_three_checks_on_a_broken_canonical(self, monkeypatch):
+        broken = FramedDiagram(3, 4, (4, 2, 2))
+        t = broken.jump_tuples()
+        original = picard.rel_canonical_fiber
+
+        def stray_term(tuples, d, e):
+            cls = original(tuples, d, e)
+            return cls + taut_det(cls.n, tuples.dvec[0]) if tuples == t else cls
+
+        monkeypatch.setattr(picard, "rel_canonical_fiber", stray_term)
+        assert cond_even_verdicts(broken) == (False, True, False) == (
+            verify_cond_even(broken), pushforward_admissible(broken),
+            canonical_in_pullback_span(broken))
+
+    def test_rejects_non_even(self):
+        with pytest.raises(ValueError, match="expects an even diagram"):
+            cond_even_verdicts(FramedDiagram(2, 2, (2, 1)))
+
+    def test_admissibility_reads_no_canonical(self, monkeypatch):
+        def unread(*args):
+            raise AssertionError("the fiber canonical was computed")
+
+        monkeypatch.setattr(picard, "rel_canonical_fiber", unread)
+        assert pushforward_admissible(FramedDiagram(3, 3, (2, 1, 1)))
+        assert all(pushforward_admissible(dg) for dg in enumerate_even(4, 5))
 
 
 class TestAdmissibility:
@@ -234,7 +289,7 @@ class TestLesTwists:
         assert comp == taut_det2(5, 2) + vv1
 
     def test_base_generators_ride_along(self):
-        ell = base_det2(5, 1)
+        ell = PicClassMod2(5, ((B, 1),))
         sub, comp = les_twists(2, 3, ell)
         assert sub == ell + taut_det2(5, 2)
         assert comp == ell
@@ -266,7 +321,8 @@ class TestLesTwists:
             for e in range(2, 11):
                 n = d + e
                 for twist in (PicClassMod2.zero(n), taut_det2(n, d),
-                              base_det2(n, n) + base_det2(n, 1) + taut_det2(n, d)):
+                              PicClassMod2(n, ((B, n),)) + PicClassMod2(n, ((B, 1),))
+                              + taut_det2(n, d)):
                     sub, _ = les_twists(d, e, twist)
                     assert sub == twist + cell_canonicals(d, n).sub_grassmannian.mod2()
 
@@ -278,10 +334,12 @@ class TestLesTwists:
             for e in range(2, 11):
                 n = d + e
                 exc = cell_canonicals(d, n).exceptional_divisor.mod2()
-                for twist in (PicClassMod2.zero(n), taut_det2(n, d), base_det2(n, n),
-                              base_det2(n, 1) + taut_det2(n, d),
-                              base_det2(n, n) + base_det2(n, d) + taut_det2(n, d),
-                              base_det2(n, n - 1) + base_det2(n, 2)):
+                for twist in (PicClassMod2.zero(n), taut_det2(n, d),
+                              PicClassMod2(n, ((B, n),)),
+                              PicClassMod2(n, ((B, 1),)) + taut_det2(n, d),
+                              PicClassMod2(n, ((B, n),)) + PicClassMod2(n, ((B, d),))
+                              + taut_det2(n, d),
+                              PicClassMod2(n, ((B, n - 1),)) + PicClassMod2(n, ((B, 2),))):
                     _, comp = les_twists(d, e, twist)
                     if twist.has(T, d):
                         assert comp == twist + exc, (d, e, twist)

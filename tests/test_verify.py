@@ -3,12 +3,14 @@
 import hashlib
 import importlib
 import importlib.util
+import weakref
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from wittgrass import verify, witt_modules
+from wittgrass import grassmann_witt, verify, witt_modules
 from wittgrass.cli import main
 from wittgrass.verify import SUITE_FIRST_FRAME, verify_suites
 
@@ -35,6 +37,32 @@ def calls(monkeypatch):
 
 def _frames(first, last):
     return Counter((d, e) for d in range(first, last + 1) for e in range(first, last + 1))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Graded bases built through any module, counted by frame, and the most
+    of them alive at once, seen at each build."""
+    seen = SimpleNamespace(frames=Counter(), peak=0)
+    alive = weakref.WeakSet()
+    original = witt_modules.build_basis
+
+    def counted(d, e):
+        seen.frames[d, e] += 1
+        basis = original(d, e)
+        alive.add(basis)
+        seen.peak = max(seen.peak, len(alive))
+        return basis
+
+    for module in (verify, witt_modules, grassmann_witt):
+        monkeypatch.setattr(module, "build_basis", counted)
+    return seen
+
+
+def _sequence_bases(first, last):
+    """The frames the sequences anchored at first..last read."""
+    return {frame for d, e in _frames(first, last)
+            for frame in ((d, e - 1), (d, e), (d - 1, e))}
 
 
 class TestSharedWork:
@@ -88,6 +116,31 @@ class TestSharedWork:
         assert verify_suites(scope, 4)[scope]["ok"]
         assert calls["cyclic_sequence"] == _frames(2, 4)
         assert not calls["verify_exactness"]
+
+
+class TestBasisStore:
+    @pytest.mark.parametrize("scope", ["degrees", "bord"])
+    def test_sequences_build_each_basis_once(self, builds, scope):
+        verify_suites(scope, 8)
+        assert builds.frames == Counter(_sequence_bases(2, 8))
+
+    def test_only_duality_mirrors_are_built_again(self, builds):
+        """A mirror outside the two rows the store keeps is built for its
+        duality check alone, so each off-diagonal frame is built twice at
+        most."""
+        verify_suites("all", 8)
+        assert set(builds.frames) == _sequence_bases(1, 8)
+        again = {frame: n for frame, n in builds.frames.items() if n > 1}
+        assert all(n == 2 and d != e and min(d, e) >= 1
+                   for (d, e), n in again.items())
+        assert sum(builds.frames.values()) <= 130
+
+    @pytest.mark.parametrize("scope", ["all", "degrees", "duality"])
+    def test_store_stays_bounded(self, builds, scope):
+        """The store, and every basis still referenced, holds two rows of
+        frames at most."""
+        verify_suites(scope, 9)
+        assert 0 < builds.peak <= 2 * (9 + 1)
 
 
 class TestOnePass:

@@ -64,6 +64,16 @@ class TestBases:
         with pytest.raises(ValueError):
             build_basis(0, 0)
 
+    def test_equal_degrees_are_one_value(self):
+        """A frame's elements share one GradedDegree per distinct degree, of
+        which there are at most 16, and no element carries an instance dict."""
+        for d, e in [(3, 3), (5, 6), (8, 8)]:
+            elements = build_basis(d, e).elements
+            degrees = [deg for _, deg in elements]
+            assert len({id(deg) for deg in degrees}) == len(set(degrees)) <= 16
+            assert not any(hasattr(value, "__dict__") for elem in elements
+                           for value in elem)
+
 
 class TestMapMatrices:
     def test_frozen_interior(self):
@@ -332,6 +342,27 @@ class TestTransport:
         assert [f.to_json() for f in report.failures] == [
             {"which": "kappa", "source": FramedDiagram.empty(2, 2).to_json(),
              "expected": "unrepresentable", "actual": target_degree.to_json()}]
+
+    def test_base_above_the_sequence_rank_is_reported(self):
+        """A kappa source carrying BaseDet(d+e+1) has no class in the sequence's
+        rank d + e: its entry fails as unrepresentable in both modes, also
+        where kappa lands on a point frame, and nothing raises."""
+        for d in range(1, 6):
+            for e in range(1, 6):
+                seq = cyclic_sequence(d, e)
+                kappa = seq.kappa
+                j = next(j for j, i in enumerate(kappa.images) if i is not None)
+                elements = list(kappa.source.elements)
+                elem, deg = elements[j]
+                elements[j] = (elem, replace(deg, base=(d + e + 1,)))
+                source = replace(kappa.source, elements=tuple(elements))
+                broken = replace(seq, kappa=replace(kappa, source=source))
+                target_degree = kappa.target.elements[kappa.images[j]][1]
+                for trivial in (False, True):
+                    report = verify_degree_transport(broken, trivial_base=trivial)
+                    assert [(f.which, f.source, f.expected, f.actual)
+                            for f in report.failures] == [
+                        ("kappa", elem, "unrepresentable", target_degree)], (d, e)
 
     def test_json_shape(self):
         obj = verify_degree_transport(cyclic_sequence(2, 2)).to_json()
