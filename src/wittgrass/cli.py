@@ -15,7 +15,6 @@ import argparse
 import itertools
 import json
 import sys
-from xml.etree import ElementTree as ET
 
 from .diagrams import FramedDiagram, JumpTuples, enumerate_even
 from .grassmann_witt import classify, table_json, total_witt_basis
@@ -52,6 +51,8 @@ def _print_map_json(bm) -> None:
 
 def _svg_sheet(groups, cell_size: int, annotate: bool) -> str:
     """Diagrams grouped into labeled rows, each diagram a framed cell grid."""
+    from xml.etree import ElementTree as ET  # only svg output loads xml
+
     s = cell_size
     gap = s
     caption_h = s if annotate else 0

@@ -3,7 +3,10 @@
 Everything here is fraction-free: unimodular row/column operations over the
 integers, no floating point, no rationals.  Used by the exactness checker to
 compute kernels, test membership in column spans, and take ranks over the
-integers and over small prime fields.
+integers and over small prime fields.  One diagonalization U A V = D serves
+both the kernel of A (``kernel_rows``) and membership in its column span
+(``span_solver``); ``integer_kernel`` and ``solve_in_span_many`` are those
+two applied to a fresh diagonalization.
 
 A matrix is a ``SparseMatrix``: one dict {column: nonzero int} per row, and
 its shape.  Every routine also takes a dense matrix, a list of int rows, and
@@ -66,11 +69,7 @@ class SparseMatrix:
 
     def transpose(self) -> SparseMatrix:
         m, n = self.shape
-        cols: list[dict[int, int]] = [{} for _ in range(n)]
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                cols[j][i] = v
-        return SparseMatrix(cols, (n, m))
+        return SparseMatrix(_columns(self, 0, n), (n, m))
 
 
 def as_sparse(A, ncols: int | None = None) -> SparseMatrix:
@@ -245,47 +244,78 @@ def _rank_of_diagonal(D: SparseMatrix) -> int:
     return sum(1 for row in D.rows if row)
 
 
-def integer_kernel(A) -> SparseMatrix:
-    """Basis of the integer kernel {x : A x = 0}, one column per basis vector.
+def _columns(M: SparseMatrix, start: int, stop: int) -> list[dict[int, int]]:
+    """Columns start to stop - 1 of M, each as a dict {row: nonzero int}."""
+    cols: list[dict[int, int]] = [{} for _ in range(start, stop)]
+    for i, row in enumerate(M.rows):
+        for k, v in row.items():
+            if start <= k < stop:
+                cols[k - start][i] = v
+    return cols
 
-    The basis spans a saturated sublattice (it is the full kernel), so every
-    rational kernel vector is a rational combination of these columns.
+
+def kernel_rows(factors) -> SparseMatrix:
+    """Basis of the integer kernel {x : A x = 0}, one row per basis vector,
+    read off a diagonalization ``factors`` = (U, D, V) of A.
+
+    The rows are the columns of V past the rank r of D.  They span a
+    saturated sublattice (the full kernel), so every rational kernel vector
+    is a rational combination of them.
     """
-    _, D, V = diagonalize(A)
+    _, D, V = factors
     r = _rank_of_diagonal(D)
     n = V.shape[0]
-    return SparseMatrix([{k - r: v for k, v in row.items() if k >= r} for row in V.rows],
-                        (n, n - r))
+    return SparseMatrix(_columns(V, r, n), (n - r, n))
+
+
+def integer_kernel(A) -> SparseMatrix:
+    """Basis of the integer kernel of A, one column per basis vector."""
+    return kernel_rows(diagonalize(A)).transpose()
+
+
+def span_solver(factors):
+    """Membership in the column span of A, from a diagonalization ``factors``
+    = (U, D, V) of A: a function that maps a matrix of right-hand sides to
+    ``solve_in_span_many``'s answer.
+
+    It keeps only what solving reads, the columns of U, the diagonal and the
+    first r columns of V, so U, D and V can be dropped once it is built.
+    b is an integer combination of the columns of A exactly when c = U b
+    vanishes past the rank r of D and D[i][i] divides c[i] for i < r, and
+    then x = V y with y[i] = c[i] / D[i][i].
+    """
+    U, D, V = factors
+    m = D.shape[0]
+    r = _rank_of_diagonal(D)
+    diag = [D.rows[i][i] for i in range(r)]
+    u_cols = _columns(U, 0, m)
+    v_cols = _columns(V, 0, r)
+
+    def solve_many(vectors) -> list[dict[int, int] | None]:
+        out: list[dict[int, int] | None] = []
+        for b in as_sparse(vectors, m).rows:
+            c: dict[int, int] = {}
+            for j, b_j in b.items():
+                _add(c, u_cols[j], b_j)
+            if any(i >= r or c_i % diag[i] for i, c_i in c.items()):
+                out.append(None)
+                continue
+            x: dict[int, int] = {}
+            for i, c_i in c.items():
+                _add(x, v_cols[i], c_i // diag[i])
+            out.append(x)
+        return out
+    return solve_many
 
 
 def solve_in_span_many(A, vectors) -> list[dict[int, int] | None]:
     """For each row b of ``vectors``, an integer x with A x = b, or None.
 
     ``vectors`` is a matrix, dense or sparse, whose rows are the right-hand
-    sides.  Each x is sparse, {index: nonzero int}.  One diagonalization
-    U A V = D serves every vector: b is an integer combination of the columns
-    of A exactly when c = U b vanishes past the rank r of D and D[i][i]
-    divides c[i] for i < r, and then x = V y with y[i] = c[i] / D[i][i].
+    sides.  Each x is sparse, {index: nonzero int}.  One diagonalization of
+    A serves every vector (``span_solver``).
     """
-    U, D, V = diagonalize(A)
-    m = D.shape[0]
-    r = _rank_of_diagonal(D)
-    diag = [D.rows[i][i] for i in range(r)]
-    u_cols = U.transpose().rows
-    v_cols = V.transpose().rows
-    out: list[dict[int, int] | None] = []
-    for b in as_sparse(vectors, m).rows:
-        c: dict[int, int] = {}
-        for j, b_j in b.items():
-            _add(c, u_cols[j], b_j)
-        if any(i >= r or c_i % diag[i] for i, c_i in c.items()):
-            out.append(None)
-            continue
-        x: dict[int, int] = {}
-        for i, c_i in c.items():
-            _add(x, v_cols[i], c_i // diag[i])
-        out.append(x)
-    return out
+    return span_solver(diagonalize(A))(vectors)
 
 
 def solve_in_span(A, b) -> dict[int, int] | None:

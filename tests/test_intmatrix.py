@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import helpers
 from helpers import mat_mul, mat_vec
 from wittgrass.intmatrix import (SparseMatrix, as_sparse,
-                                 diagonalize, integer_kernel, multiply,
-                                 rank_mod_p, solve_in_span, solve_in_span_many)
+                                 diagonalize, integer_kernel, kernel_rows, multiply,
+                                 rank_mod_p, solve_in_span, solve_in_span_many,
+                                 span_solver)
 
 
 def _is_diagonal(D):
@@ -242,6 +243,28 @@ class TestSparseForm:
     def test_rejects_width_other_than_ncols(self):
         with pytest.raises(ValueError):
             as_sparse(SparseMatrix.from_entries((1, 2), []), ncols=3)
+
+
+class TestOneDiagonalization:
+    """One diagonalization serves the kernel and span membership."""
+
+    MATRICES = [[[2, 4, 0], [0, 0, 3]], [[1, 1], [1, 1], [0, 2]], [[0, 0, 0]],
+                [[6, 0, 0, 0], [0, 4, 0, 0], [0, 0, 0, 0]]]
+
+    @pytest.mark.parametrize("rows", MATRICES)
+    def test_pieces_equal_the_wrappers(self, rows):
+        factors = diagonalize(rows)
+        assert kernel_rows(factors).transpose().dense() == integer_kernel(rows).dense()
+        vectors = [[1] * len(rows), [2 * k for k in range(len(rows))],
+                   [row[0] for row in rows]]
+        assert span_solver(factors)(vectors) == solve_in_span_many(rows, vectors)
+
+    def test_solver_keeps_no_factor(self):
+        """The solver holds the pieces it reads, not U, D or V themselves."""
+        factors = diagonalize([[2, 4, 0], [0, 0, 3]])
+        held = [cell.cell_contents for cell in span_solver(factors).__closure__]
+        assert not any(any(value is M for M in factors) for value in held)
+        assert not any(isinstance(value, SparseMatrix) for value in held)
 
 
 class TestSparseNonUnit:

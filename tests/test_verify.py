@@ -156,8 +156,8 @@ class TestOnePass:
         clean = verify_suites("all", 3)
         original = witt_modules._mod_p_position
 
-        def fails_at_3(A, B, product, p):
-            return p != 3 and original(A, B, product, p)
+        def fails_at_3(rank_a, rank_b, middle, product, p):
+            return p != 3 and original(rank_a, rank_b, middle, product, p)
 
         monkeypatch.setattr(witt_modules, "_mod_p_position", fails_at_3)
         broken = verify_suites("all", 3)

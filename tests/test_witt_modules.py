@@ -1,5 +1,6 @@
 """Graded bases, the three maps, exactness and degree transport."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 import helpers
 from wittgrass import (FramedDiagram, GradedDegree, PointGenerator,
                        build_basis, cyclic_sequence,
-                       degree, induction_report, map_matrix, peel, shorten,
+                       degree, induction_report, intmatrix, map_matrix, peel, shorten,
                        verify_degree_transport, verify_exactness, widen)
-from wittgrass.intmatrix import as_sparse, multiply
+from wittgrass.intmatrix import (SparseMatrix, as_sparse, diagonalize, kernel_rows, multiply,
+                                 rank_mod_p, span_solver)
+from wittgrass.verify import verify_suites
 from wittgrass.witt_modules import (_linear_position, _mod_p_position,
                                     _structural_position)
 
@@ -163,12 +166,14 @@ def _without_column(matrix, j):
 def _linear(A, B, width, middle):
     """The integer-linear verdict on dense matrices, converted at intmatrix's edge."""
     A, B = as_sparse(A, width), as_sparse(B, middle)
-    return _linear_position(A, B, multiply(B, A))
+    return _linear_position(span_solver(diagonalize(A)), kernel_rows(diagonalize(B)),
+                            multiply(B, A))
 
 
 def _mod_p(A, B, width, middle, p):
     A, B = as_sparse(A, width), as_sparse(B, middle)
-    return _mod_p_position(A, B, multiply(B, A), p)
+    return _mod_p_position(rank_mod_p(A, p), rank_mod_p(B, p), A.shape[0],
+                           multiply(B, A), p)
 
 
 class TestCheckersDetectBrokenMaps:
@@ -220,6 +225,95 @@ class TestCheckersDetectBrokenMaps:
                 report = verify_exactness(_with_images(seq, second, images), primes=(2,))
                 assert report.positions[k].linear is False, (d, e, second)
                 assert report.positions[k].mod_p == ((2, False),)
+
+    def test_dropped_image_fails_both_positions_of_its_map(self):
+        """Each map is outgoing at one position and incoming at the next, and
+        both read its one factorization: a dropped image fails both."""
+        for d, e in self.FRAMES:
+            seq = cyclic_sequence(d, e)
+            for k, which in enumerate(("iota", "kappa", "bord")):
+                images = list(getattr(seq, which).images)
+                j = next(j for j, i in enumerate(images) if i is not None)
+                images[j] = None
+                report = verify_exactness(_with_images(seq, which, images), primes=(2,))
+                for position in (report.positions[k - 1], report.positions[k]):
+                    assert which in (position.incoming, position.outgoing)
+                    assert position.linear is False, (d, e, which, position.incoming)
+                    assert position.mod_p == ((2, False),), (d, e, which)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Calls of intmatrix.diagonalize, and of intmatrix.rank_mod_p by prime."""
+    seen = Counter()
+    original_diagonalize, original_rank = intmatrix.diagonalize, intmatrix.rank_mod_p
+
+    def counted_diagonalize(A):
+        seen["diagonalize"] += 1
+        return original_diagonalize(A)
+
+    def counted_rank_mod_p(A, p):
+        seen[p] += 1
+        return original_rank(A, p)
+
+    monkeypatch.setattr(intmatrix, "diagonalize", counted_diagonalize)
+    monkeypatch.setattr(intmatrix, "rank_mod_p", counted_rank_mod_p)
+    return seen
+
+
+class TestEachMapFactoredOnce:
+    """Each of the three maps is diagonalized once and eliminated once per
+    prime, though two positions read it."""
+
+    def test_per_frame(self, factor_calls):
+        for d, e in [(1, 1), (1, 4), (3, 3), (4, 3), (4, 4), (2, 5)]:
+            factor_calls.clear()
+            report = verify_exactness(cyclic_sequence(d, e), primes=(2, 3, 5))
+            assert report.ok
+            assert factor_calls == {"diagonalize": 3, 2: 3, 3: 3, 5: 3}, (d, e)
+
+    def test_verify_suites(self, factor_calls):
+        assert verify_suites("all", 5)["exactness"]["ok"]
+        assert factor_calls["diagonalize"] == 75
+        assert sum(factor_calls[p] for p in (2, 3, 5)) == 225
+
+
+class TestChecksStayIndependent:
+    """A fault in the integer or the F_p factorization changes its own check only."""
+
+    FRAMES = [(3, 3), (3, 4), (4, 3), (2, 5)]
+
+    def _reports(self):
+        return [verify_exactness(cyclic_sequence(d, e), primes=(2, 3))
+                for d, e in self.FRAMES]
+
+    @staticmethod
+    def _without(report, field):
+        return [{k: v for k, v in p.to_json().items() if k != field}
+                for p in report.positions]
+
+    def test_zero_diagonalization_changes_linear_only(self, monkeypatch):
+        clean = self._reports()
+        original = intmatrix.diagonalize
+
+        def zero_diagonalization(A):
+            m, n = A.shape
+            return original(SparseMatrix([{} for _ in range(m)], (m, n)))
+
+        monkeypatch.setattr(intmatrix, "diagonalize", zero_diagonalization)
+        for before, after in zip(clean, self._reports()):
+            assert self._without(after, "linear") == self._without(before, "linear")
+            assert all(p.linear for p in before.positions)
+            assert not any(p.linear for p in after.positions)
+
+    def test_rank_one_short_changes_mod_p_only(self, monkeypatch):
+        clean = self._reports()
+        original = intmatrix.rank_mod_p
+        monkeypatch.setattr(intmatrix, "rank_mod_p", lambda A, p: original(A, p) - 1)
+        for before, after in zip(clean, self._reports()):
+            assert self._without(after, "mod_p") == self._without(before, "mod_p")
+            assert all(v for p in before.positions for _, v in p.mod_p)
+            assert not any(v for p in after.positions for _, v in p.mod_p)
 
 
 def _with_images(seq, which, images):
