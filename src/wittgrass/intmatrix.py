@@ -5,8 +5,8 @@ integers, no floating point, no rationals.  Used by the exactness checker to
 compute kernels, test membership in column spans, and take ranks over the
 integers and over small prime fields.  One diagonalization U A V = D serves
 both the kernel of A (``kernel_rows``) and membership in its column span
-(``span_solver``); ``integer_kernel`` and ``solve_in_span_many`` are those
-two applied to a fresh diagonalization.
+(``span_solver``); ``integer_kernel`` and ``solve_in_span`` are those two
+applied to a fresh diagonalization.
 
 A matrix is a ``SparseMatrix``: one dict {column: nonzero int} per row, and
 its shape.  Every routine also takes a dense matrix, a list of int rows, and
@@ -275,8 +275,9 @@ def integer_kernel(A) -> SparseMatrix:
 
 def span_solver(factors):
     """Membership in the column span of A, from a diagonalization ``factors``
-    = (U, D, V) of A: a function that maps a matrix of right-hand sides to
-    ``solve_in_span_many``'s answer.
+    = (U, D, V) of A: a function that maps a matrix, dense or sparse, whose
+    rows are right-hand sides b to a list with, for each b, a sparse integer
+    x with A x = b, or None when no such x exists.
 
     It keeps only what solving reads, the columns of U, the diagonal and the
     first r columns of V, so U, D and V can be dropped once it is built.
@@ -308,19 +309,9 @@ def span_solver(factors):
     return solve_many
 
 
-def solve_in_span_many(A, vectors) -> list[dict[int, int] | None]:
-    """For each row b of ``vectors``, an integer x with A x = b, or None.
-
-    ``vectors`` is a matrix, dense or sparse, whose rows are the right-hand
-    sides.  Each x is sparse, {index: nonzero int}.  One diagonalization of
-    A serves every vector (``span_solver``).
-    """
-    return span_solver(diagonalize(A))(vectors)
-
-
 def solve_in_span(A, b) -> dict[int, int] | None:
     """An integer x with A x = b, sparse, or None when no such x exists."""
-    return solve_in_span_many(A, [b])[0]
+    return span_solver(diagonalize(A))([b])[0]
 
 
 def multiply(A, B) -> SparseMatrix:

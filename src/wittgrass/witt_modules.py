@@ -35,9 +35,9 @@ class GradedDegree:
     det_twist: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.shift <= 3:
+        if type(self.shift) is not int or not 0 <= self.shift <= 3:
             raise ValueError("shift must be reduced mod 4")
-        if self.det_twist not in (0, 1):
+        if type(self.det_twist) is not int or self.det_twist not in (0, 1):
             raise ValueError("det_twist must be 0 or 1")
         base = self.base
         if (type(base) is not tuple or any(type(i) is not int or i < 1 for i in base)
@@ -55,7 +55,7 @@ class PointGenerator:
     index: int
 
     def __post_init__(self) -> None:
-        if self.index not in (0, 1):
+        if type(self.index) is not int or self.index not in (0, 1):
             raise ValueError("point index must be 0 or 1")
 
     def label(self) -> str:
@@ -417,6 +417,12 @@ def verify_degree_transport(seq: CyclicSequence,
     det-twist component only and counted separately in the report.  A source
     base index above d + e has no class to lift, so in both modes its entry
     fails with the expectation ``"unrepresentable"``.
+
+    Every trivial-base failure is also a full-base failure, so a sweep needs
+    full mode only: in trivial mode the expected and the actual degree are
+    the (shift, det) projections of the full-mode ones, a full-mode
+    ``"unrepresentable"`` always fails, and an unrepresentable source or a
+    det-only mismatch fails alike in both modes.
     """
     d, e = seq.d, seq.e
     shift_offset = {"iota": d, "kappa": 0, "bord": 1 - d}

@@ -35,3 +35,14 @@ def test_check_sees_an_unused_name():
               "import os.path\nfrom typing import Iterable, NamedTuple as NT\n"
               "x: NT = os.sep\n")
     assert unused_imports(source) == ["Iterable"]
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    """``wittgrass.__all__`` names the names ``__init__.py`` imports, and
+    ``__version__``, so trimming one list cannot leave the other behind."""
+    import wittgrass
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(wittgrass.__all__) == sorted([*imported, "__version__"])

@@ -9,8 +9,7 @@ import helpers
 from helpers import mat_mul, mat_vec
 from wittgrass.intmatrix import (SparseMatrix, as_sparse,
                                  diagonalize, integer_kernel, kernel_rows, multiply,
-                                 rank_mod_p, solve_in_span, solve_in_span_many,
-                                 span_solver)
+                                 rank_mod_p, solve_in_span, span_solver)
 
 
 def _is_diagonal(D):
@@ -65,7 +64,7 @@ class TestInput:
 
     def test_zero_row_matrix_keeps_its_width(self):
         assert integer_kernel(as_sparse([], 3)).dense() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert [_vec(x, 2) for x in solve_in_span_many(as_sparse([], 2), [[]])] == [[0, 0]]
+        assert [_vec(x, 2) for x in span_solver(diagonalize(as_sparse([], 2)))([[]])] == [[0, 0]]
         assert multiply([[]], as_sparse([], 2)).dense() == [[0, 0]]
 
 
@@ -151,7 +150,7 @@ class TestBatchedMembership:
         m = len(rows)
         vectors = data.draw(st.lists(
             st.lists(st.integers(-4, 4), min_size=m, max_size=m), max_size=4))
-        witnesses = solve_in_span_many(rows, vectors)
+        witnesses = span_solver(diagonalize(rows))(vectors)
         assert len(witnesses) == len(vectors)
         for b, x in zip(vectors, witnesses):
             assert (x is not None) == helpers.integer_solvable_oracle(rows, b)
@@ -171,7 +170,7 @@ class TestBatchedMembership:
         vectors = [mat_vec(doubled, x) for x in xs]
         outside = data.draw(st.integers(0, len(vectors) - 1))
         vectors[outside][0] += 1
-        witnesses = solve_in_span_many(doubled, vectors)
+        witnesses = span_solver(diagonalize(doubled))(vectors)
         assert [i for i, x in enumerate(witnesses) if x is None] == [outside]
         for b, x in zip(vectors, witnesses):
             assert (x is not None) == helpers.integer_solvable_oracle(doubled, b)
@@ -181,7 +180,7 @@ class TestBatchedMembership:
     def test_frozen(self):
         A = [[2, 0], [0, 1]]
         vectors = [[2, 3], [1, 0], [4, -1]]
-        witnesses = solve_in_span_many(A, vectors)
+        witnesses = span_solver(diagonalize(A))(vectors)
         assert [None if x is None else _vec(x, 2) for x in witnesses] == \
             [[1, 3], None, [2, -1]]
         assert [helpers.integer_solvable_oracle(A, b) for b in vectors] == \
@@ -257,7 +256,7 @@ class TestOneDiagonalization:
         assert kernel_rows(factors).transpose().dense() == integer_kernel(rows).dense()
         vectors = [[1] * len(rows), [2 * k for k in range(len(rows))],
                    [row[0] for row in rows]]
-        assert span_solver(factors)(vectors) == solve_in_span_many(rows, vectors)
+        assert span_solver(factors)(vectors) == [solve_in_span(rows, b) for b in vectors]
 
     def test_solver_keeps_no_factor(self):
         """The solver holds the pieces it reads, not U, D or V themselves."""
@@ -296,7 +295,7 @@ class TestSparseNonUnit:
         m, n = A.shape
         vectors = data.draw(st.lists(
             st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=1, max_size=3))
-        for b, x in zip(vectors, solve_in_span_many(A, vectors)):
+        for b, x in zip(vectors, span_solver(diagonalize(A))(vectors)):
             assert (x is not None) == helpers.integer_solvable_oracle(rows, b)
             if x is not None:
                 assert mat_vec(rows, _vec(x, n)) == b

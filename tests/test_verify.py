@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -75,16 +76,17 @@ class TestSharedWork:
     def test_all_runs_every_check_on_its_suites_frames(self, calls):
         verify_suites("all", 5)
         assert calls["verify_degree_transport"] == Counter(
-            {(d, e, trivial): 1 for d, e in _frames(2, 5) for trivial in (False, True)})
+            {(d, e, False): 1 for d, e in _frames(2, 5)})
         assert calls["enumerate_even"] == _frames(1, 5)
         assert calls["bord_vanishes"] == _frames(2, 5)
         assert calls["duality_check"] == _frames(1, 5)
         assert calls["induction_report"] == _frames(2, 5)
 
     def test_induction_runs_no_transport_check_of_its_own(self, monkeypatch):
-        """Induction reads the frame's transport report, which the degrees
-        suite also reads; counted at the report's constructor, so a call made
-        from any module is seen."""
+        """Induction reads the frame's full-base transport report, which the
+        degrees suite also reads and no suite runs again in trivial-base mode;
+        counted at the report's constructor, so a call made from any module
+        is seen."""
         built = Counter()
         original = witt_modules.TransportReport
 
@@ -93,12 +95,10 @@ class TestSharedWork:
             return original(frame, trivial_base, *args)
 
         monkeypatch.setattr(witt_modules, "TransportReport", counted)
-        verify_suites("all", 4)
-        assert built == Counter(
-            {(d, e, trivial): 1 for d, e in _frames(2, 4) for trivial in (False, True)})
-        built.clear()
-        verify_suites("induction", 4)
-        assert built == Counter({(d, e, False): 1 for d, e in _frames(2, 4)})
+        for scope in ("all", "degrees", "induction"):
+            built.clear()
+            verify_suites(scope, 4)
+            assert built == Counter({(d, e, False): 1 for d, e in _frames(2, 4)}), scope
 
     @pytest.mark.parametrize("scope", ["duality", "cond-even"])
     def test_suites_without_maps_build_no_sequence(self, calls, scope):
@@ -169,6 +169,33 @@ class TestOnePass:
                    for pos in report["positions"])
         assert broken["induction"]["ok"]
         assert broken["induction"] == clean["induction"]
+
+
+    def test_shifted_degree_fails_the_frames_that_read_it(self, monkeypatch):
+        """A basis whose degrees are all shifted fails the degrees and the
+        induction suites on exactly the sequences that read it, each failing
+        degrees frame with its one full-base report."""
+        original = witt_modules.build_basis
+
+        def shifted(d, e):
+            basis = original(d, e)
+            if (d, e) != (3, 2):
+                return basis
+            return replace(basis, elements=tuple(
+                (elem, replace(deg, shift=(deg.shift + 1) % 4))
+                for elem, deg in basis.elements))
+
+        for module in (verify, witt_modules):
+            monkeypatch.setattr(module, "build_basis", shifted)
+        readers = {(d, e) for d, e in _frames(2, 4)
+                   if (3, 2) in {(d, e - 1), (d, e), (d - 1, e)}}
+        assert readers == {(3, 2), (3, 3), (4, 2)}
+        degrees = verify_suites("degrees", 4)["degrees"]
+        induction = verify_suites("induction", 4)["induction"]
+        assert [tuple(r["frame"]) for r in degrees["failures"]] == sorted(readers)
+        assert all(r["trivial_base"] is False for r in degrees["failures"])
+        assert [tuple(c["frame"]) for c in induction["failures"]] == sorted(readers)
+        assert not degrees["ok"] and not induction["ok"]
 
 
 class TestStrictInputs:

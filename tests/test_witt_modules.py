@@ -36,6 +36,9 @@ class TestDegrees:
             GradedDegree(4, (), 0)
         with pytest.raises(ValueError):
             GradedDegree(0, (), 2)
+        for shift, twist in ((1.5, 0), (1.0, 0), (True, 0), (0, True), (0, 1.0), (0, "1")):
+            with pytest.raises(ValueError):
+                GradedDegree(shift, (), twist)
         for base in ((0,), (3, 2), (2, 2), [4], (True,), (("TautDet", 2),)):
             with pytest.raises(ValueError):
                 GradedDegree(0, base, 0)
@@ -458,6 +461,46 @@ class TestTransport:
                             for f in report.failures] == [
                         ("kappa", elem, "unrepresentable", target_degree)], (d, e)
 
+    @staticmethod
+    def _degree_mutants():
+        """Each map's first mapped element with its source or its target
+        degree changed: shift + 1, det flipped, or BaseDet(n), BaseDet(1) or
+        BaseDet(n + 1) toggled, n the rank of the changed basis."""
+        for d in range(1, 6):
+            for e in range(1, 6):
+                seq = cyclic_sequence(d, e)
+                for bm in seq.maps():
+                    j = next((j for j, i in enumerate(bm.images) if i is not None), None)
+                    if j is None:  # bord of a doubly even frame is zero
+                        continue
+                    for side, k in (("source", j), ("target", bm.images[j])):
+                        basis = getattr(bm, side)
+                        elements = list(basis.elements)
+                        elem, deg = elements[k]
+                        n = basis.d + basis.e
+                        for changed in (
+                                replace(deg, shift=(deg.shift + 1) % 4),
+                                replace(deg, det_twist=1 - deg.det_twist),
+                                *(replace(deg, base=tuple(sorted(set(deg.base) ^ {i})))
+                                  for i in (n, 1, n + 1))):
+                            elements[k] = (elem, changed)
+                            mutated = replace(basis, elements=tuple(elements))
+                            yield replace(seq, **{bm.which: replace(bm, **{side: mutated})})
+
+    def test_trivial_base_failures_are_full_base_failures(self):
+        """On every degree mutant the entries that fail with the base classes
+        ignored also fail with them compared, so full mode alone decides."""
+        outcomes = Counter()
+        for seq in self._degree_mutants():
+            full, trivial = ({(f.which, f.source) for f in
+                              verify_degree_transport(seq, trivial_base=mode).failures}
+                             for mode in (False, True))
+            assert trivial <= full, (seq.d, seq.e)
+            outcomes[bool(full), bool(trivial)] += 1
+        assert sum(outcomes.values()) == 710
+        assert outcomes[True, False] == 292  # the base classes alone catch these
+        assert outcomes[True, True] == 271
+
     def test_json_shape(self):
         obj = verify_degree_transport(cyclic_sequence(2, 2)).to_json()
         assert set(obj) == {"frame", "trivial_base", "checked",
@@ -471,3 +514,6 @@ class TestPointGenerator:
         assert PointGenerator(1).label() == "pt1"
         with pytest.raises(ValueError):
             PointGenerator(2)
+        for index in (True, False, 0.0, 1.0, "0"):
+            with pytest.raises(ValueError):
+                PointGenerator(index)
