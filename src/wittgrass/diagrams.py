@@ -9,7 +9,11 @@ This module owns construction and validation, the jump-tuple encoding and its
 inverse, the evenness predicate, the numeric invariants (area, nonzero-row
 count, co-rank, half-perimeter parity), transposition into the flipped frame,
 enumeration of all even diagrams of a frame, and the three partial maps that
-shuttle diagrams between the frames (d,e-1), (d,e) and (d-1,e).
+shuttle diagrams between the frames (d,e-1), (d,e) and (d-1,e).  Transposition
+and the three maps are stated once as rules on row tuples (``transpose_rows``,
+``widen_rows``, ``shorten_rows``, ``peel_rows``), which the map builder and the
+duality check apply to a basis element's rows directly; ``FramedDiagram.dual``,
+``widen``, ``shorten`` and ``peel`` wrap them for a validated diagram.
 """
 
 from __future__ import annotations
@@ -75,32 +79,21 @@ class FramedDiagram:
                                  else "rows must be weakly decreasing")
             prev = r
 
-    @classmethod
-    def empty(cls, d: int, e: int) -> "FramedDiagram":
-        return cls(d, e, (0,) * d)
-
-    @classmethod
-    def full(cls, d: int, e: int) -> "FramedDiagram":
-        return cls(d, e, (e,) * d)
-
     def area(self) -> int:
         """Number of cells."""
         return sum(self.rows)
 
     def rho(self) -> int:
         """Number of nonzero rows."""
-        return sum(1 for r in self.rows if r)
+        return self.d - self.zeta()
 
     def zeta(self) -> int:
         """Number of zero rows, d - rho."""
-        return self.d - self.rho()
+        return self.rows.count(0)
 
     def twist(self) -> int:
         """Half-perimeter parity (first row + nonzero rows) mod 2."""
         return (self.rows[0] + self.rho()) % 2
-
-    def is_empty(self) -> bool:
-        return self.rows[0] == 0
 
     def _jumps(self) -> tuple[list[int], list[int]]:
         # (dvec, evec) of jump_tuples as plain lists; the rows are already valid
@@ -130,9 +123,7 @@ class FramedDiagram:
 
     def dual(self) -> "FramedDiagram":
         """Transpose into the e-by-d frame (column heights become rows)."""
-        ascending = self.rows[::-1]
-        heights = tuple(self.d - bisect_left(ascending, c) for c in range(1, self.e + 1))
-        return FramedDiagram(self.e, self.d, heights)
+        return FramedDiagram(self.e, self.d, transpose_rows(self.rows, self.e))
 
     def to_json(self) -> dict:
         return {"frame": [self.d, self.e], "rows": list(self.rows)}
@@ -189,6 +180,36 @@ def enumerate_even(d: int, e: int) -> tuple[FramedDiagram, ...]:
     return tuple(FramedDiagram(d, e, r) for r in rows)
 
 
+def transpose_rows(rows: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """Column heights of the row vector ``rows`` of width ``e``: its transpose."""
+    heights, covered = (), 0
+    for height, r in zip(range(len(rows), 0, -1), reversed(rows)):
+        if r > covered:  # the columns row ``height`` covers beyond the rows below it
+            heights += (height,) * (r - covered)
+            covered = r
+    return heights + (0,) * (e - covered)
+
+
+def widen_rows(rows: tuple[int, ...]) -> tuple[int, ...] | None:
+    """iota on rows: one more cell in every row; None when the zero-row count is odd."""
+    if rows.count(0) % 2:
+        return None
+    return tuple(r + 1 for r in rows)
+
+
+def shorten_rows(rows: tuple[int, ...]) -> tuple[int, ...] | None:
+    """kappa on rows: the last row dropped; None when it is not empty."""
+    return rows[:-1] if rows[-1] == 0 else None
+
+
+def peel_rows(rows: tuple[int, ...]) -> tuple[int, ...] | None:
+    """bord on rows: one cell less in every row and an empty row appended;
+    None when the last row is even."""
+    if rows[-1] % 2 == 0:
+        return None
+    return (*(r - 1 for r in rows), 0)
+
+
 def _require_even(diagram: FramedDiagram, role: str) -> None:
     if not diagram.is_even():
         raise ValueError(f"{role} expects an even diagram, got rows={diagram.rows} in "
@@ -202,9 +223,8 @@ def widen(diagram: FramedDiagram) -> FramedDiagram | None:
     on the odd-zeta case (mapped to zero).
     """
     _require_even(diagram, "widen")
-    if diagram.zeta() % 2:
-        return None
-    return FramedDiagram(diagram.d, diagram.e + 1, tuple(r + 1 for r in diagram.rows))
+    rows = widen_rows(diagram.rows)
+    return None if rows is None else FramedDiagram(diagram.d, diagram.e + 1, rows)
 
 
 def shorten(diagram: FramedDiagram) -> FramedDiagram | None:
@@ -216,9 +236,8 @@ def shorten(diagram: FramedDiagram) -> FramedDiagram | None:
     _require_even(diagram, "shorten")
     if diagram.d < 2:
         raise ValueError("shorten needs at least two rows")
-    if diagram.rows[-1] != 0:
-        return None
-    return FramedDiagram(diagram.d - 1, diagram.e, diagram.rows[:-1])
+    rows = shorten_rows(diagram.rows)
+    return None if rows is None else FramedDiagram(diagram.d - 1, diagram.e, rows)
 
 
 def peel(diagram: FramedDiagram) -> FramedDiagram | None:
@@ -230,7 +249,5 @@ def peel(diagram: FramedDiagram) -> FramedDiagram | None:
     _require_even(diagram, "peel")
     if diagram.e < 2:
         raise ValueError("peel needs at least two columns")
-    if diagram.rows[-1] % 2 == 0:
-        return None
-    rows = tuple(r - 1 for r in diagram.rows) + (0,)
-    return FramedDiagram(diagram.d + 1, diagram.e - 1, rows)
+    rows = peel_rows(diagram.rows)
+    return None if rows is None else FramedDiagram(diagram.d + 1, diagram.e - 1, rows)

@@ -3,7 +3,9 @@
 Each frame's sequence and its exactness and transport reports are computed at
 most once, on first use, and shared by every suite that checks the frame.
 The graded bases come from one store per run, which keeps two rows of
-frames at most, so each basis a sequence reads is built once.
+frames at most, so each basis a sequence reads is built once.  The duality
+suite checks each mirror pair {(d, e), (e, d)} at the first of its two frames,
+from one pair of bases, and holds the second report until its frame.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class _Frame:
     e: int
     primes: tuple[int, ...]
     basis: Callable[[int, int], GradedBasis]  # the run's basis store
+    mirrors: dict  # (d, e) -> its duality report, held since its mirror's frame
 
     @cached_property
     def seq(self):
@@ -67,6 +70,22 @@ def _bord(f: _Frame) -> list:
     return []
 
 
+def _duality(f: _Frame) -> list:
+    """The first frame of a mirror pair checks both frames from one pair of
+    bases and holds the mirror's report; the mirror's frame takes it."""
+    report = f.mirrors.pop((f.d, f.e), None)
+    if report is None:
+        pair = {(f.d, f.e): f.basis(f.d, f.e), (f.e, f.d): f.basis(f.e, f.d)}
+
+        def basis(r: int, c: int) -> GradedBasis:
+            return pair[r, c]
+
+        report = duality_check(f.d, f.e, basis)
+        if f.d != f.e:
+            f.mirrors[f.e, f.d] = duality_check(f.e, f.d, basis)
+    return _failed([report])
+
+
 def _induction(f: _Frame) -> list:
     cert = induction_report(f.seq, f.exact, f.transport)
     return [] if cert["ok"] else [cert]
@@ -76,15 +95,15 @@ def _induction(f: _Frame) -> list:
 _SUITES = {"exactness": lambda f: _failed([f.exact]),
            "degrees": lambda f: _failed([f.transport]),
            "cond-even": _cond_even, "bord": _bord,
-           "duality": lambda f: _failed([duality_check(f.d, f.e, f.basis)]),
+           "duality": _duality,
            "induction": _induction}
 
 
 def _store_reader(bases: dict, d: int) -> Callable[[int, int], GradedBasis]:
     """Basis lookup for the frames of row d: reads ``bases``, builds what it
     lacks and keeps the bases of rows d - 1 and d, the rows the row's
-    sequences read; any other frame, a duality mirror, is built for its one
-    call."""
+    sequences read; any other frame, a duality mirror, is built for the one
+    pair of checks that reads it."""
     def basis(r: int, c: int) -> GradedBasis:
         found = bases.get((r, c))
         if found is None:
@@ -118,10 +137,11 @@ def verify_suites(scope: str, max_frame: int) -> dict:
     failures: dict[str, list] = {name: [] for name in names}
     first = min(SUITE_FIRST_FRAME[name] for name in names)
     bases: dict = {}  # (d, e) -> GradedBasis, of the two rows being swept
+    mirrors: dict = {}  # (d, e) -> DualityReport, made at the frame (e, d)
     for d in range(first, max_frame + 1):
         basis = _store_reader(bases, d)
         for e in range(first, max_frame + 1):
-            frame = _Frame(d, e, primes, basis)
+            frame = _Frame(d, e, primes, basis, mirrors)
             for name in names:
                 if min(d, e) >= SUITE_FIRST_FRAME[name]:
                     failures[name] += _SUITES[name](frame)

@@ -4,7 +4,9 @@ For a frame (d,e) the cyclic sequence runs
 
     F(d,e-1) --iota--> F(d,e) --kappa--> F(d-1,e) --bord--> F(d,e-1)
 
-with iota realized by ``widen``, kappa by ``shorten`` and bord by ``peel``.
+with iota, kappa and bord the row rules ``widen_rows``, ``shorten_rows`` and
+``peel_rows`` of ``diagrams``, applied to each source element's rows and looked
+up in the target basis's row index.
 Each basis element carries a graded degree (shift in Z/4, a mod-2 base class,
 and a determinant twist in Z/2); frames with zero rows or zero columns
 degenerate to a pair of point generators.  Exactness of the sequence is
@@ -16,11 +18,11 @@ ranks over prime fields.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 from . import intmatrix
-from .diagrams import FramedDiagram, enumerate_even, peel, shorten, widen
+from .diagrams import FramedDiagram, enumerate_even, peel_rows, shorten_rows, widen_rows
 from .picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
 
 MAP_NAMES = ("iota", "kappa", "bord")
@@ -75,11 +77,28 @@ class GradedBasis:
     d: int
     e: int
     elements: tuple[tuple[FramedDiagram | PointGenerator, GradedDegree], ...]
-    _index: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index",
-                           {elem: i for i, (elem, _) in enumerate(self.elements)})
+    @cached_property
+    def row_index(self) -> dict:
+        """Position of each element, keyed by a diagram's rows or by the point
+        generator itself, in basis order.
+
+        Built on first read, once per basis: it is where each diagram is
+        checked to be even and of this frame, and each key to occur once,
+        so a map that reads the keys reads only even diagrams.
+        """
+        index = {}
+        for i, (elem, _) in enumerate(self.elements):
+            if isinstance(elem, PointGenerator):
+                index[elem] = i
+                continue
+            if (elem.d, elem.e) != (self.d, self.e) or not elem.is_even():
+                raise ValueError(f"the {self.d}x{self.e} basis expects even diagrams "
+                                 f"of its frame, got rows={elem.rows} in {elem.d}x{elem.e}")
+            index[elem.rows] = i
+        if len(index) != len(self.elements):
+            raise ValueError(f"the {self.d}x{self.e} basis holds an element twice")
+        return index
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -92,10 +111,14 @@ class GradedBasis:
         return tuple(out)
 
     def index_of(self, elem) -> int:
-        try:
-            return self._index[elem]
-        except KeyError:
-            raise KeyError(f"{elem!r} not in basis") from None
+        """Position of a point generator, or of a diagram of this frame."""
+        key = elem if isinstance(elem, PointGenerator) else None
+        if isinstance(elem, FramedDiagram) and (elem.d, elem.e) == (self.d, self.e):
+            key = elem.rows
+        found = self.row_index.get(key)
+        if found is None:
+            raise KeyError(f"{elem!r} not in basis")
+        return found
 
 
 def build_basis(d: int, e: int) -> GradedBasis:
@@ -151,24 +174,25 @@ class BasisMap:
         return self.sparse().dense()
 
 
-def _image(which: str, d: int, e: int, elem):
-    """Image basis element under one map of the (d,e) sequence, or None."""
+def _image_rule(which: str, d: int, e: int) -> Callable:
+    """One map of the (d,e) sequence on row-index keys: the key of a source
+    element's image in the target, or None when it maps to zero."""
     if which == "iota":
-        if isinstance(elem, PointGenerator):  # e == 1: source is the point frame
-            return FramedDiagram.full(d, 1) if elem.index == d % 2 else None
-        return widen(elem)
+        if e == 1:  # source is the point frame
+            full = (1,) * d
+            return lambda pt: full if pt.index == d % 2 else None
+        return widen_rows
     if which == "kappa":
         if d == 1:  # target is the point frame
-            return PointGenerator(0) if elem.is_empty() else None
-        return shorten(elem)
+            return lambda rows: PointGenerator(0) if rows[0] == 0 else None
+        return shorten_rows
     # bord
-    if isinstance(elem, PointGenerator):  # d == 1: source is the point frame
-        if elem.index != 1:
-            return None
-        return PointGenerator(0) if e == 1 else FramedDiagram.empty(1, e - 1)
+    if d == 1:  # source is the point frame
+        image = PointGenerator(0) if e == 1 else (0,)  # the empty row when e > 1
+        return lambda pt: image if pt.index == 1 else None
     if e == 1:  # target is the point frame
-        return PointGenerator((d + 1) % 2) if elem.rows[-1] % 2 else None
-    return peel(elem)
+        return lambda rows: PointGenerator((d + 1) % 2) if rows[-1] % 2 else None
+    return peel_rows
 
 
 @dataclass(frozen=True)
@@ -191,6 +215,9 @@ def cyclic_sequence(d: int, e: int,
 
     ``basis`` maps a frame (d, e) to its graded basis, such as a store that
     a caller shares between sequences; by default each is a new ``build_basis``.
+    Each map applies its row rule to the keys of its source's row index, so
+    every diagram it maps has been checked to be even, and looks the image
+    up in its target's row index; no diagram is built per image.
     """
     if d < 1 or e < 1:
         raise ValueError("the sequence needs d,e >= 1")
@@ -200,11 +227,10 @@ def cyclic_sequence(d: int, e: int,
     maps = []
     for which, source, target in (("iota", left, middle), ("kappa", middle, right),
                                   ("bord", right, left)):
-        images = []
-        for elem, _ in source.elements:
-            image = _image(which, d, e, elem)
-            images.append(None if image is None else target.index_of(image))
-        maps.append(BasisMap(which, source, target, tuple(images)))
+        rule, index = _image_rule(which, d, e), target.row_index
+        images = tuple(None if (image := rule(key)) is None else index[image]
+                       for key in source.row_index)
+        maps.append(BasisMap(which, source, target, images))
     return CyclicSequence(d, e, *maps)
 
 

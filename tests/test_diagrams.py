@@ -60,11 +60,6 @@ class TestValidation:
         assert dg.rows == (2, 0, 0)
         assert dg != FramedDiagram(2, 2, (2, 0))
 
-    def test_empty_and_full(self):
-        assert FramedDiagram.empty(2, 3).rows == (0, 0)
-        assert FramedDiagram.full(2, 3).rows == (3, 3)
-        assert FramedDiagram.empty(2, 3).is_empty()
-
 
 class TestInvariants:
     def test_frozen_statistics(self):
@@ -72,9 +67,9 @@ class TestInvariants:
         assert (dg.area(), dg.rho(), dg.zeta(), dg.twist()) == (2, 1, 1, 1)
         dg = FramedDiagram(2, 2, (1, 1))
         assert (dg.area(), dg.rho(), dg.zeta(), dg.twist()) == (2, 2, 0, 1)
-        dg = FramedDiagram.full(5, 5)
+        dg = FramedDiagram(5, 5, (5,) * 5)
         assert (dg.area(), dg.rho(), dg.twist()) == (25, 5, 0)
-        assert FramedDiagram.empty(4, 7).twist() == 0
+        assert FramedDiagram(4, 7, (0,) * 4).twist() == 0
 
     @given(helpers.framed_diagrams())
     def test_twist_is_first_row_plus_support(self, dg):
@@ -93,8 +88,8 @@ class TestJumpTuples:
     def test_frozen_tuples(self):
         assert FramedDiagram(2, 2, (2, 0)).jump_tuples() == JumpTuples((1, 2), (0, 2))
         assert FramedDiagram(2, 2, (1, 1)).jump_tuples() == JumpTuples((2,), (1,))
-        assert FramedDiagram.empty(3, 2).jump_tuples() == JumpTuples((3,), (2,))
-        assert FramedDiagram.full(3, 2).jump_tuples() == JumpTuples((3,), (0,))
+        assert FramedDiagram(3, 2, (0, 0, 0)).jump_tuples() == JumpTuples((3,), (2,))
+        assert FramedDiagram(3, 2, (2, 2, 2)).jump_tuples() == JumpTuples((3,), (0,))
 
     def test_tuple_validation(self):
         with pytest.raises(ValueError):
@@ -131,8 +126,8 @@ class TestEvenness:
     def test_full_and_empty_always_even(self):
         for d in range(1, 6):
             for e in range(1, 6):
-                assert FramedDiagram.empty(d, e).is_even()
-                assert FramedDiagram.full(d, e).is_even()
+                assert FramedDiagram(d, e, (0,) * d).is_even()
+                assert FramedDiagram(d, e, (e,) * d).is_even()
 
 
 class TestEnumeration:

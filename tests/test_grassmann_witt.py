@@ -180,14 +180,15 @@ class TestDuality:
         assert set(obj) == {"frame", "pairs_checked", "failures", "ok"}
 
     def test_broken_dual_names_the_diagram(self, monkeypatch):
-        """A transpose that sends one diagram to another's mirror fails."""
+        """A transpose that sends one diagram to another's mirror fails; it is
+        the row-level transpose the check applies to each diagram's rows."""
         victim, other = enumerate_even(3, 4)[1:3]
-        original = FramedDiagram.dual
+        original = grassmann_witt.transpose_rows
 
-        def dual(diagram):
-            return original(other if diagram == victim else diagram)
+        def transpose_rows(rows, e):
+            return original(other.rows if rows == victim.rows else rows, e)
 
-        monkeypatch.setattr(FramedDiagram, "dual", dual)
+        monkeypatch.setattr(grassmann_witt, "transpose_rows", transpose_rows)
         report = duality_check(3, 4)
         assert not report.ok
         assert (victim.rows, "not an involution") in report.failures

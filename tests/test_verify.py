@@ -125,15 +125,18 @@ class TestBasisStore:
         assert builds.frames == Counter(_sequence_bases(2, 8))
 
     def test_only_duality_mirrors_are_built_again(self, builds):
-        """A mirror outside the two rows the store keeps is built for its
-        duality check alone, so each off-diagonal frame is built twice at
-        most."""
+        """Both duality checks of a mirror pair read one pair of bases, so
+        alone the suite builds each frame once; beside the sequences, a
+        mirror (e, d) outside the two rows the store keeps at (d, e) is
+        built once for its pair and once more when its row is swept."""
+        verify_suites("duality", 11)
+        assert builds.frames == _frames(1, 11)
+        builds.frames.clear()
         verify_suites("all", 8)
         assert set(builds.frames) == _sequence_bases(1, 8)
         again = {frame: n for frame, n in builds.frames.items() if n > 1}
-        assert all(n == 2 and d != e and min(d, e) >= 1
-                   for (d, e), n in again.items())
-        assert sum(builds.frames.values()) <= 130
+        assert all(n == 2 and d > e >= 1 for (d, e), n in again.items())
+        assert sum(builds.frames.values()) <= 108
 
     @pytest.mark.parametrize("scope", ["all", "degrees", "duality"])
     def test_store_stays_bounded(self, builds, scope):
@@ -196,6 +199,30 @@ class TestOnePass:
         assert all(r["trivial_base"] is False for r in degrees["failures"])
         assert [tuple(c["frame"]) for c in induction["failures"]] == sorted(readers)
         assert not degrees["ok"] and not induction["ok"]
+
+    def test_swapped_mirror_degrees_fail_both_frames_of_the_pair(self, monkeypatch):
+        """A mirror basis with two degrees swapped fails the duality suite at
+        both frames of its pair, each in its own place in (d, e) order and
+        with the report a standalone check of that frame gives."""
+        original = witt_modules.build_basis
+        mirror = original(4, 3)
+        elements = list(mirror.elements)
+        degrees = [(deg.shift, deg.det_twist) for _, deg in elements]
+        j = next(j for j in range(1, len(elements)) if degrees[j] != degrees[0])
+        (a, deg_a), (b, deg_b) = elements[0], elements[j]
+        elements[0], elements[j] = (a, deg_b), (b, deg_a)
+        swapped = replace(mirror, elements=tuple(elements))
+
+        def patched(d, e):
+            return swapped if (d, e) == (4, 3) else original(d, e)
+
+        for module in (verify, witt_modules, grassmann_witt):
+            monkeypatch.setattr(module, "build_basis", patched)
+        duality = verify_suites("duality", 5)["duality"]
+        assert not duality["ok"]
+        assert [tuple(r["frame"]) for r in duality["failures"]] == [(3, 4), (4, 3)]
+        assert duality["failures"] == [grassmann_witt.duality_check(3, 4).to_json(),
+                                       grassmann_witt.duality_check(4, 3).to_json()]
 
 
 class TestStrictInputs:

@@ -23,11 +23,11 @@ class TestDegrees:
         assert (deg.shift, deg.det_twist) == (2, 1)
         assert deg.base == ()
 
-        deg = degree(FramedDiagram.full(5, 5))
+        deg = degree(FramedDiagram(5, 5, (5,) * 5))
         assert (deg.shift, deg.det_twist) == (1, 0)
         assert deg.base == (10,)
 
-        deg = degree(FramedDiagram.empty(3, 4))
+        deg = degree(FramedDiagram(3, 4, (0, 0, 0)))
         assert (deg.shift, deg.det_twist) == (0, 0)
         assert deg.base == ()
 
@@ -69,6 +69,18 @@ class TestBases:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             build_basis(0, 0)
+
+    def test_index_of_checks_the_frame(self):
+        """The index is keyed by rows, but a diagram of another frame with
+        rows the basis holds is not found in it."""
+        basis = build_basis(3, 4)
+        assert basis.index_of(FramedDiagram(3, 4, (2, 2, 0))) == 4
+        for other in (FramedDiagram(3, 5, (2, 2, 0)), FramedDiagram(3, 3, (2, 2, 0))):
+            with pytest.raises(KeyError):
+                basis.index_of(other)
+        with pytest.raises(KeyError):
+            basis.index_of(PointGenerator(0))
+        assert build_basis(0, 4).index_of(PointGenerator(1)) == 1
 
     def test_equal_degrees_are_one_value(self):
         """A frame's elements share one GradedDegree per distinct degree, of
@@ -122,6 +134,34 @@ class TestMapMatrices:
     def test_rejects_unknown_map(self):
         with pytest.raises(ValueError):
             map_matrix("sideways", 2, 2)
+
+    @pytest.mark.parametrize("anchor", [(3, 4), (3, 3), (4, 3)],
+                             ids=["left", "middle", "right"])
+    def test_non_even_source_is_named(self, anchor):
+        """A basis holding a diagram that is not even fails the sequence that
+        reads it, at each of the three positions it can take."""
+        crooked = FramedDiagram(3, 3, (2, 1, 0))
+        assert not crooked.is_even()
+        intact = build_basis(3, 3)
+        broken = replace(intact, elements=((crooked, intact.elements[0][1]),
+                                           *intact.elements[1:]))
+        with pytest.raises(ValueError, match=r"rows=\(2, 1, 0\)"):
+            cyclic_sequence(*anchor, lambda d, e: broken if (d, e) == (3, 3)
+                            else build_basis(d, e))
+
+    def test_foreign_or_repeated_element_is_rejected(self):
+        """A basis's row index keys diagrams by rows alone, so it admits only
+        diagrams of the basis's own frame, each once."""
+        intact = build_basis(3, 3)
+        foreign = ((FramedDiagram(3, 4, (4, 4, 4)), intact.elements[0][1]),
+                   *intact.elements[1:])
+        repeated = intact.elements[:1] + intact.elements[:-1]
+        for elements, match in ((foreign, r"rows=\(4, 4, 4\) in 3x4"),
+                                (repeated, "holds an element twice")):
+            broken = replace(intact, elements=elements)
+            with pytest.raises(ValueError, match=match):
+                cyclic_sequence(3, 3, lambda d, e: broken if (d, e) == (3, 3)
+                                else build_basis(d, e))
 
 
 class TestExactness:
@@ -430,14 +470,14 @@ class TestTransport:
         seq = cyclic_sequence(2, 2)
         kappa = seq.kappa
         elements = list(kappa.source.elements)
-        j = kappa.source.index_of(FramedDiagram.empty(2, 2))
+        j = kappa.source.index_of(FramedDiagram(2, 2, (0, 0)))
         odd = next(deg for dg, deg in elements if dg.rho() % 2)
         elements[j] = (elements[j][0], replace(elements[j][1], base=odd.base))
         source = replace(kappa.source, elements=tuple(elements))
         report = verify_degree_transport(replace(seq, kappa=replace(kappa, source=source)))
         target_degree = kappa.target.elements[kappa.images[j]][1]
         assert [f.to_json() for f in report.failures] == [
-            {"which": "kappa", "source": FramedDiagram.empty(2, 2).to_json(),
+            {"which": "kappa", "source": FramedDiagram(2, 2, (0, 0)).to_json(),
              "expected": "unrepresentable", "actual": target_degree.to_json()}]
 
     def test_base_above_the_sequence_rank_is_reported(self):
