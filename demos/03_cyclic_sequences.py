@@ -11,27 +11,34 @@ diagrams each map either produces another even diagram or dies.
 Run with: python3 demos/03_cyclic_sequences.py
 """
 
-from wittgrass import (FramedDiagram, cyclic_sequence, peel, shorten,
-                       verify_exactness, widen)
+from wittgrass import FramedDiagram, cyclic_sequence, verify_exactness
 from wittgrass.cli import ascii_diagram
 
+# The sequence anchored at (d,e) maps F(d,e-1) by iota, F(d,e) by kappa and
+# F(d-1,e) by bord, so a diagram of the frame (d,e) is a source of the map
+# of the sequence anchored at (d,e) plus this offset:
+ANCHOR_OFFSET = {"iota": (0, 1), "kappa": (0, 0), "bord": (1, 0)}
 
-def show_move(name, move, dg):
-    out = move(dg)
-    target = "0" if out is None else f"{out.rows} in {out.d}x{out.e}"
-    print(f"  {name}({dg.rows}) = {target}")
+
+def show_move(name, which, d, e, rows):
+    """Send the diagram ``rows`` of the frame (d,e) through one map."""
+    bm = getattr(cyclic_sequence(d + ANCHOR_OFFSET[which][0],
+                                 e + ANCHOR_OFFSET[which][1]), which)
+    i = bm.images[bm.source.row_index[rows]]
+    target = "0" if i is None else f"{bm.target.labels()[i]} in {bm.target.d}x{bm.target.e}"
+    print(f"  {name}({rows}) = {target}")
 
 
 print("Single moves on even diagrams:")
-show_move("widen", widen, FramedDiagram(2, 2, (1, 1)))
-show_move("widen", widen, FramedDiagram(2, 2, (2, 0)))   # one empty row, dies
-show_move("shorten", shorten, FramedDiagram(3, 2, (2, 2, 0)))
-show_move("shorten", shorten, FramedDiagram(2, 2, (1, 1)))
-show_move("peel", peel, FramedDiagram(2, 3, (3, 3)))
-show_move("peel", peel, FramedDiagram(2, 3, (2, 2)))
+show_move("widen", "iota", 2, 2, (1, 1))
+show_move("widen", "iota", 2, 2, (2, 0))   # one empty row, dies
+show_move("shorten", "kappa", 3, 2, (2, 2, 0))
+show_move("shorten", "kappa", 2, 2, (1, 1))
+show_move("peel", "bord", 2, 3, (3, 3))
+show_move("peel", "bord", 2, 3, (2, 2))
 print()
 
-print("peel turns the full 2x3 rectangle into a 3x2 staircase:")
+print("peel turns the full 2x3 rectangle into a 2x2 block over an empty row in 3x2:")
 print(ascii_diagram(FramedDiagram(2, 3, (3, 3))))
 print("  ->")
 print(ascii_diagram(FramedDiagram(3, 2, (2, 2, 0))))

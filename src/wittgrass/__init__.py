@@ -9,8 +9,7 @@ runs over a range of frames.  Everything is integer arithmetic; nothing is
 floating point.
 """
 
-from .diagrams import (FramedDiagram, JumpTuples, enumerate_even, from_jump_tuples,
-                       peel, shorten, widen)
+from .diagrams import FramedDiagram, JumpTuples, enumerate_even, from_jump_tuples
 from .grassmann_witt import (DualityReport, GeneratorClass, bord_vanishes,
                              class_degree, classify, duality_check,
                              expected_rank, induction_report, rank_table,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FramedDiagram", "JumpTuples", "enumerate_even", "from_jump_tuples",
-    "peel", "shorten", "widen",
     "PicClass", "PicClassMod2", "base_det", "taut_det",
     "taut_det2", "quotient_det", "rel_canonical_grass", "rel_canonical_flag",
     "rel_canonical_fiber", "pullback_to_flag", "relative_dimension",

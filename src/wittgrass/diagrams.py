@@ -5,15 +5,13 @@ rectangle with d rows and e columns.  Trailing zero rows are explicit: the
 frame is part of the data, and the same row vector can satisfy the evenness
 conditions in one frame while failing them in a larger one.
 
-This module owns construction and validation, the jump-tuple encoding and its
-inverse, the evenness predicate, the numeric invariants (area, nonzero-row
-count, co-rank, half-perimeter parity), transposition into the flipped frame,
-enumeration of all even diagrams of a frame, and the three partial maps that
-shuttle diagrams between the frames (d,e-1), (d,e) and (d-1,e).  Transposition
-and the three maps are stated once as rules on row tuples (``transpose_rows``,
-``widen_rows``, ``shorten_rows``, ``peel_rows``), which the map builder and the
-duality check apply to a basis element's rows directly; ``FramedDiagram.dual``,
-``widen``, ``shorten`` and ``peel`` wrap them for a validated diagram.
+This module owns the combinatorics of one frame: construction and validation,
+the jump-tuple encoding and its inverse, the evenness predicate, the numeric
+invariants (area, nonzero-row count, co-rank, half-perimeter parity) and
+enumeration of all even diagrams of a frame.  Transposition into the flipped
+frame is stated once, as a rule on row tuples (``transpose_rows``), which the
+duality check applies to a basis element's rows.  The three maps between
+neighbouring frames are stated in ``witt_modules``.
 """
 
 from __future__ import annotations
@@ -121,10 +119,6 @@ class FramedDiagram:
             return False
         return _even_ends(dv, ev, self.e)
 
-    def dual(self) -> "FramedDiagram":
-        """Transpose into the e-by-d frame (column heights become rows)."""
-        return FramedDiagram(self.e, self.d, transpose_rows(self.rows, self.e))
-
     def to_json(self) -> dict:
         return {"frame": [self.d, self.e], "rows": list(self.rows)}
 
@@ -189,65 +183,3 @@ def transpose_rows(rows: tuple[int, ...], e: int) -> tuple[int, ...]:
             covered = r
     return heights + (0,) * (e - covered)
 
-
-def widen_rows(rows: tuple[int, ...]) -> tuple[int, ...] | None:
-    """iota on rows: one more cell in every row; None when the zero-row count is odd."""
-    if rows.count(0) % 2:
-        return None
-    return tuple(r + 1 for r in rows)
-
-
-def shorten_rows(rows: tuple[int, ...]) -> tuple[int, ...] | None:
-    """kappa on rows: the last row dropped; None when it is not empty."""
-    return rows[:-1] if rows[-1] == 0 else None
-
-
-def peel_rows(rows: tuple[int, ...]) -> tuple[int, ...] | None:
-    """bord on rows: one cell less in every row and an empty row appended;
-    None when the last row is even."""
-    if rows[-1] % 2 == 0:
-        return None
-    return (*(r - 1 for r in rows), 0)
-
-
-def _require_even(diagram: FramedDiagram, role: str) -> None:
-    if not diagram.is_even():
-        raise ValueError(f"{role} expects an even diagram, got rows={diagram.rows} in "
-                         f"{diagram.d}x{diagram.e}")
-
-
-def widen(diagram: FramedDiagram) -> FramedDiagram | None:
-    """Add one cell to every row, landing one frame wider.
-
-    Defined on even diagrams with an even number of zero rows; returns None
-    on the odd-zeta case (mapped to zero).
-    """
-    _require_even(diagram, "widen")
-    rows = widen_rows(diagram.rows)
-    return None if rows is None else FramedDiagram(diagram.d, diagram.e + 1, rows)
-
-
-def shorten(diagram: FramedDiagram) -> FramedDiagram | None:
-    """Drop the last row if it is empty, landing one frame shorter.
-
-    Defined on even diagrams with at least two rows; returns None when the
-    last row is nonzero (mapped to zero).
-    """
-    _require_even(diagram, "shorten")
-    if diagram.d < 2:
-        raise ValueError("shorten needs at least two rows")
-    rows = shorten_rows(diagram.rows)
-    return None if rows is None else FramedDiagram(diagram.d - 1, diagram.e, rows)
-
-
-def peel(diagram: FramedDiagram) -> FramedDiagram | None:
-    """Remove one cell from every row and append an empty row.
-
-    Defined on even diagrams whose frame has at least two columns; applies
-    only when the last row is odd (hence every row nonzero), otherwise None.
-    """
-    _require_even(diagram, "peel")
-    if diagram.e < 2:
-        raise ValueError("peel needs at least two columns")
-    rows = peel_rows(diagram.rows)
-    return None if rows is None else FramedDiagram(diagram.d + 1, diagram.e - 1, rows)

@@ -164,6 +164,8 @@ def duality_check(d: int, e: int,
     is the transpose of a diagram's rows, looked up in the mirror basis's
     row index.
     """
+    if d < 1 or e < 1:
+        raise ValueError("duality needs d,e >= 1")
     if basis is None:
         basis = build_basis
     source, target = basis(d, e), basis(e, d)

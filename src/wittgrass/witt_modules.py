@@ -4,9 +4,9 @@ For a frame (d,e) the cyclic sequence runs
 
     F(d,e-1) --iota--> F(d,e) --kappa--> F(d-1,e) --bord--> F(d,e-1)
 
-with iota, kappa and bord the row rules ``widen_rows``, ``shorten_rows`` and
-``peel_rows`` of ``diagrams``, applied to each source element's rows and looked
-up in the target basis's row index.
+with iota, kappa and bord stated once, by ``_image_rule``, as rules on a source
+element's row-index key (a diagram's rows, or a point generator), each image
+looked up in the target basis's row index.
 Each basis element carries a graded degree (shift in Z/4, a mod-2 base class,
 and a determinant twist in Z/2); frames with zero rows or zero columns
 degenerate to a pair of point generators.  Exactness of the sequence is
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import intmatrix
-from .diagrams import FramedDiagram, enumerate_even, peel_rows, shorten_rows, widen_rows
+from .diagrams import FramedDiagram, enumerate_even
 from .picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
 
 MAP_NAMES = ("iota", "kappa", "bord")
@@ -110,16 +110,6 @@ class GradedBasis:
                        else str(elem.rows))
         return tuple(out)
 
-    def index_of(self, elem) -> int:
-        """Position of a point generator, or of a diagram of this frame."""
-        key = elem if isinstance(elem, PointGenerator) else None
-        if isinstance(elem, FramedDiagram) and (elem.d, elem.e) == (self.d, self.e):
-            key = elem.rows
-        found = self.row_index.get(key)
-        if found is None:
-            raise KeyError(f"{elem!r} not in basis")
-        return found
-
 
 def build_basis(d: int, e: int) -> GradedBasis:
     """Basis of the frame (d,e); degenerate frames get the two point generators.
@@ -176,23 +166,26 @@ class BasisMap:
 
 def _image_rule(which: str, d: int, e: int) -> Callable:
     """One map of the (d,e) sequence on row-index keys: the key of a source
-    element's image in the target, or None when it maps to zero."""
+    element's image in the target, or None when it maps to zero.  Between
+    diagram frames iota widens every row, kappa drops an empty last row and
+    bord peels one cell off every row and appends an empty row.
+    """
     if which == "iota":
         if e == 1:  # source is the point frame
             full = (1,) * d
             return lambda pt: full if pt.index == d % 2 else None
-        return widen_rows
+        return lambda rows: None if rows.count(0) % 2 else tuple(r + 1 for r in rows)
     if which == "kappa":
         if d == 1:  # target is the point frame
             return lambda rows: PointGenerator(0) if rows[0] == 0 else None
-        return shorten_rows
+        return lambda rows: rows[:-1] if rows[-1] == 0 else None
     # bord
     if d == 1:  # source is the point frame
         image = PointGenerator(0) if e == 1 else (0,)  # the empty row when e > 1
         return lambda pt: image if pt.index == 1 else None
     if e == 1:  # target is the point frame
         return lambda rows: PointGenerator((d + 1) % 2) if rows[-1] % 2 else None
-    return peel_rows
+    return lambda rows: (*(r - 1 for r in rows), 0) if rows[-1] % 2 else None
 
 
 @dataclass(frozen=True)

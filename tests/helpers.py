@@ -43,6 +43,38 @@ def evenness_oracle(d, e, rows):
     return True
 
 
+def map_oracle(which, d, e, rows):
+    """Image of a diagram of the source frame under one map of the (d,e)
+    cyclic sequence F(d,e-1) --iota--> F(d,e) --kappa--> F(d-1,e) --bord-->
+    F(d,e-1), or None when the map sends it to zero.  Only maps between
+    frames of diagrams: e >= 2 for iota, d >= 2 for kappa, both for bord.
+
+    Stated on the set of cells (i, j), row i and column j counted from 1,
+    as the paper states the maps: iota shifts every cell one column right
+    and fills the new first column, when an even number of rows holds no
+    cell; kappa keeps the cells and drops row d, when it holds none; bord
+    drops the first column and moves the cells into a frame one row taller,
+    when row d - 1 holds an odd number of cells.  Plain set bookkeeping: no
+    wittgrass map code.
+    """
+    cells = {(i, j) for i, r in enumerate(rows, 1) for j in range(1, r + 1)}
+    if which == "iota":
+        if sum((i, 1) not in cells for i in range(1, d + 1)) % 2:
+            return None
+        image = {(i, 1) for i in range(1, d + 1)} | {(i, j + 1) for i, j in cells}
+        target = (d, e)
+    elif which == "kappa":
+        if any(i == d for i, _ in cells):
+            return None
+        image, target = cells, (d - 1, e)
+    else:
+        if sum(i == d - 1 for i, _ in cells) % 2 == 0:
+            return None
+        image, target = {(i, j - 1) for i, j in cells if j > 1}, (d, e - 1)
+    return FramedDiagram(*target, tuple(sum(i == row for i, _ in image)
+                                        for row in range(1, target[0] + 1)))
+
+
 def _normalized(coeffs, dvec, evec):
     # co-length-zero steps: TautDet(d_i) becomes BaseDet(d_i); zeros dropped
     out = Counter(coeffs)

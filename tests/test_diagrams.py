@@ -1,4 +1,5 @@
-"""Diagram combinatorics: frames, jump tuples, evenness, the three moves."""
+"""Diagram combinatorics: frames, jump tuples, evenness, transposition, and
+the three moves as the cyclic sequence's maps, against the cell oracle."""
 
 import itertools
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from wittgrass import (FramedDiagram, JumpTuples, enumerate_even, from_jump_tuples,
-                       peel, shorten, widen)
+from wittgrass import (FramedDiagram, JumpTuples, cyclic_sequence, enumerate_even,
+                       from_jump_tuples)
+from wittgrass.diagrams import transpose_rows
 
 
 class TestValidation:
@@ -151,72 +153,56 @@ class TestEnumeration:
 
 class TestDuality:
     def test_frozen(self):
-        assert FramedDiagram(2, 2, (2, 0)).dual().rows == (1, 1)
-        assert FramedDiagram(3, 2, (2, 2, 0)).dual() == FramedDiagram(2, 3, (2, 2))
+        assert transpose_rows((2, 0), 2) == (1, 1)
+        assert transpose_rows((2, 2, 0), 2) == (2, 2)
 
     @given(helpers.framed_diagrams())
     def test_involution_and_invariants(self, dg):
-        mirror = dg.dual()
-        assert (mirror.d, mirror.e) == (dg.e, dg.d)
+        mirror = FramedDiagram(dg.e, dg.d, transpose_rows(dg.rows, dg.e))
         assert mirror.rows == tuple(sum(1 for r in dg.rows if r >= c)
                                     for c in range(1, dg.e + 1))  # column heights
-        assert mirror.dual() == dg
+        assert transpose_rows(mirror.rows, dg.d) == dg.rows
         assert mirror.area() == dg.area()
         assert mirror.is_even() == dg.is_even()
 
 
+def _images(which, d, e):
+    """(source diagram, its image or None) under one map of the (d,e) sequence."""
+    bm = getattr(cyclic_sequence(d, e), which)
+    return [(src, None if i is None else bm.target.elements[i][0])
+            for (src, _), i in zip(bm.source.elements, bm.images)]
+
+
+def _check_map(which, frames, defined):
+    """Each image is defined exactly when ``defined`` holds of its source, is
+    the cell oracle's image, and is even."""
+    for d, e in frames:
+        for src, image in _images(which, d, e):
+            assert (image is not None) == defined(src), (which, d, e, src.rows)
+            assert image == helpers.map_oracle(which, d, e, src.rows)
+            assert image is None or image.is_even()
+
+
 class TestMoves:
     def test_widen_defined_iff_zeta_even(self):
-        for d in range(1, 6):
-            for e in range(2, 6):
-                for dg in enumerate_even(d, e - 1):
-                    out = widen(dg)
-                    if dg.zeta() % 2 == 0:
-                        assert out == FramedDiagram(d, e, tuple(r + 1 for r in dg.rows))
-                        assert out.is_even()
-                    else:
-                        assert out is None
+        _check_map("iota", itertools.product(range(1, 6), range(2, 6)),
+                   lambda src: src.zeta() % 2 == 0)
 
     def test_shorten_defined_iff_last_row_empty(self):
-        for d in range(2, 6):
-            for e in range(1, 6):
-                for dg in enumerate_even(d, e):
-                    out = shorten(dg)
-                    if dg.rows[-1] == 0:
-                        assert out == FramedDiagram(d - 1, e, dg.rows[:-1])
-                        assert out.is_even()
-                    else:
-                        assert out is None
+        _check_map("kappa", itertools.product(range(2, 6), range(1, 6)),
+                   lambda src: src.rows[-1] == 0)
 
     def test_peel_defined_iff_last_row_odd(self):
-        assert peel(FramedDiagram(2, 3, (3, 3))) == FramedDiagram(3, 2, (2, 2, 0))
-        for d in range(2, 6):
-            for e in range(2, 6):
-                for dg in enumerate_even(d - 1, e):
-                    out = peel(dg)
-                    if dg.rows[-1] % 2:
-                        assert out == FramedDiagram(
-                            d, e - 1, tuple(r - 1 for r in dg.rows) + (0,))
-                        assert out.is_even()
-                    else:
-                        assert out is None
-
-    def test_moves_reject_non_even_input(self):
-        crooked = FramedDiagram(2, 2, (2, 1))
-        for move in (widen, shorten, peel):
-            with pytest.raises(ValueError):
-                move(crooked)
+        peeled = FramedDiagram(3, 2, (2, 2, 0))
+        assert dict(_images("bord", 3, 3))[FramedDiagram(2, 3, (3, 3))] == peeled
+        assert helpers.map_oracle("bord", 3, 3, (3, 3)) == peeled
+        _check_map("bord", itertools.product(range(2, 6), range(2, 6)),
+                   lambda src: src.rows[-1] % 2 == 1)
 
     def test_consecutive_moves_compose_to_zero(self):
         for d in range(2, 6):
             for e in range(2, 6):
-                for dg in enumerate_even(d, e - 1):
-                    if widen(dg) is not None:
-                        assert shorten(widen(dg)) is None
-                for dg in enumerate_even(d, e):
-                    if shorten(dg) is not None:
-                        assert peel(shorten(dg)) is None
-                for dg in enumerate_even(d - 1, e):
-                    if peel(dg) is not None:
-                        assert widen(peel(dg)) is None
-
+                iota, kappa, bord = cyclic_sequence(d, e).maps()
+                for first, then in ((iota, kappa), (kappa, bord), (bord, iota)):
+                    assert all(then.images[i] is None
+                               for i in first.images if i is not None)

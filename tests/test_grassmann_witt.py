@@ -14,6 +14,7 @@ from wittgrass import (FramedDiagram, GeneratorClass, bord_vanishes,
                        induction_report, rank_table, table_json,
                        total_witt_basis, verify_degree_transport,
                        verify_exactness)
+from wittgrass.diagrams import transpose_rows
 
 
 class TestRanks:
@@ -175,6 +176,11 @@ class TestDuality:
                 assert report.ok, report.to_json()
                 assert report.pairs_checked == expected_rank(d, e)
 
+    def test_rejects_point_frames(self):
+        for d, e in [(0, 3), (3, 0), (0, 1), (1, 0)]:
+            with pytest.raises(ValueError, match="duality needs d,e >= 1"):
+                duality_check(d, e)
+
     def test_json_shape(self):
         obj = duality_check(3, 2).to_json()
         assert set(obj) == {"frame", "pairs_checked", "failures", "ok"}
@@ -208,8 +214,8 @@ class TestDuality:
                             lambda d, e: swapped if (d, e) == (4, 3) else original(d, e))
         report = duality_check(3, 4)
         assert sorted(report.failures) == sorted(
-            [(a.dual().rows, "degree not preserved"),
-             (b.dual().rows, "degree not preserved")])
+            [(transpose_rows(a.rows, 3), "degree not preserved"),
+             (transpose_rows(b.rows, 3), "degree not preserved")])
 
 
 def _certificate(d, e, primes=(2,)):
