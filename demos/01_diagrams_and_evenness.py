@@ -44,7 +44,10 @@ print(f"is_even 2x2: {FramedDiagram(2, 2, (1, 1)).is_even()}")
 print(f"is_even 3x3: {FramedDiagram(3, 3, (1, 1, 0)).is_even()}")
 print()
 
-print("Enumeration walks even jump tuples directly, largest diagram first:")
+print("On the rows: all rows share one parity, and each value strictly between")
+print("0 and e occurs an even number of times.  Enumeration builds exactly")
+print("those rows (rows equal to e, equal pairs of interior values, rows equal")
+print("to 0), largest diagram first:")
 for dg in enumerate_even(3, 2):
     show(dg)
 

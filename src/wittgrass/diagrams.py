@@ -6,18 +6,20 @@ frame is part of the data, and the same row vector can satisfy the evenness
 conditions in one frame while failing them in a larger one.
 
 This module owns the combinatorics of one frame: construction and validation,
-the jump-tuple encoding and its inverse, the evenness predicate, the numeric
-invariants (area, nonzero-row count, co-rank, half-perimeter parity) and
-enumeration of all even diagrams of a frame.  Transposition into the flipped
-frame is stated once, as a rule on row tuples (``transpose_rows``), which the
-duality check applies to a basis element's rows.  The three maps between
-neighbouring frames are stated in ``witt_modules``.
+the jump-tuple encoding and its inverse, the numeric invariants (area,
+nonzero-row count, co-rank, half-perimeter parity), and evenness, stated once
+on the rows: all rows share one parity, and every value strictly between 0
+and e occurs an even number of times.  ``is_even`` checks that rule, and
+``enumerate_even`` builds the even diagrams of a frame from it.  Transposition
+into the flipped frame is stated once, as a rule on row tuples
+(``transpose_rows``), which the duality check applies to a basis element's
+rows.  The three maps between neighbouring frames are stated in
+``witt_modules``.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -93,31 +95,24 @@ class FramedDiagram:
         """Half-perimeter parity (first row + nonzero rows) mod 2."""
         return (self.rows[0] + self.rho()) % 2
 
-    def _jumps(self) -> tuple[list[int], list[int]]:
-        # (dvec, evec) of jump_tuples as plain lists; the rows are already valid
-        rows = self.rows
-        dvec = [pos for pos in range(1, self.d) if rows[pos] < rows[pos - 1]]
-        dvec.append(self.d)
-        return dvec, [self.e - rows[pos - 1] for pos in dvec]
-
     def jump_tuples(self) -> JumpTuples:
         """Encode as jump tuples: drop positions and their co-lengths."""
-        return JumpTuples(*self._jumps())
+        rows = self.rows
+        dvec = [pos for pos in range(1, self.d) if rows[pos] < rows[pos - 1]] + [self.d]
+        return JumpTuples(dvec, [self.e - rows[pos - 1] for pos in dvec])
 
     def is_even(self) -> bool:
-        """Whether every boundary segment strictly inside the frame has even length.
+        """Whether every boundary stretch strictly inside the frame has even length.
 
-        Equivalent, via the jump encoding with the convention d_0 = 0:
-        interior drop gaps d_{i+1}-d_i (i <= k-2) and all co-length gaps
-        e_{i+1}-e_i are even; when 0 < e_1 < e the first block height d_1 is
-        even; when 0 < e_k < e the last block height d_k-d_{k-1} is even.
+        Read off the rows: the horizontal stretch between rows i and i+1 has
+        length rows[i] - rows[i+1], and lies inside the frame for every i, so
+        all rows share one parity.  The vertical stretch at column v has
+        length the number of rows equal to v, and lies inside the frame when
+        0 < v < e, so each such value occurs an even number of times.  The
+        rows are weakly decreasing, so those values pair up in order.
         """
-        dv, ev = self._jumps()
-        if any((b - a) % 2 for a, b in zip(dv, dv[1:-1])):
-            return False
-        if any((b - a) % 2 for a, b in zip(ev, ev[1:])):
-            return False
-        return _even_ends(dv, ev, self.e)
+        inner = [r for r in self.rows if 0 < r < self.e]
+        return len({r % 2 for r in self.rows}) == 1 and inner[::2] == inner[1::2]
 
     def to_json(self) -> dict:
         return {"frame": [self.d, self.e], "rows": list(self.rows)}
@@ -129,48 +124,34 @@ def from_jump_tuples(tuples: JumpTuples, d: int, e: int) -> FramedDiagram:
         raise ValueError(f"dvec must end at the row count {d}")
     if tuples.evec[-1] > e:
         raise ValueError(f"evec entries must not exceed the column count {e}")
-    return FramedDiagram(d, e, _rows_from_jumps(tuples.dvec, tuples.evec, e))
-
-
-def _rows_from_jumps(dvec, evec, e: int) -> list[int]:
-    # row pos (1-based) lies in the block of the first jump d_i >= pos
-    return [e - evec[bisect_left(dvec, pos)] for pos in range(1, dvec[-1] + 1)]
-
-
-def _even_gap_chains(lo: int, hi: int, k: int):
-    """Strictly increasing k-chains in [lo, hi] with even gaps: k values of one parity."""
-    for first in (lo, lo + 1) if k else (lo,):  # the empty chain once
-        yield from itertools.combinations(range(first, hi + 1, 2), k)
-
-
-def _even_ends(dvec, evec, e: int) -> bool:
-    # the block-height conditions of is_even at the first and the last jump
-    last_gap = dvec[-1] - (dvec[-2] if len(dvec) >= 2 else 0)
-    return not (0 < evec[0] < e and dvec[0] % 2 or 0 < evec[-1] < e and last_gap % 2)
-
-
-def _even_jump_candidates(d: int, e: int):
-    # dvec: first value and final gap free, interior gaps even, last entry d;
-    # an evec has at most e + 1 entries in [0, e]
-    for k in range(1, min(d, e + 1) + 1):
-        dvecs = [prefix + (d,) for prefix in _even_gap_chains(1, d - 1, k - 1)]
-        for evec in _even_gap_chains(0, e, k):
-            for dvec in dvecs:
-                if _even_ends(dvec, evec, e):
-                    yield dvec, evec
+    starts = (0,) + tuples.dvec  # block i holds rows starts[i]+1 .. dvec[i]
+    return FramedDiagram(d, e, [e - co for start, end, co
+                                in zip(starts, tuples.dvec, tuples.evec)
+                                for _ in range(end - start)])
 
 
 def enumerate_even(d: int, e: int) -> tuple[FramedDiagram, ...]:
     """All even diagrams of the d-by-e frame, largest row vector first.
 
-    Generated directly from jump tuples satisfying the evenness constraints,
-    so the cost tracks the number of even diagrams rather than the number of
-    all C(d+e, d) monotone row vectors.
+    Built from the rule of ``FramedDiagram.is_even``: for each parity p, rows
+    equal to e (only when e has parity p) over equal pairs of values of
+    parity p strictly between 0 and e over rows equal to 0 (only when p is
+    0).  So the cost tracks the number of even diagrams rather than the
+    number of all C(d+e, d) monotone row vectors.
     """
-    if d < 1 or e < 1:
-        raise ValueError("frame dimensions must be at least 1")
-    rows = sorted((_rows_from_jumps(dvec, evec, e)
-                   for dvec, evec in _even_jump_candidates(d, e)), reverse=True)
+    if type(d) is not int or type(e) is not int or d < 1 or e < 1:
+        raise ValueError("frame dimensions must be integers, at least 1")
+    rows = []
+    for p in (0, 1):
+        values = [v for v in range(e - 1, 0, -1) if v % 2 == p]
+        for pairs in range(d // 2 + 1):
+            rest = d - 2 * pairs  # rows equal to e or to 0
+            # all of them at the top when p is 1, none when e has not parity p
+            tops = range(rest if p else 0, (rest if e % 2 == p else 0) + 1)
+            for chosen in itertools.combinations_with_replacement(values, pairs):
+                middle = [v for v in chosen for _ in (0, 1)]
+                rows += [[e] * top + middle + [0] * (rest - top) for top in tops]
+    rows.sort(reverse=True)
     return tuple(FramedDiagram(d, e, r) for r in rows)
 
 

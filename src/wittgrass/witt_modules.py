@@ -116,8 +116,8 @@ def build_basis(d: int, e: int) -> GradedBasis:
 
     Elements of equal degree share one ``GradedDegree``; a frame has at most 16.
     """
-    if d < 0 or e < 0 or (d == 0 and e == 0):
-        raise ValueError("need d,e >= 0 and not both zero")
+    if type(d) is not int or type(e) is not int or d < 0 or e < 0 or d == e == 0:
+        raise ValueError("frame dimensions must be integers, at least 0 and not both zero")
     if d == 0 or e == 0:
         elems = tuple((PointGenerator(i), GradedDegree(0, (), i)) for i in (0, 1))
     else:

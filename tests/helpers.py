@@ -2,7 +2,7 @@
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import comb, gcd
 
 from hypothesis import strategies as st
 
@@ -41,6 +41,28 @@ def evenness_oracle(d, e, rows):
         if 0 < value < d and length % 2:
             return False
     return True
+
+
+def even_count_by_rule(d, e):
+    """Number of even diagrams of the d x e frame, counted without listing them.
+
+    By the parity-and-pairs description: for each parity p the rows are t
+    rows equal to e (t > 0 only when e has parity p), then m equal pairs of
+    values of parity p strictly between 0 and e, then z rows equal to 0
+    (z > 0 only when p is 0), with t + 2m + z = d.  The pairs form a
+    multiset of m of the n values of parity p, C(n + m - 1, m) of them, and
+    the d - 2m outer rows split between the top and the bottom in as many
+    ways as both ends allow.  Plain binomials: no wittgrass code.
+    """
+    total = 0
+    for p in (0, 1):
+        n = len([v for v in range(1, e) if v % 2 == p])
+        for m in range(d // 2 + 1):
+            rest = d - 2 * m
+            top_ok, bottom_ok = e % 2 == p, p == 0
+            splits = rest + 1 if top_ok and bottom_ok else int(top_ok or bottom_ok or rest == 0)
+            total += (comb(n + m - 1, m) if n else int(m == 0)) * splits
+    return total
 
 
 def map_oracle(which, d, e, rows):

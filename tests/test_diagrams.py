@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import helpers
 from wittgrass import (FramedDiagram, JumpTuples, cyclic_sequence, enumerate_even,
-                       from_jump_tuples)
+                       expected_rank, from_jump_tuples)
 from wittgrass.diagrams import transpose_rows
 
 
@@ -121,6 +121,14 @@ class TestEvenness:
     def test_matches_boundary_walk_oracle(self, dg):
         assert dg.is_even() == helpers.evenness_oracle(dg.d, dg.e, dg.rows)
 
+    def test_matches_oracle_on_every_row_vector(self):
+        """Even and non-even alike, on every frame up to 7x7."""
+        for d in range(1, 8):
+            for e in range(1, 8):
+                for rows in helpers.all_row_vectors(d, e):
+                    assert FramedDiagram(d, e, rows).is_even() == \
+                        helpers.evenness_oracle(d, e, rows), (d, e, rows)
+
     def test_frame_sensitivity(self):
         assert FramedDiagram(2, 2, (1, 1)).is_even()
         assert not FramedDiagram(3, 3, (1, 1, 0)).is_even()
@@ -142,13 +150,25 @@ class TestEnumeration:
             (2, 2, 2), (2, 2, 0), (2, 0, 0), (0, 0, 0)]
 
     def test_matches_bruteforce_filter(self):
-        for d in range(1, 7):
-            for e in range(1, 7):
+        for d in range(1, 8):
+            for e in range(1, 8):
                 expected = sorted(
                     (rows for rows in helpers.all_row_vectors(d, e)
                      if helpers.evenness_oracle(d, e, rows)),
                     reverse=True)
                 assert [dg.rows for dg in enumerate_even(d, e)] == expected
+
+    def test_rule_count_is_the_closed_form(self):
+        """The parity-and-pairs count, by binomials, is 2 * C(d//2 + e//2, e//2)
+        on every frame up to 22x22, far beyond what brute force reaches."""
+        for d in range(1, 23):
+            for e in range(1, 23):
+                assert helpers.even_count_by_rule(d, e) == expected_rank(d, e), (d, e)
+
+    def test_rejects_non_int_frame(self):
+        for d, e in [(2.0, 2), (2, 2.0), (True, 2), (2, True)]:
+            with pytest.raises(ValueError, match="frame dimensions must be integers"):
+                enumerate_even(d, e)
 
 
 class TestDuality:

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used by that module, and every
-public name of the package has a caller."""
+"""Every name a package module imports is used by that module, every
+public name of the package has a caller, and every private function is read
+in its own module."""
 
 import ast
 from collections import Counter
@@ -73,21 +74,38 @@ def unread_public_names(defining: list[str], reading: list[str],
     trees = [ast.parse(source) for source in defining]
     reads = sum((_reads(tree) for tree in trees + [ast.parse(s) for s in reading]),
                 Counter())
-    defs = []
-    for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((node.name, node))
-            if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{m.name}", m) for m in node.body
-                         if isinstance(m, ast.FunctionDef)]
-    unread = []
-    for qualified, node in defs:
-        name = node.name
-        if (not name.startswith("_") and name not in layers
-                and reads[name] - _reads(node)[name] <= 0):
-            unread.append(qualified)
-    return unread
+    return [qualified for tree in trees for qualified, node in _definitions(tree)
+            if not node.name.startswith("_") and node.name not in layers
+            and not _read_outside(node, reads)]
+
+
+def _definitions(tree):
+    """(qualified name, node) of each module-level function and class, and of
+    each method as ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef))
+
+
+def _read_outside(node, reads: Counter) -> bool:
+    """Whether ``reads`` holds a read of ``node``'s name outside ``node`` itself."""
+    return reads[node.name] - _reads(node)[node.name] > 0
+
+
+def unread_private_functions(source: str) -> list[str]:
+    """Private module-level functions, and private methods as ``Class.method``,
+    that no Name or Attribute node of their own module reads outside their
+    own definition.  Dunder methods are called by the language, so they do
+    not count as private.
+    """
+    tree = ast.parse(source)
+    reads = _reads(tree)
+    return [qualified for qualified, node in _definitions(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.endswith("__") and not _read_outside(node, reads)]
 
 
 def _layer_names() -> set[str]:
@@ -122,3 +140,20 @@ def test_caller_check_sees_an_unread_name():
     demo = "used()\nShape().area()\n"
     assert unread_public_names([source], [demo], {"traced"}) == [
         "recursive", "Shape.unread"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_function_is_read_in_its_module(path):
+    assert unread_private_functions(path.read_text()) == []
+
+
+def test_private_check_sees_an_unread_name():
+    source = ("def public(): return _helper()\n"
+              "def _helper(): return 1\n"
+              "def _recursive(n): return _recursive(n - 1)\n"
+              "def _orphan(): pass\n"
+              "class _Shape:\n"
+              "    def __init__(self): self._area = self._area_of()\n"
+              "    def _area_of(self): return 0\n"
+              "    def _unread(self): return self._unread()\n")
+    assert unread_private_functions(source) == ["_recursive", "_orphan", "_Shape._unread"]

@@ -70,6 +70,11 @@ class TestBases:
         with pytest.raises(ValueError):
             build_basis(0, 0)
 
+    def test_rejects_non_int_frame(self):
+        for d, e in [(2.0, 0), (0, True), (2.0, 2), (True, 3)]:
+            with pytest.raises(ValueError, match="frame dimensions must be integers"):
+                build_basis(d, e)
+
     def test_equal_degrees_are_one_value(self):
         """A frame's elements share one GradedDegree per distinct degree, of
         which there are at most 16, and no element carries an instance dict."""
