@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from .diagrams import FramedDiagram, transpose_rows
 from .picard import verify_cond_even
 from .witt_modules import (CyclicSequence, ExactnessReport, GradedBasis,
-                           TransportReport, build_basis)
+                           TransportReport, build_basis, check_frame)
 
 
 class GeneratorClass(enum.Enum):
@@ -29,7 +29,8 @@ class GeneratorClass(enum.Enum):
 
 
 def expected_rank(d: int, e: int) -> int:
-    """Closed-form total rank: 2 * C(floor(d/2)+floor(e/2), floor(e/2))."""
+    """Closed-form total rank 2 * C(d//2 + e//2, e//2); rejects what build_basis rejects."""
+    check_frame(d, e)
     return 2 * math.comb(d // 2 + e // 2, e // 2)
 
 

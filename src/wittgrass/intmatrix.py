@@ -8,10 +8,8 @@ both the kernel of A (``kernel_rows``) and membership in its column span
 (``span_solver``); ``integer_kernel`` and ``solve_in_span`` are those two
 applied to a fresh diagonalization.
 
-A matrix is a ``SparseMatrix``: one dict {column: nonzero int} per row, and
-its shape.  Every routine also takes a dense matrix, a list of int rows, and
-converts it once (``as_sparse``).  A dense matrix with no rows cannot show
-how many columns it has; give such a matrix as ``as_sparse(rows, ncols)``.
+Every routine takes and returns matrices in one form, a ``SparseMatrix``:
+one dict {column: nonzero int} per row, and its shape.
 
 Elimination keeps each row and each column of the working matrix as a dict.
 An entry alone in its row and its column is a pivot taken at once, with no
@@ -72,31 +70,6 @@ class SparseMatrix:
         return SparseMatrix(_columns(self, 0, n), (n, m))
 
 
-def as_sparse(A, ncols: int | None = None) -> SparseMatrix:
-    """A itself when it is a SparseMatrix, else the dense matrix A converted.
-
-    Raises ValueError for a non-int entry (bool included), for rows of
-    unequal length, and for a width other than ``ncols`` when given.
-    """
-    if isinstance(A, SparseMatrix):
-        if ncols is not None and A.shape[1] != ncols:
-            raise ValueError(f"expected {ncols} columns, got {A.shape[1]}")
-        return A
-    try:
-        dense = [list(row) for row in A]
-    except TypeError:
-        raise ValueError("expected a two-dimensional matrix") from None
-    width = ncols if ncols is not None else (len(dense[0]) if dense else 0)
-    rows = []
-    for row in dense:
-        if len(row) != width:
-            raise ValueError(f"expected rows of length {width}, got {len(row)}")
-        if not set(map(type, row)) <= {int}:
-            raise ValueError("matrix entries must be integers")
-        rows.append({j: v for j, v in enumerate(row) if v})
-    return SparseMatrix(rows, (len(rows), width))
-
-
 class _Elimination:
     """A matrix under elimination: row dicts and mirrored column dicts.
 
@@ -110,10 +83,7 @@ class _Elimination:
             rows = [{j: r for j, v in row.items() if (r := v % p)} for row in A.rows]
         else:
             rows = [dict(row) for row in A.rows]
-        cols: list[dict[int, int]] = [{} for _ in range(A.shape[1])]
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                cols[j][i] = v
+        cols = _columns(SparseMatrix(rows, A.shape), 0, A.shape[1])
         # An entry alone in its row and its column is a pivot that needs no
         # operation, the cheapest choice of all: (row, column, value) of each
         # is taken at once.  A partial permutation is all such entries.
@@ -182,14 +152,13 @@ def _add(dst: dict[int, int], src: dict[int, int], c: int) -> None:
             del dst[k]
 
 
-def diagonalize(A):
+def diagonalize(A: SparseMatrix):
     """Diagonalize over the integers: returns (U, D, V) with U A V = D.
 
     U and V are unimodular; D is diagonal (no divisibility chain is
     enforced), with its nonzero entries first and positive.  Diagonal shape
     suffices for ranks, kernels and membership.  All three are SparseMatrix.
     """
-    A = as_sparse(A)
     m, n = A.shape
     work = _Elimination(A)
     rows, cols = work.lines
@@ -268,16 +237,17 @@ def kernel_rows(factors) -> SparseMatrix:
     return SparseMatrix(_columns(V, r, n), (n - r, n))
 
 
-def integer_kernel(A) -> SparseMatrix:
+def integer_kernel(A: SparseMatrix) -> SparseMatrix:
     """Basis of the integer kernel of A, one column per basis vector."""
     return kernel_rows(diagonalize(A)).transpose()
 
 
 def span_solver(factors):
     """Membership in the column span of A, from a diagonalization ``factors``
-    = (U, D, V) of A: a function that maps a matrix, dense or sparse, whose
-    rows are right-hand sides b to a list with, for each b, a sparse integer
-    x with A x = b, or None when no such x exists.
+    = (U, D, V) of A: a function that maps a SparseMatrix whose rows are
+    right-hand sides b to a list with, for each b, a sparse integer x with
+    A x = b, or None when no such x exists.  Raises ValueError when the
+    right-hand sides are not as long as A has rows.
 
     It keeps only what solving reads, the columns of U, the diagonal and the
     first r columns of V, so U, D and V can be dropped once it is built.
@@ -292,9 +262,11 @@ def span_solver(factors):
     u_cols = _columns(U, 0, m)
     v_cols = _columns(V, 0, r)
 
-    def solve_many(vectors) -> list[dict[int, int] | None]:
+    def solve_many(vectors: SparseMatrix) -> list[dict[int, int] | None]:
+        if vectors.shape[1] != m:
+            raise ValueError(f"right-hand sides of length {vectors.shape[1]}, not {m}")
         out: list[dict[int, int] | None] = []
-        for b in as_sparse(vectors, m).rows:
+        for b in vectors.rows:
             c: dict[int, int] = {}
             for j, b_j in b.items():
                 _add(c, u_cols[j], b_j)
@@ -309,15 +281,14 @@ def span_solver(factors):
     return solve_many
 
 
-def solve_in_span(A, b) -> dict[int, int] | None:
-    """An integer x with A x = b, sparse, or None when no such x exists."""
-    return span_solver(diagonalize(A))([b])[0]
+def solve_in_span(A: SparseMatrix, b: dict[int, int]) -> dict[int, int] | None:
+    """A sparse integer x with A x = b, for a sparse b, or None when none exists."""
+    b_row = SparseMatrix.from_entries((1, A.shape[0]), ((0, i, v) for i, v in b.items()))
+    return span_solver(diagonalize(A))(b_row)[0]
 
 
-def multiply(A, B) -> SparseMatrix:
+def multiply(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     """The product A B."""
-    A = as_sparse(A)
-    B = as_sparse(B)
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"cannot multiply {A.shape[1]} columns by {B.shape[0]} rows")
     out = []
@@ -329,14 +300,14 @@ def multiply(A, B) -> SparseMatrix:
     return SparseMatrix(out, (A.shape[0], B.shape[1]))
 
 
-def rank_mod_p(A, p: int) -> int:
+def rank_mod_p(A: SparseMatrix, p: int) -> int:
     """Rank over the prime field with p elements, by sparse elimination.
 
     Raises ValueError unless p is a prime int (bool excluded).
     """
     if type(p) is not int or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"p must be a prime int, got {p!r}")
-    work = _Elimination(as_sparse(A), p)
+    work = _Elimination(A, p)
     rows, cols = work.lines
     rank = len(work.isolated)
     while (pivot_at := work.next_pivot()) is not None:

@@ -28,19 +28,19 @@ _KINDS = (BASE, TAUT)
 def _validated_terms(n, terms, with_coeff):
     out = []
     for term in terms:
-        kind, index = term[0], term[1]
+        if with_coeff:
+            kind, index, coeff = term
+        else:
+            kind, index = term
+            coeff = 1
         if kind not in _KINDS:
             raise ValueError(f"unknown generator kind {kind!r}")
         if type(index) is not int or not 1 <= index <= n:
             raise ValueError(f"generator index {index!r} outside 1..{n}")
-        if with_coeff:
-            coeff = term[2]
-            if type(coeff) is not int:
-                raise ValueError("coefficients must be integers")
-            if coeff:
-                out.append((kind, index, coeff))
-        else:
-            out.append((kind, index))
+        if type(coeff) is not int:
+            raise ValueError("coefficients must be integers")
+        if coeff:
+            out.append((kind, index, coeff) if with_coeff else (kind, index))
     out.sort()
     keys = [t[:2] for t in out]
     if len(set(keys)) != len(keys):

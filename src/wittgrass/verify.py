@@ -3,7 +3,8 @@
 Each frame's sequence and its exactness and transport reports are computed at
 most once, on first use, and shared by every suite that checks the frame.
 The graded bases come from one store per run, which keeps two rows of
-frames at most, so each basis a sequence reads is built once.  The duality
+frames at most, so each basis a sequence reads is built once; the cond-even
+suite reads its frame's diagrams from the same store.  The duality
 suite checks each mirror pair {(d, e), (e, d)} at the first of its two frames,
 from one pair of bases, and holds the second report until its frame.
 """
@@ -14,7 +15,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagrams import enumerate_even
 from .grassmann_witt import bord_vanishes, duality_check, induction_report
 from .picard import cond_even_verdicts
 from .witt_modules import (GradedBasis, build_basis, cyclic_sequence,
@@ -52,7 +52,7 @@ def _failed(reports) -> list:
 
 def _cond_even(f: _Frame) -> list:
     failures = []
-    for dg in enumerate_even(f.d, f.e):
+    for dg, _ in f.basis(f.d, f.e).elements:
         cancels, admissible, in_span = cond_even_verdicts(dg)
         if not cancels:
             failures.append({"frame": [f.d, f.e], "rows": list(dg.rows)})

@@ -111,13 +111,18 @@ class GradedBasis:
         return tuple(out)
 
 
+def check_frame(d: int, e: int) -> None:
+    """Raise ValueError unless (d, e) is a frame that has a basis, points included."""
+    if type(d) is not int or type(e) is not int or d < 0 or e < 0 or d == e == 0:
+        raise ValueError("frame dimensions must be integers, at least 0 and not both zero")
+
+
 def build_basis(d: int, e: int) -> GradedBasis:
     """Basis of the frame (d,e); degenerate frames get the two point generators.
 
     Elements of equal degree share one ``GradedDegree``; a frame has at most 16.
     """
-    if type(d) is not int or type(e) is not int or d < 0 or e < 0 or d == e == 0:
-        raise ValueError("frame dimensions must be integers, at least 0 and not both zero")
+    check_frame(d, e)
     if d == 0 or e == 0:
         elems = tuple((PointGenerator(i), GradedDegree(0, (), i)) for i in (0, 1))
     else:

@@ -7,6 +7,7 @@ from math import comb, gcd
 from hypothesis import strategies as st
 
 from wittgrass import FramedDiagram, enumerate_even
+from wittgrass.intmatrix import SparseMatrix
 
 
 def all_row_vectors(d, e):
@@ -267,6 +268,14 @@ def even_diagrams(draw, max_d=6, max_e=6, min_d=1, min_e=1):
     return draw(st.sampled_from(enumerate_even(d, e)))
 
 
+def sparse(rows, width=None):
+    """The dense int rows as a SparseMatrix: the one place tests convert a
+    dense matrix.  ``width`` is the column count of a matrix with no rows."""
+    shape = (len(rows), len(rows[0]) if rows else width)
+    return SparseMatrix.from_entries(shape, [(i, j, v) for i, row in enumerate(rows)
+                                             for j, v in enumerate(row) if v])
+
+
 @st.composite
 def int_matrices(draw, max_dim=5, max_entry=6):
     m = draw(st.integers(1, max_dim))
@@ -291,8 +300,6 @@ def sparse_int_matrices(draw, max_dim=7, max_entry=6):
     """(dense rows, SparseMatrix) of one mostly-zero matrix with entries in
     -max_entry..max_entry; about half of the draws hold no entry ±1 at all,
     so that elimination must take Euclidean remainders."""
-    from wittgrass.intmatrix import SparseMatrix
-
     m = draw(st.integers(1, max_dim))
     n = draw(st.integers(1, max_dim))
     no_unit = draw(st.booleans())
@@ -304,4 +311,4 @@ def sparse_int_matrices(draw, max_dim=7, max_entry=6):
     rows = [[0] * n for _ in range(m)]
     for i, j, v in entries:
         rows[i][j] = v
-    return rows, SparseMatrix.from_entries((m, n), entries)
+    return rows, sparse(rows)

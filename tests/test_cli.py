@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wittgrass.cli import ascii_diagram, main
 from wittgrass.verify import verify_suites
-from wittgrass import FramedDiagram, map_matrix
+from wittgrass import FramedDiagram, map_matrix, picard, taut_det
 
 
 def run(capsys, *argv):
@@ -215,6 +215,45 @@ class TestVerify:
                            "--max-frame", "1")
         assert code == 0
         assert json.loads(out)["suites"]["exactness"]["frames"] == 1
+
+
+class TestVerificationFailure:
+    """Exit code 1: a broken canonical class, a stray TautDet(d_1) in the
+    canonical of rows (4, 2, 2) of the 3x4 frame, fails every command that
+    validates that frame's twists."""
+
+    @pytest.fixture
+    def broken(self, monkeypatch):
+        diagram = FramedDiagram(3, 4, (4, 2, 2))
+        tuples = diagram.jump_tuples()
+        original = picard.rel_canonical_fiber
+
+        def stray_term(t, d, e):
+            cls = original(t, d, e)
+            if (t, d, e) == (tuples, diagram.d, diagram.e):
+                return cls + taut_det(cls.n, t.dvec[0])
+            return cls
+
+        monkeypatch.setattr(picard, "rel_canonical_fiber", stray_term)
+
+    @pytest.mark.parametrize("argv", [["table", "--d", "3", "--e", "4"],
+                                      ["enumerate", "--d", "3", "--e", "4",
+                                       "--format", "json"]])
+    def test_basis_commands_exit_1(self, capsys, broken, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failure: ")
+        assert err.rstrip().endswith("rows=(4, 2, 2)")
+
+    def test_verify_exits_1_with_the_witnesses(self, capsys, broken):
+        code, out, _ = run(capsys, "verify", "--scope", "cond-even", "--max-frame", "4")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        witness = {"frame": [3, 4], "rows": [4, 2, 2]}
+        assert payload["suites"]["cond-even"]["failures"] == [
+            witness, {**witness, "reason": "admissibility"}]
 
 
 class TestUsage:

@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from wittgrass import grassmann_witt
-from wittgrass import (FramedDiagram, GeneratorClass, bord_vanishes,
+from wittgrass import (FramedDiagram, GeneratorClass, bord_vanishes, build_basis,
                        class_degree, classify, cyclic_sequence, degree,
                        duality_check, enumerate_even, expected_rank,
                        induction_report, rank_table, table_json,
@@ -26,6 +26,20 @@ class TestRanks:
         assert expected_rank(4, 5) == 12
         assert expected_rank(5, 5) == 12
         assert expected_rank(8, 8) == 140
+
+    @pytest.mark.parametrize("frame", [(-1, 3), (-2, 4), (True, 2), (0, 0), (2.0, 2)])
+    def test_expected_rank_rejects_what_build_basis_rejects(self, frame):
+        for fn in (build_basis, expected_rank):
+            with pytest.raises(ValueError, match="frame dimensions must be integers, "
+                                                 "at least 0 and not both zero"):
+                fn(*frame)
+
+    def test_expected_rank_counts_every_basis(self):
+        """Point frames included: their two point generators."""
+        for d in range(9):
+            for e in range(9):
+                if (d, e) != (0, 0):
+                    assert expected_rank(d, e) == len(build_basis(d, e)), (d, e)
 
     def test_basis_matches_expected_rank(self):
         for d in range(1, 7):

@@ -1,6 +1,6 @@
 """Every name a package module imports is used by that module, every
-public name of the package has a caller, and every private function is read
-in its own module."""
+public name of the package has a caller, every private function is read in
+its own module, and every parameter default is overridden by some call."""
 
 import ast
 from collections import Counter
@@ -157,3 +157,86 @@ def test_private_check_sees_an_unread_name():
               "    def _area_of(self): return 0\n"
               "    def _unread(self): return self._unread()\n")
     assert unread_private_functions(source) == ["_recursive", "_orphan", "_Shape._unread"]
+
+
+def _functions(tree):
+    """(qualified name, called name, node, bound) of every function and
+    method, nested ones included: a method is ``Class.method``, is called by
+    its own name (``__init__`` by its class's name) and has its first
+    parameter bound by the call, unless it is a staticmethod."""
+    def visit(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                called = cls if cls and node.name == "__init__" else node.name
+                yield f"{prefix}{node.name}", called, node, bool(cls) and not static
+                yield from visit(node.body, f"{prefix}{node.name}.", None)
+            else:
+                yield from visit(getattr(node, "body", []) + getattr(node, "orelse", []),
+                                 prefix, cls)
+    return visit(tree.body, "", None)
+
+
+def unset_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """Parameters with a default, as ``function.parameter``, of the functions
+    and methods of the ``defining`` sources that no call in the ``calling``
+    sources passes, by position or by keyword.
+
+    A call is matched to a definition by the called name alone, and a call
+    of a class counts for its ``__init__``.  A starred argument passes every
+    position, and a double-starred one every keyword.
+    """
+    calls: dict[str, list] = {}
+    for tree in map(ast.parse, calling):
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords}
+            calls.setdefault(name, []).append((len(call.args), starred, keywords))
+    unset = []
+    for tree in map(ast.parse, defining):
+        for qualified, called, node, bound in _functions(tree):
+            args = node.args
+            positional = (args.posonlyargs + args.args)[int(bound):]
+            defaulted = [(k, a.arg) for k, a in enumerate(positional)
+                         if k >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for k, param in defaulted:
+                if not any(param in keywords or None in keywords
+                           or (k is not None and (count > k or starred))
+                           for count, starred, keywords in calls.get(called, [])):
+                    unset.append(f"{qualified}.{param}")
+    return unset
+
+
+def test_every_default_is_overridden_by_some_call():
+    """No knob: a parameter with a default is passed by some call in
+    ``src/``, ``demos/`` or the benchmark worker, so no default is the only
+    value a parameter ever takes."""
+    calling = [*MODULES, SRC / "__init__.py", *sorted((ROOT / "demos").glob("*.py")),
+               ROOT / "perfbench" / "worker.py"]
+    assert unset_defaults([p.read_text() for p in MODULES],
+                          [p.read_text() for p in calling]) == []
+
+
+def test_default_check_sees_an_unset_knob():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+              "def g(x=0): pass\n"
+              "def h(*args, y=0): pass\n"
+              "class Box:\n"
+              "    def __init__(self, size=1, fill=None): pass\n"
+              "    def grow(self, by=1): pass\n"
+              "    @staticmethod\n"
+              "    def make(n=2): pass\n"
+              "    def outer(self):\n"
+              "        def inner(z=5): pass\n"
+              "        return inner\n")
+    calls = ("f(0, 1, e=4)\ng(*[1])\nh(**{})\nBox(2)\nBox().grow()\n"
+             "Box.make(3)\n")
+    assert unset_defaults([source], [source, calls]) == [
+        "f.c", "f.d", "Box.__init__.fill", "Box.grow.by", "Box.outer.inner.z"]

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import mat_mul, mat_vec
-from wittgrass.intmatrix import (SparseMatrix, as_sparse,
-                                 diagonalize, integer_kernel, kernel_rows, multiply,
-                                 rank_mod_p, solve_in_span, span_solver)
+from helpers import mat_mul, mat_vec, sparse
+from wittgrass.intmatrix import (SparseMatrix, diagonalize, integer_kernel, kernel_rows,
+                                 multiply, rank_mod_p, solve_in_span, span_solver)
 
 
 def _is_diagonal(D):
@@ -36,49 +35,40 @@ def _vec(x, n):
     return [x.get(k, 0) for k in range(n)]
 
 
+def _sparse_vec(b):
+    """A list of ints as a sparse vector {index: nonzero value}."""
+    return {k: v for k, v in enumerate(b) if v}
+
+
+def _solve_in_span(rows, b):
+    """solve_in_span on dense rows and a dense b."""
+    return solve_in_span(sparse(rows), _sparse_vec(b))
+
+
+def _solve_many(rows, vectors):
+    """span_solver of the dense rows, applied to the dense right-hand sides."""
+    return span_solver(diagonalize(sparse(rows)))(sparse(vectors, len(rows)))
+
+
 class TestInput:
-    def test_copies_rows(self):
-        rows = ((1, 2), (3, 4))
-        M = as_sparse(rows)
-        assert M.dense() == [[1, 2], [3, 4]]
-        M.rows[0][0] = 9
-        assert rows[0][0] == 1
-
-    def test_rejects_bool_entries(self):
-        with pytest.raises(ValueError):
-            as_sparse([[True, 2]])
-        with pytest.raises(ValueError):
-            diagonalize([[1, False]])
-
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
-            as_sparse([[1, 2], [3]])
-        with pytest.raises(ValueError):
-            as_sparse([[1, 2]], ncols=3)
-
-    def test_rejects_non_matrices(self):
-        with pytest.raises(ValueError):
-            as_sparse([1, 2])
-        with pytest.raises(ValueError):
-            as_sparse([[1.0, 2]])
-
     def test_zero_row_matrix_keeps_its_width(self):
-        assert integer_kernel(as_sparse([], 3)).dense() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert [_vec(x, 2) for x in span_solver(diagonalize(as_sparse([], 2)))([[]])] == [[0, 0]]
-        assert multiply([[]], as_sparse([], 2)).dense() == [[0, 0]]
+        assert integer_kernel(sparse([], 3)).dense() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        no_rows = span_solver(diagonalize(sparse([], 2)))
+        assert [_vec(x, 2) for x in no_rows(sparse([[]]))] == [[0, 0]]
+        assert multiply(sparse([[]]), sparse([], 2)).dense() == [[0, 0]]
 
 
 class TestDiagonalize:
     def test_frozen_small(self):
         A = [[2, 4], [6, 8]]
-        U, D, V = _dense_diagonalize(A)
+        U, D, V = _dense_diagonalize(sparse(A))
         assert _is_diagonal(D)
         assert mat_mul(mat_mul(U, A), V) == D
         assert _nonzero_diagonal(D) == 2
 
     def test_partial_permutation_needs_no_row_operations(self):
         A = [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
-        U, D, V = _dense_diagonalize(A)
+        U, D, V = _dense_diagonalize(sparse(A))
         assert D == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
         assert mat_mul(mat_mul(U, A), V) == D
         assert all(sorted(map(abs, row)) == [0, 0, 1] for row in U + V)
@@ -86,7 +76,7 @@ class TestDiagonalize:
     @settings(max_examples=60, deadline=None)
     @given(helpers.int_matrices())
     def test_transforms_are_unimodular_and_exact(self, rows):
-        U, D, V = _dense_diagonalize(rows)
+        U, D, V = _dense_diagonalize(sparse(rows))
         assert _is_diagonal(D)
         assert mat_mul(mat_mul(U, rows), V) == D
         assert _unimodular(U)
@@ -98,7 +88,7 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(helpers.int_matrices())
     def test_kernel_is_complete_and_saturated(self, rows):
-        K = integer_kernel(rows).dense()
+        K = integer_kernel(sparse(rows)).dense()
         assert helpers.is_zero(mat_mul(rows, K))
         expected_dim = len(rows[0]) - sympy.Matrix(rows).rank()
         assert len(K[0]) == expected_dim
@@ -107,7 +97,7 @@ class TestKernel:
         for vec in sympy.Matrix(rows).nullspace():
             scale = sympy.lcm([term.q for term in vec])
             primitive = [int(term * scale) for term in vec]
-            assert solve_in_span(K, primitive) is not None
+            assert _solve_in_span(K, primitive) is not None
 
 
 class TestSpanMembership:
@@ -117,7 +107,7 @@ class TestSpanMembership:
         x = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows[0]),
                                max_size=len(rows[0])))
         b = mat_vec(rows, x)
-        witness = solve_in_span(rows, b)
+        witness = _solve_in_span(rows, b)
         assert witness is not None
         assert mat_vec(rows, _vec(witness, len(rows[0]))) == b
 
@@ -126,21 +116,23 @@ class TestSpanMembership:
     def test_matches_minors_gcd_oracle(self, rows, data):
         b = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows),
                                max_size=len(rows)))
-        witness = solve_in_span(rows, b)
+        witness = _solve_in_span(rows, b)
         solvable = helpers.integer_solvable_oracle(rows, b)
         assert (witness is not None) == solvable
         if witness is not None:
             assert mat_vec(rows, _vec(witness, len(rows[0]))) == b
 
     def test_frozen_divisibility(self):
-        assert solve_in_span([[2]], [4]) is not None
-        assert solve_in_span([[2]], [3]) is None
-        assert solve_in_span([[0]], [1]) is None
-        assert solve_in_span([[2, 3]], [1]) is not None
+        assert _solve_in_span([[2]], [4]) is not None
+        assert _solve_in_span([[2]], [3]) is None
+        assert _solve_in_span([[0]], [1]) is None
+        assert _solve_in_span([[2, 3]], [1]) is not None
 
     def test_rejects_vector_of_wrong_length(self):
         with pytest.raises(ValueError):
-            solve_in_span([[1, 0], [0, 1]], [1, 2, 3])
+            _solve_many([[1, 0], [0, 1]], [[1, 2, 3]])
+        with pytest.raises(ValueError):
+            solve_in_span(sparse([[1, 0], [0, 1]]), {2: 3})
 
 
 class TestBatchedMembership:
@@ -150,7 +142,7 @@ class TestBatchedMembership:
         m = len(rows)
         vectors = data.draw(st.lists(
             st.lists(st.integers(-4, 4), min_size=m, max_size=m), max_size=4))
-        witnesses = span_solver(diagonalize(rows))(vectors)
+        witnesses = _solve_many(rows, vectors)
         assert len(witnesses) == len(vectors)
         for b, x in zip(vectors, witnesses):
             assert (x is not None) == helpers.integer_solvable_oracle(rows, b)
@@ -170,7 +162,7 @@ class TestBatchedMembership:
         vectors = [mat_vec(doubled, x) for x in xs]
         outside = data.draw(st.integers(0, len(vectors) - 1))
         vectors[outside][0] += 1
-        witnesses = span_solver(diagonalize(doubled))(vectors)
+        witnesses = _solve_many(doubled, vectors)
         assert [i for i, x in enumerate(witnesses) if x is None] == [outside]
         for b, x in zip(vectors, witnesses):
             assert (x is not None) == helpers.integer_solvable_oracle(doubled, b)
@@ -180,7 +172,7 @@ class TestBatchedMembership:
     def test_frozen(self):
         A = [[2, 0], [0, 1]]
         vectors = [[2, 3], [1, 0], [4, -1]]
-        witnesses = span_solver(diagonalize(A))(vectors)
+        witnesses = _solve_many(A, vectors)
         assert [None if x is None else _vec(x, 2) for x in witnesses] == \
             [[1, 3], None, [2, -1]]
         assert [helpers.integer_solvable_oracle(A, b) for b in vectors] == \
@@ -196,16 +188,16 @@ class TestMultiply:
         other = data.draw(st.lists(
             st.lists(st.integers(-3, 3), min_size=width, max_size=width),
             min_size=k, max_size=k))
-        assert multiply(rows, as_sparse(other, width)).dense() == mat_mul(rows, other)
+        assert multiply(sparse(rows), sparse(other, width)).dense() == mat_mul(rows, other)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
-            multiply([[1, 2]], [[1, 2]])
+            multiply(sparse([[1, 2]]), sparse([[1, 2]]))
 
 
 class TestModP:
     def test_frozen(self):
-        A = [[2, 0], [0, 3]]
+        A = sparse([[2, 0], [0, 3]])
         assert rank_mod_p(A, 2) == 1
         assert rank_mod_p(A, 3) == 1
         assert rank_mod_p(A, 5) == 2
@@ -213,15 +205,15 @@ class TestModP:
     @settings(max_examples=60, deadline=None)
     @given(helpers.int_matrices())
     def test_matches_smith_diagonal(self, rows):
-        _, D, _ = _dense_diagonalize(rows)
+        _, D, _ = _dense_diagonalize(sparse(rows))
         diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         for p in (2, 3, 5):
-            assert rank_mod_p(rows, p) == sum(1 for v in diag if v % p)
+            assert rank_mod_p(sparse(rows), p) == sum(1 for v in diag if v % p)
 
     @pytest.mark.parametrize("p", [1, 4, 9, True])
     def test_rejects_a_modulus_that_is_not_a_prime_int(self, p):
         with pytest.raises(ValueError):
-            rank_mod_p([[1, 0], [0, 1]], p)
+            rank_mod_p(sparse([[1, 0], [0, 1]]), p)
 
 
 class TestSparseForm:
@@ -230,18 +222,12 @@ class TestSparseForm:
         assert M.shape == (2, 3)
         assert M.dense() == [[0, 0, 5], [-1, 0, 0]]
         assert M.transpose().dense() == [[0, -1], [0, 0], [5, 0]]
-        assert as_sparse(M.dense()).rows == M.rows
-        assert as_sparse(M, ncols=3) is M
 
     @pytest.mark.parametrize("entry", [(2, 0, 1), (0, 3, 1), (-1, 0, 1),
                                        (0, 0, 0), (0, 0, True), (0, 0, 1.0)])
     def test_from_entries_rejects(self, entry):
         with pytest.raises(ValueError):
             SparseMatrix.from_entries((2, 3), [entry])
-
-    def test_rejects_width_other_than_ncols(self):
-        with pytest.raises(ValueError):
-            as_sparse(SparseMatrix.from_entries((1, 2), []), ncols=3)
 
 
 class TestOneDiagonalization:
@@ -252,15 +238,16 @@ class TestOneDiagonalization:
 
     @pytest.mark.parametrize("rows", MATRICES)
     def test_pieces_equal_the_wrappers(self, rows):
-        factors = diagonalize(rows)
-        assert kernel_rows(factors).transpose().dense() == integer_kernel(rows).dense()
+        factors = diagonalize(sparse(rows))
+        assert kernel_rows(factors).transpose().dense() == integer_kernel(sparse(rows)).dense()
         vectors = [[1] * len(rows), [2 * k for k in range(len(rows))],
                    [row[0] for row in rows]]
-        assert span_solver(factors)(vectors) == [solve_in_span(rows, b) for b in vectors]
+        assert span_solver(factors)(sparse(vectors)) == [_solve_in_span(rows, b)
+                                                         for b in vectors]
 
     def test_solver_keeps_no_factor(self):
         """The solver holds the pieces it reads, not U, D or V themselves."""
-        factors = diagonalize([[2, 4, 0], [0, 0, 3]])
+        factors = diagonalize(sparse([[2, 4, 0], [0, 0, 3]]))
         held = [cell.cell_contents for cell in span_solver(factors).__closure__]
         assert not any(any(value is M for M in factors) for value in held)
         assert not any(isinstance(value, SparseMatrix) for value in held)
@@ -286,7 +273,7 @@ class TestSparseNonUnit:
         assert helpers.is_zero(mat_mul(rows, K.dense()))
         for vec in sympy.Matrix(rows).nullspace():
             scale = sympy.lcm([term.q for term in vec])
-            assert solve_in_span(K, [int(term * scale) for term in vec]) is not None
+            assert solve_in_span(K, _sparse_vec([int(term * scale) for term in vec])) is not None
 
     @settings(max_examples=60, deadline=None)
     @given(helpers.sparse_int_matrices(max_dim=4, max_entry=4), st.data())
@@ -295,7 +282,7 @@ class TestSparseNonUnit:
         m, n = A.shape
         vectors = data.draw(st.lists(
             st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=1, max_size=3))
-        for b, x in zip(vectors, span_solver(diagonalize(A))(vectors)):
+        for b, x in zip(vectors, span_solver(diagonalize(A))(sparse(vectors))):
             assert (x is not None) == helpers.integer_solvable_oracle(rows, b)
             if x is not None:
                 assert mat_vec(rows, _vec(x, n)) == b

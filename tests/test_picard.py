@@ -33,6 +33,10 @@ class TestPicClassAlgebra:
             PicClass(4, ((B, 2, 1), (B, 2, 1)))
         with pytest.raises(ValueError):
             base_det(4, 2) + base_det(5, 2)
+        with pytest.raises(ValueError):
+            PicClass(4, ((B, 2),))
+        with pytest.raises(ValueError):
+            PicClassMod2(4, ((B, 2, 0),))
 
     def test_rejects_bool_rank(self):
         with pytest.raises(ValueError):

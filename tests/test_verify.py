@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import importlib.util
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -11,8 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from wittgrass import grassmann_witt, verify, witt_modules
+from wittgrass import diagrams, grassmann_witt, verify, witt_modules
 from wittgrass.cli import main
+from wittgrass.grassmann_witt import expected_rank
 from wittgrass.verify import SUITE_FIRST_FRAME, verify_suites
 
 
@@ -22,7 +24,7 @@ def calls(monkeypatch):
     by the frame (d, e) followed by the keyword arguments' values."""
     seen = {}
     for name in ("cyclic_sequence", "verify_exactness", "verify_degree_transport",
-                 "enumerate_even", "bord_vanishes", "duality_check",
+                 "cond_even_verdicts", "bord_vanishes", "duality_check",
                  "induction_report"):
         seen[name] = Counter()
 
@@ -77,7 +79,8 @@ class TestSharedWork:
         verify_suites("all", 5)
         assert calls["verify_degree_transport"] == Counter(
             {(d, e, False): 1 for d, e in _frames(2, 5)})
-        assert calls["enumerate_even"] == _frames(1, 5)
+        assert calls["cond_even_verdicts"] == Counter(
+            {(d, e): expected_rank(d, e) for d, e in _frames(1, 5)})
         assert calls["bord_vanishes"] == _frames(2, 5)
         assert calls["duality_check"] == _frames(1, 5)
         assert calls["induction_report"] == _frames(2, 5)
@@ -138,12 +141,29 @@ class TestBasisStore:
         assert all(n == 2 and d > e >= 1 for (d, e), n in again.items())
         assert sum(builds.frames.values()) <= 108
 
-    @pytest.mark.parametrize("scope", ["all", "degrees", "duality"])
+    @pytest.mark.parametrize("scope", ["all", "degrees", "duality", "cond-even"])
     def test_store_stays_bounded(self, builds, scope):
         """The store, and every basis still referenced, holds two rows of
         frames at most."""
         verify_suites(scope, 9)
         assert 0 < builds.peak <= 2 * (9 + 1)
+
+    def test_diagrams_are_enumerated_only_to_build_bases(self, monkeypatch):
+        """Cond-even reads the run's bases: every enumeration of even diagrams
+        comes from build_basis, once per diagram frame it builds."""
+        callers = Counter()
+        original = diagrams.enumerate_even
+
+        def counted(d, e):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return original(d, e)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("wittgrass") and \
+                    getattr(module, "enumerate_even", None) is original:
+                monkeypatch.setattr(module, "enumerate_even", counted)
+        verify_suites("all", 8)
+        assert callers == Counter({"build_basis": 92})
 
 
 class TestOnePass:

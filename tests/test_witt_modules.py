@@ -10,7 +10,7 @@ from wittgrass import (FramedDiagram, GradedDegree, PointGenerator,
                        build_basis, cyclic_sequence,
                        degree, induction_report, intmatrix, map_matrix,
                        verify_degree_transport, verify_exactness)
-from wittgrass.intmatrix import (SparseMatrix, as_sparse, diagonalize, kernel_rows, multiply,
+from wittgrass.intmatrix import (SparseMatrix, diagonalize, kernel_rows, multiply,
                                  rank_mod_p, span_solver)
 from wittgrass.verify import verify_suites
 from wittgrass.witt_modules import (_linear_position, _mod_p_position,
@@ -199,14 +199,14 @@ def _without_column(matrix, j):
 
 
 def _linear(A, B, width, middle):
-    """The integer-linear verdict on dense matrices, converted at intmatrix's edge."""
-    A, B = as_sparse(A, width), as_sparse(B, middle)
+    """The integer-linear verdict on dense matrices, converted by helpers.sparse."""
+    A, B = helpers.sparse(A, width), helpers.sparse(B, middle)
     return _linear_position(span_solver(diagonalize(A)), kernel_rows(diagonalize(B)),
                             multiply(B, A))
 
 
 def _mod_p(A, B, width, middle, p):
-    A, B = as_sparse(A, width), as_sparse(B, middle)
+    A, B = helpers.sparse(A, width), helpers.sparse(B, middle)
     return _mod_p_position(rank_mod_p(A, p), rank_mod_p(B, p), A.shape[0],
                            multiply(B, A), p)
 
