@@ -95,11 +95,15 @@ class FramedDiagram:
         """Half-perimeter parity (first row + nonzero rows) mod 2."""
         return (self.rows[0] + self.rho()) % 2
 
-    def jump_tuples(self) -> JumpTuples:
-        """Encode as jump tuples: drop positions and their co-lengths."""
+    def jumps(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Drop positions and their co-lengths, as plain (dvec, evec) tuples."""
         rows = self.rows
-        dvec = [pos for pos in range(1, self.d) if rows[pos] < rows[pos - 1]] + [self.d]
-        return JumpTuples(dvec, [self.e - rows[pos - 1] for pos in dvec])
+        dvec = (*(pos for pos in range(1, self.d) if rows[pos] < rows[pos - 1]), self.d)
+        return dvec, tuple(self.e - rows[pos - 1] for pos in dvec)
+
+    def jump_tuples(self) -> JumpTuples:
+        """Encode as validated jump tuples."""
+        return JumpTuples(*self.jumps())
 
     def is_even(self) -> bool:
         """Whether every boundary stretch strictly inside the frame has even length.

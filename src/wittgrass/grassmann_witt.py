@@ -36,8 +36,8 @@ def expected_rank(d: int, e: int) -> int:
 
 def total_witt_basis(d: int, e: int) -> GradedBasis:
     """Diagram basis of the frame with every entry's twist cancellation validated."""
-    if d < 1 or e < 1:
-        raise ValueError("frame dimensions must be at least 1")
+    if type(d) is not int or type(e) is not int or d < 1 or e < 1:
+        raise ValueError("frame dimensions must be integers, at least 1")
     basis = build_basis(d, e)
     for diagram, _ in basis.elements:
         if not verify_cond_even(diagram):

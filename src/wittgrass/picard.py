@@ -11,6 +11,12 @@ On a flag bundle cut out by jump tuples, a step with co-length zero makes the
 tautological subbundle a pullback from the base; the normalization rule
 rewrites ``TautDet(d_i) -> BaseDet(d_i)`` whenever ``e_i = 0``, and every
 constructor here applies it.  All arithmetic is exact.
+
+The cond-even verdicts build no class: they read a diagram's mod-2 fiber
+canonical and its pulled-back twist as two int masks, ``BaseDet(i)`` at bit
+i and ``TautDet(j)`` at bit n + j, and each mask function applies the
+normalization as one move of a bit from n + d_1 to d_1.  ``PicClass`` serves
+the ``canonical`` command, ``les_twists`` and the tests' references.
 """
 
 from __future__ import annotations
@@ -251,42 +257,57 @@ def twist_class(diagram: FramedDiagram) -> PicClassMod2:
     return PicClassMod2(n, tuple(support))
 
 
-def _fiber_canonical(diagram: FramedDiagram, tuples: JumpTuples) -> PicClassMod2:
-    return rel_canonical_fiber(tuples, diagram.d, diagram.e).mod2()
+def _fiber_mask(d: int, e: int, dvec: tuple[int, ...], evec: tuple[int, ...]) -> int:
+    # rel_canonical_fiber(JumpTuples(dvec, evec), d, e).mod2() as a bit mask,
+    # from _flag_canonical's coefficients with top_base = d: step i puts
+    # d_{i-1}-d_i on BaseDet(d_i+e_i) and d_i-d_{i-1}+e_i-e_{i+1} on
+    # TautDet(d_i); as d_k = d, last_taut = -d_{k-1}+e_k-e has the parity of
+    # that rule with e_{k+1} = n
+    n = d + e
+    mask = (d & 1) << n
+    prev = 0
+    for di, ei, e_next in zip(dvec, evec, (*evec[1:], n)):
+        step = (di - prev) & 1
+        mask ^= step << (di + ei) | (step ^ (ei - e_next) & 1) << (n + di)
+        prev = di
+    if evec[0] == 0 and mask >> (n + dvec[0]) & 1:  # co-length zero: TautDet(d_1)
+        mask ^= 1 << (n + dvec[0]) | 1 << dvec[0]  # becomes BaseDet(d_1)
+    return mask
 
 
-def _cancels(diagram: FramedDiagram, tuples: JumpTuples, canonical: PicClassMod2) -> bool:
-    # the fiber canonical plus the pullback of the diagram's twist vanishes mod 2
-    return (canonical + pullback_to_flag(twist_class(diagram), tuples)).is_zero()
+def _twist_mask(diagram: FramedDiagram, dvec: tuple[int, ...], evec: tuple[int, ...]) -> int:
+    # pullback_to_flag(twist_class(diagram), tuples) as a bit mask: TautDet(d)
+    # is normalized to BaseDet(d) only when d_1 = d, that is k = 1, and e_1 = 0
+    d, n = diagram.d, diagram.d + diagram.e
+    taut = d if len(dvec) == 1 and evec[0] == 0 else n + d
+    return (diagram.rho() & 1) << n | diagram.twist() << taut
 
 
-def _admissible(diagram: FramedDiagram, tuples: JumpTuples) -> bool:
-    # the parity conditions of pushforward_admissible, read off the jump tuples
-    dv, ev, k = tuples.dvec, tuples.evec, tuples.k
-    for i in range(2, k):  # 1-based interior steps
-        if (dv[i - 1] - dv[i - 2] + ev[i] - ev[i - 1]) % 2:
+def _admissible(diagram: FramedDiagram, dvec: tuple[int, ...], evec: tuple[int, ...]) -> bool:
+    # the parity conditions of pushforward_admissible, read off the jumps
+    for i in range(2, len(dvec)):  # 1-based interior steps
+        if (dvec[i - 1] - dvec[i - 2] + evec[i] - evec[i - 1]) % 2:
             return False
-    if k >= 2 and 0 < ev[0] < diagram.e and (dv[0] + ev[1] - ev[0]) % 2:
+    if len(dvec) >= 2 and 0 < evec[0] < diagram.e and (dvec[0] + evec[1] - evec[0]) % 2:
         return False
     return True
 
 
-def _in_span(tuples: JumpTuples, canonical: PicClassMod2) -> bool:
-    # no TautDet but TautDet(d_k) survives in the fiber canonical
-    dk = tuples.dvec[-1]
-    return all(kind == BASE or index == dk for kind, index in canonical.support)
+def _in_span(diagram: FramedDiagram, fiber: int) -> bool:
+    # no TautDet bit but TautDet(d) = TautDet(d_k) is set in the fiber mask
+    return not fiber >> (diagram.d + diagram.e) & ~(1 | 1 << diagram.d)
 
 
 def verify_cond_even(diagram: FramedDiagram) -> bool:
     """Check the mod-2 cancellation of the fiber canonical against the twist.
 
     For an even diagram, the relative canonical of its flag locus plus the
-    pullback of the diagram's twist class must vanish mod 2.
+    pullback of the diagram's twist class must vanish mod 2: equal masks.
     """
     if not diagram.is_even():
         raise ValueError("verify_cond_even expects an even diagram")
-    t = diagram.jump_tuples()
-    return _cancels(diagram, t, _fiber_canonical(diagram, t))
+    dvec, evec = diagram.jumps()
+    return _fiber_mask(diagram.d, diagram.e, dvec, evec) == _twist_mask(diagram, dvec, evec)
 
 
 def pushforward_admissible(diagram: FramedDiagram) -> bool:
@@ -296,7 +317,7 @@ def pushforward_admissible(diagram: FramedDiagram) -> bool:
     d_1+e_2-e_1 even.  Both are vacuous for k = 1.  Every even diagram
     passes; some non-even diagrams do too.
     """
-    return _admissible(diagram, diagram.jump_tuples())
+    return _admissible(diagram, *diagram.jumps())
 
 
 def canonical_in_pullback_span(diagram: FramedDiagram) -> bool:
@@ -306,23 +327,22 @@ def canonical_in_pullback_span(diagram: FramedDiagram) -> bool:
     generators and TautDet(d_k); membership means no other TautDet survives.
     Agrees with pushforward_admissible on every diagram.
     """
-    t = diagram.jump_tuples()
-    return _in_span(t, _fiber_canonical(diagram, t))
+    return _in_span(diagram, _fiber_mask(diagram.d, diagram.e, *diagram.jumps()))
 
 
 def cond_even_verdicts(diagram: FramedDiagram) -> tuple[bool, bool, bool]:
     """``verify_cond_even``, ``pushforward_admissible`` and
     ``canonical_in_pullback_span`` of an even diagram, in that order.
 
-    The three verdicts stay separate, but read one jump-tuple encoding and
-    one fiber canonical.  Raises ValueError on a diagram that is not even.
+    The three verdicts stay separate, but read one jump encoding and one
+    fiber mask.  Raises ValueError on a diagram that is not even.
     """
     if not diagram.is_even():
         raise ValueError("cond_even_verdicts expects an even diagram")
-    t = diagram.jump_tuples()
-    canonical = _fiber_canonical(diagram, t)
-    return (_cancels(diagram, t, canonical), _admissible(diagram, t),
-            _in_span(t, canonical))
+    dvec, evec = diagram.jumps()
+    fiber = _fiber_mask(diagram.d, diagram.e, dvec, evec)
+    return (fiber == _twist_mask(diagram, dvec, evec), _admissible(diagram, dvec, evec),
+            _in_span(diagram, fiber))
 
 
 class CellCanonicals(NamedTuple):

@@ -64,10 +64,15 @@ class PointGenerator:
         return f"pt{self.index}"
 
 
+@cache  # each distinct degree is built and checked once; 16 at most per n
+def _graded_degree(n: int, shift: int, odd_rho: int, twist: int) -> GradedDegree:
+    return GradedDegree(shift, (n,) if odd_rho else (), twist)
+
+
 def degree(diagram: FramedDiagram) -> GradedDegree:
     """Graded degree of a diagram generator: base BaseDet(d+e) when rho is odd."""
-    base = (diagram.d + diagram.e,) if diagram.rho() % 2 else ()
-    return GradedDegree(diagram.area() % 4, base, diagram.twist())
+    return _graded_degree(diagram.d + diagram.e, diagram.area() % 4, diagram.rho() % 2,
+                          diagram.twist())
 
 
 @dataclass(frozen=True)
@@ -120,18 +125,13 @@ def check_frame(d: int, e: int) -> None:
 def build_basis(d: int, e: int) -> GradedBasis:
     """Basis of the frame (d,e); degenerate frames get the two point generators.
 
-    Elements of equal degree share one ``GradedDegree``; a frame has at most 16.
+    Elements of equal degree share the one ``GradedDegree`` ``degree`` returns.
     """
     check_frame(d, e)
     if d == 0 or e == 0:
         elems = tuple((PointGenerator(i), GradedDegree(0, (), i)) for i in (0, 1))
     else:
-        shared: dict[GradedDegree, GradedDegree] = {}
-        elems = []
-        for dg in enumerate_even(d, e):
-            deg = degree(dg)
-            elems.append((dg, shared.setdefault(deg, deg)))
-        elems = tuple(elems)
+        elems = tuple((dg, degree(dg)) for dg in enumerate_even(d, e))
     return GradedBasis(d, e, elems)
 
 

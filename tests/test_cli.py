@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wittgrass.cli import ascii_diagram, main
 from wittgrass.verify import verify_suites
-from wittgrass import FramedDiagram, map_matrix, picard, taut_det
+from wittgrass import FramedDiagram, map_matrix, picard
 
 
 def run(capsys, *argv):
@@ -218,23 +218,23 @@ class TestVerify:
 
 
 class TestVerificationFailure:
-    """Exit code 1: a broken canonical class, a stray TautDet(d_1) in the
-    canonical of rows (4, 2, 2) of the 3x4 frame, fails every command that
+    """Exit code 1: a broken canonical, a stray TautDet(d_1) bit in the fiber
+    mask of rows (4, 2, 2) of the 3x4 frame, fails every command that
     validates that frame's twists."""
 
     @pytest.fixture
     def broken(self, monkeypatch):
         diagram = FramedDiagram(3, 4, (4, 2, 2))
-        tuples = diagram.jump_tuples()
-        original = picard.rel_canonical_fiber
+        jumps = diagram.jumps()
+        original = picard._fiber_mask
 
-        def stray_term(t, d, e):
-            cls = original(t, d, e)
-            if (t, d, e) == (tuples, diagram.d, diagram.e):
-                return cls + taut_det(cls.n, t.dvec[0])
-            return cls
+        def stray_term(d, e, dvec, evec):
+            mask = original(d, e, dvec, evec)
+            if (d, e, (dvec, evec)) == (diagram.d, diagram.e, jumps):
+                return mask ^ 1 << (d + e + dvec[0])  # TautDet(d_1)
+            return mask
 
-        monkeypatch.setattr(picard, "rel_canonical_fiber", stray_term)
+        monkeypatch.setattr(picard, "_fiber_mask", stray_term)
 
     @pytest.mark.parametrize("argv", [["table", "--d", "3", "--e", "4"],
                                       ["enumerate", "--d", "3", "--e", "4",

@@ -50,6 +50,14 @@ class TestRanks:
         with pytest.raises(ValueError):
             total_witt_basis(0, 3)
 
+    @pytest.mark.parametrize("frame", [(0, 3), (3, 0), (-1, 2), ("2", 2), (2.0, 2),
+                                       (True, 3), (2, False)])
+    def test_basis_rejects_point_and_non_int_frames(self, frame):
+        """One message, enumerate_even's, for point frames and non-int
+        dimensions alike."""
+        with pytest.raises(ValueError, match="frame dimensions must be integers, at least 1"):
+            total_witt_basis(*frame)
+
     def test_rank_table_frozen(self):
         assert rank_table(1, 1) == {(0, 0): 1, (1, 0): 1}
         assert rank_table(2, 2) == {(0, 0): 2, (2, 1): 2}

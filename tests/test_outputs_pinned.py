@@ -1,9 +1,10 @@
 """CLI outputs pinned to the benchmark's recorded digests.
 
-Runs every operation of the benchmark's smoke workload through `cli.main`
-and compares its exit code and stdout sha256 with perfbench/expected.json,
-so that a byte change in an output fails here before the benchmark sees it.
-The file is only read.
+Runs every operation of the benchmark's smoke workload, and of its
+verify-all-8 and wide-sweep-11 workloads, through `cli.main` and compares
+its exit code and stdout sha256 with perfbench/expected.json, so that a byte
+change in an output fails here before the benchmark sees it.  The file is
+only read.
 """
 
 import hashlib
@@ -25,9 +26,14 @@ SMOKE_OPS = [
     ["classify", *FRAME_4],
     *(["maps", *FRAME_4, "--which", which] for which in ("iota", "kappa", "bord")),
 ]
+WORKLOAD_OPS = [
+    ["verify", "--scope", "all", "--max-frame", "8"],
+    *(["verify", "--scope", scope, "--max-frame", "11"]
+      for scope in ("degrees", "cond-even", "bord", "duality")),
+]
 
 
-@pytest.mark.parametrize("argv", SMOKE_OPS, ids=" ".join)
+@pytest.mark.parametrize("argv", SMOKE_OPS + WORKLOAD_OPS, ids=" ".join)
 def test_output_matches_recorded_digest(capsys, argv):
     code = main(list(argv))
     out = capsys.readouterr().out.encode("utf-8")

@@ -172,17 +172,17 @@ class TestTwist:
     def test_suite_reports_a_broken_canonical(self, monkeypatch):
         """A stray TautDet(d_1) in one diagram's canonical fails exactly that diagram."""
         broken = FramedDiagram(3, 4, (4, 2, 2))
-        t = broken.jump_tuples()
-        assert broken.is_even() and t.dvec[0] != t.dvec[-1]
-        original = picard.rel_canonical_fiber
+        jumps = broken.jumps()
+        assert broken.is_even() and jumps[0][0] != jumps[0][-1]
+        original = picard._fiber_mask
 
-        def stray_term(tuples, d, e):
-            cls = original(tuples, d, e)
-            if (tuples, d, e) == (t, broken.d, broken.e):
-                return cls + taut_det(cls.n, tuples.dvec[0])
-            return cls
+        def stray_term(d, e, dvec, evec):
+            mask = original(d, e, dvec, evec)
+            if (d, e, (dvec, evec)) == (broken.d, broken.e, jumps):
+                return mask ^ 1 << (d + e + dvec[0])  # TautDet(d_1)
+            return mask
 
-        monkeypatch.setattr(picard, "rel_canonical_fiber", stray_term)
+        monkeypatch.setattr(picard, "_fiber_mask", stray_term)
         assert not verify_cond_even(broken)
         assert all(verify_cond_even(dg) for dg in enumerate_even(3, 4) if dg != broken)
         suite = verify_suites("cond-even", 4)["cond-even"]
@@ -196,8 +196,8 @@ class TestTwist:
         broken = FramedDiagram(3, 4, (4, 2, 2))
         original = picard._admissible
 
-        def fails_broken(diagram, tuples):
-            return diagram != broken and original(diagram, tuples)
+        def fails_broken(diagram, dvec, evec):
+            return diagram != broken and original(diagram, dvec, evec)
 
         monkeypatch.setattr(picard, "_admissible", fails_broken)
         assert not pushforward_admissible(broken)
@@ -208,7 +208,7 @@ class TestTwist:
 
 
 class TestCondEvenVerdicts:
-    """One jump-tuple encoding and one fiber canonical give all three verdicts."""
+    """One jump encoding and one fiber mask give all three verdicts."""
 
     def test_equal_to_the_three_checks(self):
         for d in range(1, 9):
@@ -220,14 +220,15 @@ class TestCondEvenVerdicts:
 
     def test_equal_to_the_three_checks_on_a_broken_canonical(self, monkeypatch):
         broken = FramedDiagram(3, 4, (4, 2, 2))
-        t = broken.jump_tuples()
-        original = picard.rel_canonical_fiber
+        jumps = broken.jumps()
+        original = picard._fiber_mask
 
-        def stray_term(tuples, d, e):
-            cls = original(tuples, d, e)
-            return cls + taut_det(cls.n, tuples.dvec[0]) if tuples == t else cls
+        def stray_term(d, e, dvec, evec):
+            mask = original(d, e, dvec, evec)
+            stray = 1 << (d + e + dvec[0])  # TautDet(d_1)
+            return mask ^ stray if (d, e, (dvec, evec)) == (3, 4, jumps) else mask
 
-        monkeypatch.setattr(picard, "rel_canonical_fiber", stray_term)
+        monkeypatch.setattr(picard, "_fiber_mask", stray_term)
         assert cond_even_verdicts(broken) == (False, True, False) == (
             verify_cond_even(broken), pushforward_admissible(broken),
             canonical_in_pullback_span(broken))
@@ -238,11 +239,65 @@ class TestCondEvenVerdicts:
 
     def test_admissibility_reads_no_canonical(self, monkeypatch):
         def unread(*args):
-            raise AssertionError("the fiber canonical was computed")
+            raise AssertionError("the fiber mask was computed")
 
-        monkeypatch.setattr(picard, "rel_canonical_fiber", unread)
+        monkeypatch.setattr(picard, "_fiber_mask", unread)
         assert pushforward_admissible(FramedDiagram(3, 3, (2, 1, 1)))
         assert all(pushforward_admissible(dg) for dg in enumerate_even(4, 5))
+
+
+def _support(mask, n):
+    """Generators of a mask: bit i is BaseDet(i), bit n + j is TautDet(j)."""
+    return {(B, i) if i <= n else (T, i - n) for i in range(mask.bit_length())
+            if mask >> i & 1}
+
+
+def _row_vectors_up_to_8x8():
+    for d in range(1, 9):
+        for e in range(1, 9):
+            for rows in helpers.all_row_vectors(d, e):
+                yield FramedDiagram(d, e, rows)
+
+
+class TestMasks:
+    """The two masks the verdicts read, held to the coefficient oracle and to
+    the PicClass route on every row vector up to 8x8, even or not."""
+
+    def test_match_the_coefficient_oracle(self):
+        count = 0
+        for dg in _row_vectors_up_to_8x8():
+            d, e, n = dg.d, dg.e, dg.d + dg.e
+            dvec, evec = dg.jumps()
+            fiber = helpers.canonical_fiber_oracle(dvec, evec, d, e)
+            assert _support(picard._fiber_mask(d, e, dvec, evec), n) == {
+                key for key, c in fiber.items() if c % 2}, dg.rows
+            twist = helpers._normalized({(B, n): dg.rho(), (T, d): dg.twist()}, dvec, evec)
+            assert _support(picard._twist_mask(dg, dvec, evec), n) == {
+                key for key, c in twist.items() if c % 2}, dg.rows
+            count += 1
+        assert count == 48602
+
+    def test_match_the_picard_class_route(self):
+        for dg in _row_vectors_up_to_8x8():
+            d, e, n = dg.d, dg.e, dg.d + dg.e
+            t = dg.jump_tuples()
+            dvec, evec = dg.jumps()
+            assert _support(picard._fiber_mask(d, e, dvec, evec), n) == set(
+                rel_canonical_fiber(t, d, e).mod2().support), dg.rows
+            assert _support(picard._twist_mask(dg, dvec, evec), n) == set(
+                pullback_to_flag(twist_class(dg), t).support), dg.rows
+
+    def test_verdicts_build_no_picard_class(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("a Picard class was built")
+
+        monkeypatch.setattr(picard, "_validated_terms", unbuilt)
+        with pytest.raises(AssertionError, match="was built"):
+            twist_class(FramedDiagram(2, 2, (1, 1)))
+        for dg in enumerate_even(5, 6):
+            assert cond_even_verdicts(dg) == (True, True, True), dg.rows
+            assert verify_cond_even(dg) and canonical_in_pullback_span(dg)
+        assert verify_suites("cond-even", 6)["cond-even"]["ok"]
 
 
 class TestAdmissibility:
