@@ -7,11 +7,11 @@ of tautological subbundles upstairs.  Everything is exact integer data.
 Run with: python3 demos/02_line_bundle_calculus.py
 """
 
-from wittgrass import (FramedDiagram, JumpTuples, base_det,
+from wittgrass import (FramedDiagram, JumpTuples, base_det, cond_even_verdicts,
                        pushforward_admissible, quotient_det,
                        rel_canonical_fiber, rel_canonical_flag,
                        rel_canonical_grass, relative_dimension, taut_det,
-                       twist_class, verify_cond_even)
+                       twist_class)
 
 
 def pretty(cls):
@@ -52,11 +52,13 @@ print("  " + pretty(rel_canonical_flag(full, 3)))
 print()
 
 print("The mod-2 twist of an even diagram pairs the nonzero-row parity with")
-print("the twist bit:")
+print("the twist bit; it cancels the fiber canonical, the push-forward is")
+print("admissible and the canonical lies in the pullback span:")
 for rows in [(2, 2), (2, 0), (1, 1)]:
     dg = FramedDiagram(2, 2, rows)
+    cancels, admissible, in_span = cond_even_verdicts(dg)
     print(f"  rows={rows}: support {twist_class(dg).support}"
-          f"  cancellation ok: {verify_cond_even(dg)}")
+          f"  cancels={cancels} admissible={admissible} in span={in_span}")
 print()
 
 print("Push-forward parity test on 3x3 diagrams (even ones always pass,")

@@ -95,22 +95,23 @@ def _cmd_enumerate(args) -> int:
     if args.format == "svg" and args.cell_size < 4:
         raise ValueError("svg needs cell_size >= 4")
     basis = total_witt_basis(args.d, args.e)
+    elements = [(basis.element(i), deg) for i, deg in enumerate(basis.degrees)]
     if args.format == "json":
         payload = {"frame": [args.d, args.e], "count": len(basis),
                    "diagrams": [{**dg.to_json(), "degree": deg.to_json()}
-                                for dg, deg in basis.elements]}
+                                for dg, deg in elements]}
         _print_json(payload)
         return 0
     if args.format == "svg":
         groups: dict[tuple[int, int], list[FramedDiagram]] = {}
-        for dg, deg in basis.elements:
+        for dg, deg in elements:
             groups.setdefault((deg.shift, deg.det_twist), []).append(dg)
         rows = [(f"shift={key[0]} twist={key[1]}", groups[key])
                 for key in sorted(groups)]
         print(_svg_sheet(rows, args.cell_size, args.annotate))
         return 0
     blocks = []
-    for dg, deg in basis.elements:
+    for dg, deg in elements:
         header = f"rows={dg.rows}"
         if args.annotate:
             base = ",".join(map(str, deg.base))

@@ -6,15 +6,13 @@ frame is part of the data, and the same row vector can satisfy the evenness
 conditions in one frame while failing them in a larger one.
 
 This module owns the combinatorics of one frame: construction and validation,
-the jump-tuple encoding and its inverse, the numeric invariants (area,
-nonzero-row count, co-rank, half-perimeter parity), and evenness, stated once
-on the rows: all rows share one parity, and every value strictly between 0
-and e occurs an even number of times.  ``is_even`` checks that rule, and
-``enumerate_even`` builds the even diagrams of a frame from it.  Transposition
-into the flipped frame is stated once, as a rule on row tuples
-(``transpose_rows``), which the duality check applies to a basis element's
-rows.  The three maps between neighbouring frames are stated in
-``witt_modules``.
+the jump-tuple encoding (``row_jumps``, on row tuples) and its inverse, the
+numeric invariants, transposition (``transpose_rows``, on row tuples), and
+evenness, stated once on the rows: all rows share one parity, and every value
+strictly between 0 and e occurs an even number of times.  ``is_even`` checks
+that rule, ``even_rows`` builds a frame's even row tuples from it, with no
+``FramedDiagram`` each, and ``even_counts`` counts their completions, by which
+``even_rank`` ranks a row tuple.  The maps between frames are in ``witt_modules``.
 """
 
 from __future__ import annotations
@@ -95,15 +93,9 @@ class FramedDiagram:
         """Half-perimeter parity (first row + nonzero rows) mod 2."""
         return (self.rows[0] + self.rho()) % 2
 
-    def jumps(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Drop positions and their co-lengths, as plain (dvec, evec) tuples."""
-        rows = self.rows
-        dvec = (*(pos for pos in range(1, self.d) if rows[pos] < rows[pos - 1]), self.d)
-        return dvec, tuple(self.e - rows[pos - 1] for pos in dvec)
-
     def jump_tuples(self) -> JumpTuples:
         """Encode as validated jump tuples."""
-        return JumpTuples(*self.jumps())
+        return JumpTuples(*row_jumps(self.rows, self.e))
 
     def is_even(self) -> bool:
         """Whether every boundary stretch strictly inside the frame has even length.
@@ -134,14 +126,20 @@ def from_jump_tuples(tuples: JumpTuples, d: int, e: int) -> FramedDiagram:
                                 for _ in range(end - start)])
 
 
-def enumerate_even(d: int, e: int) -> tuple[FramedDiagram, ...]:
-    """All even diagrams of the d-by-e frame, largest row vector first.
+def row_jumps(rows: tuple[int, ...], e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Drop positions of ``rows``, of width ``e``, and their co-lengths: (dvec, evec)."""
+    d = len(rows)
+    dvec = (*(pos for pos in range(1, d) if rows[pos] < rows[pos - 1]), d)
+    return dvec, tuple(e - rows[pos - 1] for pos in dvec)
+
+
+def even_rows(d: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """Row tuples of the even diagrams of the d-by-e frame, largest first.
 
     Built from the rule of ``FramedDiagram.is_even``: for each parity p, rows
     equal to e (only when e has parity p) over equal pairs of values of
     parity p strictly between 0 and e over rows equal to 0 (only when p is
-    0).  So the cost tracks the number of even diagrams rather than the
-    number of all C(d+e, d) monotone row vectors.
+    0).  So the cost tracks the even diagrams, not all C(d+e, d) row vectors.
     """
     if type(d) is not int or type(e) is not int or d < 1 or e < 1:
         raise ValueError("frame dimensions must be integers, at least 1")
@@ -153,10 +151,53 @@ def enumerate_even(d: int, e: int) -> tuple[FramedDiagram, ...]:
             # all of them at the top when p is 1, none when e has not parity p
             tops = range(rest if p else 0, (rest if e % 2 == p else 0) + 1)
             for chosen in itertools.combinations_with_replacement(values, pairs):
-                middle = [v for v in chosen for _ in (0, 1)]
-                rows += [[e] * top + middle + [0] * (rest - top) for top in tops]
+                middle = tuple(sorted(chosen * 2, reverse=True))  # each value twice
+                rows += [(e,) * top + middle + (0,) * (rest - top) for top in tops]
     rows.sort(reverse=True)
-    return tuple(FramedDiagram(d, e, r) for r in rows)
+    return tuple(rows)
+
+
+def even_counts(d: int, e: int) -> list[list[list[int]]]:
+    """table[p][k][b]: how many k-row tails, of parity p and rows at most b, end an
+    even diagram of width e; by the rule of ``is_even`` each starts with e or 0, or
+    with a pair of one value between.  The d-by-e frame has [0][d][e] + [1][d][e]."""
+    table, ends = [[[1] * (e + 1)], [[1] * (e + 1)]], (0, e)
+    for p, counts in enumerate(table):
+        for k in range(1, d + 1):
+            counts.append(list(itertools.accumulate(
+                0 if v % 2 != p else counts[k - 1][v] if v in ends
+                else counts[k - 2][v] if k > 1 else 0 for v in range(e + 1))))
+    return table
+
+
+def even_rank(rows, d: int, e: int, counts: list[list[list[int]]]) -> int | None:
+    """Position of ``rows`` in ``even_rows(d, e)``, or None when it is not there.
+    One pass: ``counts = even_counts(d, e)`` gives, at each row, how many come first."""
+    if type(rows) is not tuple or len(rows) != d or type(rows[0]) is not int:
+        return None
+    parity, it = rows[0] % 2, iter(rows)
+    table, position, bound, k = counts[parity], 0, e, d  # k: the rows left
+    for r in it:
+        if r != bound:  # a smaller row here: the rows with a larger one come first
+            if type(r) is not int or not 0 <= r < bound or r % 2 != parity:
+                return None
+            position += table[k][bound] - table[k][r]
+            bound = r
+        elif type(r) is not int:
+            return None
+        k -= 1
+        if 0 < r < e:  # an interior row opens a pair, which the next row closes
+            closer = next(it, None)
+            if type(closer) is not int or closer != r:
+                return None
+            k -= 1
+    other = counts[1 - parity][d]  # the other parity, first row larger
+    return position + other[e] - other[rows[0]]
+
+
+def enumerate_even(d: int, e: int) -> tuple[FramedDiagram, ...]:
+    """A ``FramedDiagram`` of each row tuple of ``even_rows(d, e)``, in order."""
+    return tuple(FramedDiagram(d, e, rows) for rows in even_rows(d, e))
 
 
 def transpose_rows(rows: tuple[int, ...], e: int) -> tuple[int, ...]:

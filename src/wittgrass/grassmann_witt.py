@@ -1,11 +1,11 @@
 """Total Witt basis of a Grassmann bundle frame, with tables and certificates.
 
-The graded basis of a frame is indexed by its even diagrams.  This module
-assembles it with validated degrees, folds it into rank tables, classifies
-every even diagram into exactly one of four strip-and-blocks families,
-decides when the connecting map vanishes, checks the transpose duality
-between mirror frames, and emits a machine-readable certificate per frame
-combining exactness, degree transport and the basis partition.
+The graded basis of a frame is keyed by the rows of its even diagrams.  This
+module assembles it with validated twists, folds it into rank tables,
+classifies every even diagram into exactly one of four strip-and-blocks
+families, decides when the connecting map vanishes, checks the transpose
+duality between mirror frames, and emits a machine-readable certificate per
+frame combining exactness, degree transport and the basis partition.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .diagrams import FramedDiagram, transpose_rows
-from .picard import verify_cond_even
+from .picard import cond_even_rows
 from .witt_modules import (CyclicSequence, ExactnessReport, GradedBasis,
                            TransportReport, build_basis, check_frame)
 
@@ -39,16 +39,16 @@ def total_witt_basis(d: int, e: int) -> GradedBasis:
     if type(d) is not int or type(e) is not int or d < 1 or e < 1:
         raise ValueError("frame dimensions must be integers, at least 1")
     basis = build_basis(d, e)
-    for diagram, _ in basis.elements:
-        if not verify_cond_even(diagram):
-            raise RuntimeError(f"twist cancellation fails for rows={diagram.rows}")
+    for rows in basis.row_index:
+        if not cond_even_rows(d, e, rows)[0]:
+            raise RuntimeError(f"twist cancellation fails for rows={rows}")
     return basis
 
 
 def rank_table(d: int, e: int, trivial_base: bool = True) -> dict:
     """Ranks keyed by (shift, det_twist), adding the base indices when kept."""
     table: dict = {}
-    for _, deg in total_witt_basis(d, e).elements:
+    for deg in total_witt_basis(d, e).degrees:
         if trivial_base:
             key = (deg.shift, deg.det_twist)
         else:
@@ -162,33 +162,32 @@ def duality_check(d: int, e: int,
 
     ``basis`` maps a frame to its graded basis, as in ``cyclic_sequence``;
     by default the bases of (d, e) and (e, d) are built here.  Each mirror
-    is the transpose of a diagram's rows, looked up in the mirror basis's
-    row index.
+    is the transpose of a key's rows, looked up in the mirror basis's row
+    index; both bases pass their rank check.
     """
+    check_frame(d, e)
     if d < 1 or e < 1:
         raise ValueError("duality needs d,e >= 1")
     if basis is None:
         basis = build_basis
     source, target = basis(d, e), basis(e, d)
     index = target.row_index
-    failures = []
-    images = set()
-    for diagram, deg in source.elements:
-        rows = diagram.rows
+    failures, images = [], set()
+    for rows, deg in zip(source.row_index, source.degrees):
         mirror = transpose_rows(rows, e)
         images.add(mirror)
         idx = index.get(mirror)
         if idx is None:
             failures.append((rows, "image not even in mirror frame"))
             continue
-        mirror_deg = target.elements[idx][1]
+        mirror_deg = target.degrees[idx]
         if (deg.shift, deg.det_twist) != (mirror_deg.shift, mirror_deg.det_twist):
             failures.append((rows, "degree not preserved"))
         if transpose_rows(mirror, d) != rows:
             failures.append((rows, "not an involution"))
-    if len(images) != len(source.elements) or len(source.elements) != len(target.elements):
+    if len(images) != len(source) or len(source) != len(target):
         failures.append(((), "not a bijection"))
-    return DualityReport((d, e), len(source.elements), tuple(failures))
+    return DualityReport((d, e), len(source), tuple(failures))
 
 
 def induction_report(seq: CyclicSequence, exact: ExactnessReport,

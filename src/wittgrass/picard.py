@@ -12,10 +12,10 @@ tautological subbundle a pullback from the base; the normalization rule
 rewrites ``TautDet(d_i) -> BaseDet(d_i)`` whenever ``e_i = 0``, and every
 constructor here applies it.  All arithmetic is exact.
 
-The cond-even verdicts build no class: they read a diagram's mod-2 fiber
-canonical and its pulled-back twist as two int masks, ``BaseDet(i)`` at bit
-i and ``TautDet(j)`` at bit n + j, and each mask function applies the
-normalization as one move of a bit from n + d_1 to d_1.  ``PicClass`` serves
+The cond-even verdicts (``cond_even_rows``) build no class: they read a row
+tuple's mod-2 fiber canonical and pulled-back twist as two int masks,
+``BaseDet(i)`` at bit i and ``TautDet(j)`` at bit n + j, and each mask applies
+the normalization as one move of a bit from n + d_1 to d_1.  ``PicClass`` serves
 the ``canonical`` command, ``les_twists`` and the tests' references.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diagrams import FramedDiagram, JumpTuples
+from .diagrams import FramedDiagram, JumpTuples, row_jumps
 
 BASE = "BaseDet"
 TAUT = "TautDet"
@@ -275,27 +275,31 @@ def _fiber_mask(d: int, e: int, dvec: tuple[int, ...], evec: tuple[int, ...]) ->
     return mask
 
 
-def _twist_mask(diagram: FramedDiagram, dvec: tuple[int, ...], evec: tuple[int, ...]) -> int:
+def _twist_mask(d: int, e: int, rows: tuple[int, ...], dvec: tuple, evec: tuple) -> int:
     # pullback_to_flag(twist_class(diagram), tuples) as a bit mask: TautDet(d)
     # is normalized to BaseDet(d) only when d_1 = d, that is k = 1, and e_1 = 0
-    d, n = diagram.d, diagram.d + diagram.e
+    n, rho = d + e, d - rows.count(0)
     taut = d if len(dvec) == 1 and evec[0] == 0 else n + d
-    return (diagram.rho() & 1) << n | diagram.twist() << taut
+    return (rho & 1) << n | (rows[0] + rho & 1) << taut
 
 
-def _admissible(diagram: FramedDiagram, dvec: tuple[int, ...], evec: tuple[int, ...]) -> bool:
+def _admissible(e: int, dvec: tuple[int, ...], evec: tuple[int, ...]) -> bool:
     # the parity conditions of pushforward_admissible, read off the jumps
     for i in range(2, len(dvec)):  # 1-based interior steps
         if (dvec[i - 1] - dvec[i - 2] + evec[i] - evec[i - 1]) % 2:
             return False
-    if len(dvec) >= 2 and 0 < evec[0] < diagram.e and (dvec[0] + evec[1] - evec[0]) % 2:
+    if len(dvec) >= 2 and 0 < evec[0] < e and (dvec[0] + evec[1] - evec[0]) % 2:
         return False
     return True
 
 
-def _in_span(diagram: FramedDiagram, fiber: int) -> bool:
-    # no TautDet bit but TautDet(d) = TautDet(d_k) is set in the fiber mask
-    return not fiber >> (diagram.d + diagram.e) & ~(1 | 1 << diagram.d)
+def cond_even_rows(d: int, e: int, rows: tuple[int, ...]) -> tuple[bool, bool, bool]:
+    """``cond_even_verdicts`` of the d-by-e frame's ``rows``, unchecked for evenness."""
+    dvec, evec = row_jumps(rows, e)
+    fiber = _fiber_mask(d, e, dvec, evec)
+    # in span: no TautDet bit but TautDet(d) = TautDet(d_k) is set in the fiber mask
+    return (fiber == _twist_mask(d, e, rows, dvec, evec), _admissible(e, dvec, evec),
+            not fiber >> (d + e) & ~(1 | 1 << d))
 
 
 def verify_cond_even(diagram: FramedDiagram) -> bool:
@@ -304,10 +308,7 @@ def verify_cond_even(diagram: FramedDiagram) -> bool:
     For an even diagram, the relative canonical of its flag locus plus the
     pullback of the diagram's twist class must vanish mod 2: equal masks.
     """
-    if not diagram.is_even():
-        raise ValueError("verify_cond_even expects an even diagram")
-    dvec, evec = diagram.jumps()
-    return _fiber_mask(diagram.d, diagram.e, dvec, evec) == _twist_mask(diagram, dvec, evec)
+    return cond_even_verdicts(diagram)[0]
 
 
 def pushforward_admissible(diagram: FramedDiagram) -> bool:
@@ -317,7 +318,7 @@ def pushforward_admissible(diagram: FramedDiagram) -> bool:
     d_1+e_2-e_1 even.  Both are vacuous for k = 1.  Every even diagram
     passes; some non-even diagrams do too.
     """
-    return _admissible(diagram, *diagram.jumps())
+    return _admissible(diagram.e, *row_jumps(diagram.rows, diagram.e))
 
 
 def canonical_in_pullback_span(diagram: FramedDiagram) -> bool:
@@ -327,22 +328,17 @@ def canonical_in_pullback_span(diagram: FramedDiagram) -> bool:
     generators and TautDet(d_k); membership means no other TautDet survives.
     Agrees with pushforward_admissible on every diagram.
     """
-    return _in_span(diagram, _fiber_mask(diagram.d, diagram.e, *diagram.jumps()))
+    return cond_even_rows(diagram.d, diagram.e, diagram.rows)[2]
 
 
 def cond_even_verdicts(diagram: FramedDiagram) -> tuple[bool, bool, bool]:
     """``verify_cond_even``, ``pushforward_admissible`` and
-    ``canonical_in_pullback_span`` of an even diagram, in that order.
-
-    The three verdicts stay separate, but read one jump encoding and one
-    fiber mask.  Raises ValueError on a diagram that is not even.
+    ``canonical_in_pullback_span`` of an even diagram, in that order, from one
+    jump encoding and one fiber mask; ValueError on a diagram that is not even.
     """
     if not diagram.is_even():
-        raise ValueError("cond_even_verdicts expects an even diagram")
-    dvec, evec = diagram.jumps()
-    fiber = _fiber_mask(diagram.d, diagram.e, dvec, evec)
-    return (fiber == _twist_mask(diagram, dvec, evec), _admissible(diagram, dvec, evec),
-            _in_span(diagram, fiber))
+        raise ValueError(f"each verdict expects an even diagram, not rows={diagram.rows}")
+    return cond_even_rows(diagram.d, diagram.e, diagram.rows)
 
 
 class CellCanonicals(NamedTuple):

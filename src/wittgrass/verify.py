@@ -4,9 +4,9 @@ Each frame's sequence and its exactness and transport reports are computed at
 most once, on first use, and shared by every suite that checks the frame.
 The graded bases come from one store per run, which keeps two rows of
 frames at most, so each basis a sequence reads is built once; the cond-even
-suite reads its frame's diagrams from the same store.  The duality
-suite checks each mirror pair {(d, e), (e, d)} at the first of its two frames,
-from one pair of bases, and holds the second report until its frame.
+suite reads its frame's keys from the same store and builds no diagram.  The
+duality suite checks each mirror pair {(d, e), (e, d)} at the first of its two
+frames, from one pair of bases, and holds the second report until its frame.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .grassmann_witt import bord_vanishes, duality_check, induction_report
-from .picard import cond_even_verdicts
+from .picard import cond_even_rows
 from .witt_modules import (GradedBasis, build_basis, cyclic_sequence,
                            verify_degree_transport, verify_exactness)
 
@@ -52,12 +52,12 @@ def _failed(reports) -> list:
 
 def _cond_even(f: _Frame) -> list:
     failures = []
-    for dg, _ in f.basis(f.d, f.e).elements:
-        cancels, admissible, in_span = cond_even_verdicts(dg)
+    for rows in f.basis(f.d, f.e).row_index:  # the keys that pass the rank check
+        cancels, admissible, in_span = cond_even_rows(f.d, f.e, rows)
         if not cancels:
-            failures.append({"frame": [f.d, f.e], "rows": list(dg.rows)})
+            failures.append({"frame": [f.d, f.e], "rows": list(rows)})
         if not (admissible and in_span):
-            failures.append({"frame": [f.d, f.e], "rows": list(dg.rows),
+            failures.append({"frame": [f.d, f.e], "rows": list(rows),
                              "reason": "admissibility"})
     return failures
 

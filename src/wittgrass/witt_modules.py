@@ -4,15 +4,14 @@ For a frame (d,e) the cyclic sequence runs
 
     F(d,e-1) --iota--> F(d,e) --kappa--> F(d-1,e) --bord--> F(d,e-1)
 
-with iota, kappa and bord stated once, by ``_image_rule``, as rules on a source
-element's row-index key (a diagram's rows, or a point generator), each image
-looked up in the target basis's row index.
-Each basis element carries a graded degree (shift in Z/4, a mod-2 base class,
-and a determinant twist in Z/2); frames with zero rows or zero columns
-degenerate to a pair of point generators.  Exactness of the sequence is
-verified three independent ways: structurally, from the partial-bijection
-shape of the maps; by exact integer linear algebra on their matrices; and by
-ranks over prime fields.
+with iota, kappa and bord stated once, by ``_image_rule``, as rules on a
+source's key (an even diagram's row tuple, or a point generator), each image
+looked up in the target basis's row index.  A basis holds its keys, checked
+once by ranking each by counting, and their graded degrees (shift in Z/4, a
+mod-2 base class, a det twist in Z/2); a frame with no rows or no columns has
+two point generators.  Exactness is verified three independent ways:
+structurally, from the partial-bijection shape of the maps; by exact integer
+linear algebra on their matrices; and by ranks over prime fields.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import intmatrix
-from .diagrams import FramedDiagram, enumerate_even
+from .diagrams import FramedDiagram, even_counts, even_rank, even_rows
 from .picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
 
 MAP_NAMES = ("iota", "kappa", "bord")
@@ -69,51 +68,60 @@ def _graded_degree(n: int, shift: int, odd_rho: int, twist: int) -> GradedDegree
     return GradedDegree(shift, (n,) if odd_rho else (), twist)
 
 
-def degree(diagram: FramedDiagram) -> GradedDegree:
-    """Graded degree of a diagram generator: base BaseDet(d+e) when rho is odd."""
-    return _graded_degree(diagram.d + diagram.e, diagram.area() % 4, diagram.rho() % 2,
-                          diagram.twist())
+def degree(d: int, e: int, rows: tuple[int, ...]) -> GradedDegree:
+    """Graded degree of the rows' generator: base BaseDet(d+e) when rho is odd."""
+    rho = d - rows.count(0)
+    return _graded_degree(d + e, sum(rows) % 4, rho % 2, (rows[0] + rho) % 2)
 
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Ordered basis of one frame with the degree of each element."""
+    """One frame's keys (even row tuples, largest first, or point generators)
+    and their degrees."""
 
     d: int
     e: int
-    elements: tuple[tuple[FramedDiagram | PointGenerator, GradedDegree], ...]
+    keys: tuple
+    degrees: tuple[GradedDegree, ...]
+
+    @cached_property
+    def _counts(self) -> list[list[list[int]]]:
+        return even_counts(self.d, self.e)
+
+    def rank(self, key) -> int | None:
+        """Position of ``key`` in the basis, or None unless it is an even key of the frame."""
+        if self.d and self.e:
+            return even_rank(key, self.d, self.e, self._counts)
+        return key.index if type(key) is PointGenerator else None
 
     @cached_property
     def row_index(self) -> dict:
-        """Position of each element, keyed by a diagram's rows or by the point
-        generator itself, in basis order.
-
-        Built on first read, once per basis: it is where each diagram is
-        checked to be even and of this frame, and each key to occur once,
-        so a map that reads the keys reads only even diagrams.
-        """
-        index = {}
-        for i, (elem, _) in enumerate(self.elements):
-            if isinstance(elem, PointGenerator):
-                index[elem] = i
-                continue
-            if (elem.d, elem.e) != (self.d, self.e) or not elem.is_even():
-                raise ValueError(f"the {self.d}x{self.e} basis expects even diagrams "
-                                 f"of its frame, got rows={elem.rows} in {elem.d}x{elem.e}")
-            index[elem.rows] = i
-        if len(index) != len(self.elements):
-            raise ValueError(f"the {self.d}x{self.e} basis holds an element twice")
-        return index
+        """Position of each key, built on first read: the one check of a basis,
+        that each key's rank is its position and all of the frame's are there."""
+        keys, frame = self.keys, f"the {self.d}x{self.e} basis"
+        total = sum(c[self.d][self.e] for c in self._counts) if self.d and self.e else 2
+        ranks = list(map(self.rank, keys))
+        if ranks == list(range(total)):
+            return dict(zip(keys, ranks))
+        n = len(keys)
+        i = next((i for i, rank in enumerate(ranks) if rank != i), n)  # the first amiss
+        if i < n and ranks[i] is None:
+            raise ValueError(f"{frame} takes its frame's even diagrams, got rows={keys[i]!r}")
+        if i < n and ranks[i] < i:
+            raise ValueError(f"{frame} holds an element twice")
+        what = "is out of order" if n == total else f"holds {n} of its {total}"
+        raise ValueError(f"{frame} {what}: its element of rank {i} is not at position {i}")
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
+
+    def element(self, i: int) -> FramedDiagram | PointGenerator:
+        """Element i as a diagram or point generator, for output and witnesses."""
+        key = self.keys[i]
+        return key if type(key) is PointGenerator else FramedDiagram(self.d, self.e, key)
 
     def labels(self) -> tuple[str, ...]:
-        out = []
-        for elem, _ in self.elements:
-            out.append(elem.label() if isinstance(elem, PointGenerator)
-                       else str(elem.rows))
-        return tuple(out)
+        return tuple(str(key) if type(key) is tuple else key.label() for key in self.keys)
 
 
 def check_frame(d: int, e: int) -> None:
@@ -123,16 +131,14 @@ def check_frame(d: int, e: int) -> None:
 
 
 def build_basis(d: int, e: int) -> GradedBasis:
-    """Basis of the frame (d,e); degenerate frames get the two point generators.
-
-    Elements of equal degree share the one ``GradedDegree`` ``degree`` returns.
-    """
+    """Basis of the frame (d,e), keyed by ``even_rows``; degenerate frames get
+    the two point generators.  Equal degrees share one ``GradedDegree``."""
     check_frame(d, e)
     if d == 0 or e == 0:
-        elems = tuple((PointGenerator(i), GradedDegree(0, (), i)) for i in (0, 1))
-    else:
-        elems = tuple((dg, degree(dg)) for dg in enumerate_even(d, e))
-    return GradedBasis(d, e, elems)
+        return GradedBasis(d, e, (PointGenerator(0), PointGenerator(1)),
+                           (GradedDegree(0, (), 0), GradedDegree(0, (), 1)))
+    keys = even_rows(d, e)
+    return GradedBasis(d, e, keys, tuple(degree(d, e, rows) for rows in keys))
 
 
 @dataclass(frozen=True)
@@ -213,10 +219,10 @@ def cyclic_sequence(d: int, e: int,
 
     ``basis`` maps a frame (d, e) to its graded basis, such as a store that
     a caller shares between sequences; by default each is a new ``build_basis``.
-    Each map applies its row rule to the keys of its source's row index, so
-    every diagram it maps has been checked to be even, and looks the image
-    up in its target's row index; no diagram is built per image.
+    Each map applies its row rule to the keys of its source's row index, which
+    have passed their rank check, and looks each image up in its target's.
     """
+    check_frame(d, e)
     if d < 1 or e < 1:
         raise ValueError("the sequence needs d,e >= 1")
     if basis is None:
@@ -295,7 +301,7 @@ def _structural_position(incoming: BasisMap, outgoing: BasisMap):
     hit = {i for i in incoming.images if i is not None}
     killed = {j for j, i in enumerate(outgoing.images) if i is None}
     ok = hit == killed
-    witnesses = tuple(outgoing.source.elements[i][0] for i in sorted(hit ^ killed))
+    witnesses = tuple(outgoing.source.element(i) for i in sorted(hit ^ killed))
     return ok, witnesses
 
 
@@ -328,13 +334,10 @@ def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> Exact
 
     Three independent checks run at each position: the structural
     partial-bijection argument on the images, exact integer linear algebra
-    on the matrices, and, for each prime listed in ``primes``, rank
-    equalities over that prime field.  Each map is the incoming map of one
-    position and the outgoing map of the next; it is diagonalized once over
-    the integers and eliminated once per prime, and both positions read
-    those results.  The position where it is outgoing reads its integer
-    kernel, the one where it is incoming its span solver, and each piece is
-    dropped once read.  Each position's product B A is built once.
+    on the matrices, and rank equalities over each prime field in ``primes``.
+    Each map is diagonalized once and eliminated once per prime; where it is
+    outgoing its integer kernel is read, where incoming its span solver, and
+    each piece is dropped once read.  Each product B A is built once.
     """
     well_formed = all(_is_partial_bijection(m) for m in seq.maps())
     matrices = {m.which: m.sparse() for m in seq.maps()}
@@ -442,11 +445,8 @@ def verify_degree_transport(seq: CyclicSequence,
     base index above d + e has no class to lift, so in both modes its entry
     fails with the expectation ``"unrepresentable"``.
 
-    Every trivial-base failure is also a full-base failure, so a sweep needs
-    full mode only: in trivial mode the expected and the actual degree are
-    the (shift, det) projections of the full-mode ones, a full-mode
-    ``"unrepresentable"`` always fails, and an unrepresentable source or a
-    det-only mismatch fails alike in both modes.
+    Every trivial-base failure is also a full-base failure, as trivial mode
+    compares (shift, det) projections, so a sweep needs full mode only.
     """
     d, e = seq.d, seq.e
     shift_offset = {"iota": d, "kappa": 0, "bord": 1 - d}
@@ -471,22 +471,21 @@ def verify_degree_transport(seq: CyclicSequence,
     failures = []
     for bm in seq.maps():
         rank = bm.target.d + bm.target.e
-        for (src, src_deg), i in zip(bm.source.elements, bm.images):
+        points = 0 in (bm.source.d, bm.source.e, bm.target.d, bm.target.e)
+        for j, (src_deg, i) in enumerate(zip(bm.source.degrees, bm.images)):
             if i is None:
                 continue
-            tgt, tgt_deg = bm.target.elements[i]
+            tgt_deg = bm.target.degrees[i]
             checked += 1
             want, det = expected(bm.which, rank, src_deg)
             if det is None:  # the source degree cannot be lifted, in either mode
-                failures.append(TransportFailure(bm.which, src, want, tgt_deg))
-                continue
-            if isinstance(src, PointGenerator) or isinstance(tgt, PointGenerator):
+                actual = tgt_deg
+            elif points:
                 det_only += 1
-                if det != tgt_deg.det_twist:
-                    failures.append(TransportFailure(bm.which, src, det,
-                                                     tgt_deg.det_twist))
-                continue
-            actual = projected(tgt_deg) if trivial_base else tgt_deg
+                want, actual = det, tgt_deg.det_twist
+            else:
+                actual = projected(tgt_deg) if trivial_base else tgt_deg
             if want != actual:
-                failures.append(TransportFailure(bm.which, src, want, actual))
+                failures.append(TransportFailure(bm.which, bm.source.element(j), want,
+                                                 actual))
     return TransportReport((d, e), trivial_base, checked, det_only, tuple(failures))

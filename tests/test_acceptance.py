@@ -158,7 +158,7 @@ def test_criterion_08_classification_census_and_vanishing_ranks():
         for e in range(1, 9):
             try:
                 for dg in enumerate_even(d, e):
-                    deg = degree(dg)
+                    deg = degree(d, e, dg.rows)
                     shift, twist = class_degree(classify(dg), d, e)
                     if (deg.shift, deg.det_twist) != (shift, twist):
                         ok, detail = False, (f"{dg.rows} in {d}x{e}: family "

@@ -189,8 +189,8 @@ class TestDuality:
 def _images(which, d, e):
     """(source diagram, its image or None) under one map of the (d,e) sequence."""
     bm = getattr(cyclic_sequence(d, e), which)
-    return [(src, None if i is None else bm.target.elements[i][0])
-            for (src, _), i in zip(bm.source.elements, bm.images)]
+    return [(bm.source.element(j), None if i is None else bm.target.element(i))
+            for j, i in enumerate(bm.images)]
 
 
 def _check_map(which, frames, defined):

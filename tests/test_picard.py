@@ -13,6 +13,7 @@ from wittgrass import (FramedDiagram, JumpTuples, PicClass, PicClassMod2,
                        rel_canonical_fiber, rel_canonical_flag,
                        rel_canonical_grass, relative_dimension, taut_det,
                        taut_det2, twist_class, verify_cond_even)
+from wittgrass.diagrams import row_jumps
 from wittgrass.verify import verify_suites
 
 B = "BaseDet"
@@ -172,7 +173,7 @@ class TestTwist:
     def test_suite_reports_a_broken_canonical(self, monkeypatch):
         """A stray TautDet(d_1) in one diagram's canonical fails exactly that diagram."""
         broken = FramedDiagram(3, 4, (4, 2, 2))
-        jumps = broken.jumps()
+        jumps = row_jumps(broken.rows, broken.e)
         assert broken.is_even() and jumps[0][0] != jumps[0][-1]
         original = picard._fiber_mask
 
@@ -195,9 +196,10 @@ class TestTwist:
         admissibility, and no cancellation."""
         broken = FramedDiagram(3, 4, (4, 2, 2))
         original = picard._admissible
+        jumps = row_jumps(broken.rows, broken.e)
 
-        def fails_broken(diagram, dvec, evec):
-            return diagram != broken and original(diagram, dvec, evec)
+        def fails_broken(e, dvec, evec):
+            return (e, dvec, evec) != (broken.e, *jumps) and original(e, dvec, evec)
 
         monkeypatch.setattr(picard, "_admissible", fails_broken)
         assert not pushforward_admissible(broken)
@@ -220,7 +222,7 @@ class TestCondEvenVerdicts:
 
     def test_equal_to_the_three_checks_on_a_broken_canonical(self, monkeypatch):
         broken = FramedDiagram(3, 4, (4, 2, 2))
-        jumps = broken.jumps()
+        jumps = row_jumps(broken.rows, broken.e)
         original = picard._fiber_mask
 
         def stray_term(d, e, dvec, evec):
@@ -267,12 +269,12 @@ class TestMasks:
         count = 0
         for dg in _row_vectors_up_to_8x8():
             d, e, n = dg.d, dg.e, dg.d + dg.e
-            dvec, evec = dg.jumps()
+            dvec, evec = row_jumps(dg.rows, dg.e)
             fiber = helpers.canonical_fiber_oracle(dvec, evec, d, e)
             assert _support(picard._fiber_mask(d, e, dvec, evec), n) == {
                 key for key, c in fiber.items() if c % 2}, dg.rows
             twist = helpers._normalized({(B, n): dg.rho(), (T, d): dg.twist()}, dvec, evec)
-            assert _support(picard._twist_mask(dg, dvec, evec), n) == {
+            assert _support(picard._twist_mask(d, e, dg.rows, dvec, evec), n) == {
                 key for key, c in twist.items() if c % 2}, dg.rows
             count += 1
         assert count == 48602
@@ -281,10 +283,10 @@ class TestMasks:
         for dg in _row_vectors_up_to_8x8():
             d, e, n = dg.d, dg.e, dg.d + dg.e
             t = dg.jump_tuples()
-            dvec, evec = dg.jumps()
+            dvec, evec = row_jumps(dg.rows, dg.e)
             assert _support(picard._fiber_mask(d, e, dvec, evec), n) == set(
                 rel_canonical_fiber(t, d, e).mod2().support), dg.rows
-            assert _support(picard._twist_mask(dg, dvec, evec), n) == set(
+            assert _support(picard._twist_mask(d, e, dg.rows, dvec, evec), n) == set(
                 pullback_to_flag(twist_class(dg), t).support), dg.rows
 
     def test_verdicts_build_no_picard_class(self, monkeypatch):

@@ -24,7 +24,7 @@ def calls(monkeypatch):
     by the frame (d, e) followed by the keyword arguments' values."""
     seen = {}
     for name in ("cyclic_sequence", "verify_exactness", "verify_degree_transport",
-                 "cond_even_verdicts", "bord_vanishes", "duality_check",
+                 "cond_even_rows", "bord_vanishes", "duality_check",
                  "induction_report"):
         seen[name] = Counter()
 
@@ -79,7 +79,7 @@ class TestSharedWork:
         verify_suites("all", 5)
         assert calls["verify_degree_transport"] == Counter(
             {(d, e, False): 1 for d, e in _frames(2, 5)})
-        assert calls["cond_even_verdicts"] == Counter(
+        assert calls["cond_even_rows"] == Counter(
             {(d, e): expected_rank(d, e) for d, e in _frames(1, 5)})
         assert calls["bord_vanishes"] == _frames(2, 5)
         assert calls["duality_check"] == _frames(1, 5)
@@ -149,10 +149,10 @@ class TestBasisStore:
         assert 0 < builds.peak <= 2 * (9 + 1)
 
     def test_diagrams_are_enumerated_only_to_build_bases(self, monkeypatch):
-        """Cond-even reads the run's bases: every enumeration of even diagrams
-        comes from build_basis, once per diagram frame it builds."""
+        """Cond-even reads the run's bases: every enumeration of even row
+        tuples comes from build_basis, once per diagram frame it builds."""
         callers = Counter()
-        original = diagrams.enumerate_even
+        original = diagrams.even_rows
 
         def counted(d, e):
             callers[sys._getframe(1).f_code.co_name] += 1
@@ -160,8 +160,8 @@ class TestBasisStore:
 
         for name, module in list(sys.modules.items()):
             if name.startswith("wittgrass") and \
-                    getattr(module, "enumerate_even", None) is original:
-                monkeypatch.setattr(module, "enumerate_even", counted)
+                    getattr(module, "even_rows", None) is original:
+                monkeypatch.setattr(module, "even_rows", counted)
         verify_suites("all", 8)
         assert callers == Counter({"build_basis": 92})
 
@@ -204,9 +204,8 @@ class TestOnePass:
             basis = original(d, e)
             if (d, e) != (3, 2):
                 return basis
-            return replace(basis, elements=tuple(
-                (elem, replace(deg, shift=(deg.shift + 1) % 4))
-                for elem, deg in basis.elements))
+            return replace(basis, degrees=tuple(
+                replace(deg, shift=(deg.shift + 1) % 4) for deg in basis.degrees))
 
         for module in (verify, witt_modules):
             monkeypatch.setattr(module, "build_basis", shifted)
@@ -226,12 +225,12 @@ class TestOnePass:
         with the report a standalone check of that frame gives."""
         original = witt_modules.build_basis
         mirror = original(4, 3)
-        elements = list(mirror.elements)
-        degrees = [(deg.shift, deg.det_twist) for _, deg in elements]
-        j = next(j for j in range(1, len(elements)) if degrees[j] != degrees[0])
-        (a, deg_a), (b, deg_b) = elements[0], elements[j]
-        elements[0], elements[j] = (a, deg_b), (b, deg_a)
-        swapped = replace(mirror, elements=tuple(elements))
+        degrees = list(mirror.degrees)
+        j = next(j for j in range(1, len(degrees))
+                 if (degrees[j].shift, degrees[j].det_twist)
+                 != (degrees[0].shift, degrees[0].det_twist))
+        degrees[0], degrees[j] = degrees[j], degrees[0]
+        swapped = replace(mirror, degrees=tuple(degrees))
 
         def patched(d, e):
             return swapped if (d, e) == (4, 3) else original(d, e)
@@ -243,6 +242,18 @@ class TestOnePass:
         assert [tuple(r["frame"]) for r in duality["failures"]] == [(3, 4), (4, 3)]
         assert duality["failures"] == [grassmann_witt.duality_check(3, 4).to_json(),
                                        grassmann_witt.duality_check(4, 3).to_json()]
+
+
+def test_a_passing_run_builds_no_diagram(monkeypatch):
+    """Every suite reads basis keys and degrees: a passing run builds no
+    FramedDiagram, which only output and failure records need."""
+    def unbuilt(self):
+        raise AssertionError("a diagram was built")
+
+    monkeypatch.setattr(diagrams.FramedDiagram, "__post_init__", unbuilt)
+    with pytest.raises(AssertionError, match="was built"):
+        diagrams.FramedDiagram(1, 1, (0,))
+    assert all(suite["ok"] for suite in verify_suites("all", 6).values())
 
 
 class TestStrictInputs:

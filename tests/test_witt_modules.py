@@ -7,9 +7,10 @@ import pytest
 
 import helpers
 from wittgrass import (FramedDiagram, GradedDegree, PointGenerator,
-                       build_basis, cyclic_sequence,
-                       degree, induction_report, intmatrix, map_matrix,
+                       build_basis, cyclic_sequence, degree, duality_check,
+                       expected_rank, induction_report, intmatrix, map_matrix,
                        verify_degree_transport, verify_exactness)
+from wittgrass.diagrams import even_counts
 from wittgrass.intmatrix import (SparseMatrix, diagonalize, kernel_rows, multiply,
                                  rank_mod_p, span_solver)
 from wittgrass.verify import verify_suites
@@ -19,15 +20,15 @@ from wittgrass.witt_modules import (_linear_position, _mod_p_position,
 
 class TestDegrees:
     def test_frozen(self):
-        deg = degree(FramedDiagram(2, 2, (1, 1)))
+        deg = degree(2, 2, (1, 1))
         assert (deg.shift, deg.det_twist) == (2, 1)
         assert deg.base == ()
 
-        deg = degree(FramedDiagram(5, 5, (5,) * 5))
+        deg = degree(5, 5, (5,) * 5)
         assert (deg.shift, deg.det_twist) == (1, 0)
         assert deg.base == (10,)
 
-        deg = degree(FramedDiagram(3, 4, (0, 0, 0)))
+        deg = degree(3, 4, (0, 0, 0))
         assert (deg.shift, deg.det_twist) == (0, 0)
         assert deg.base == ()
 
@@ -53,16 +54,16 @@ class TestBases:
     def test_point_frames_have_two_generators(self):
         for d, e in [(0, 3), (3, 0), (0, 1), (1, 0)]:
             basis = build_basis(d, e)
-            assert all(isinstance(elem, PointGenerator) for elem, _ in basis.elements)
+            assert all(isinstance(key, PointGenerator) for key in basis.keys)
             assert basis.labels() == ("pt0", "pt1")
-            degs = [deg for _, deg in basis.elements]
+            degs = basis.degrees
             assert [dg.det_twist for dg in degs] == [0, 1]
             assert all(dg.shift == 0 and dg.base == () for dg in degs)
 
     def test_diagram_frame(self):
         basis = build_basis(2, 2)
         assert len(basis) == 4
-        assert not any(isinstance(elem, PointGenerator) for elem, _ in basis.elements)
+        assert not any(isinstance(key, PointGenerator) for key in basis.keys)
         assert basis.labels()[0] == "(2, 2)"
         assert basis.row_index[(1, 1)] == 2
 
@@ -79,11 +80,10 @@ class TestBases:
         """A frame's elements share one GradedDegree per distinct degree, of
         which there are at most 16, and no element carries an instance dict."""
         for d, e in [(3, 3), (5, 6), (8, 8)]:
-            elements = build_basis(d, e).elements
-            degrees = [deg for _, deg in elements]
+            basis = build_basis(d, e)
+            degrees = basis.degrees
             assert len({id(deg) for deg in degrees}) == len(set(degrees)) <= 16
-            assert not any(hasattr(value, "__dict__") for elem in elements
-                           for value in elem)
+            assert not any(hasattr(value, "__dict__") for value in basis.keys + degrees)
 
 
 class TestMapMatrices:
@@ -108,13 +108,13 @@ class TestMapMatrices:
             for e in range(2, 6):
                 for bm in cyclic_sequence(d, e).maps():
                     matrix = bm.array()
-                    for j, ((src, _), i) in enumerate(zip(bm.source.elements, bm.images)):
-                        image = helpers.map_oracle(bm.which, d, e, src.rows)
+                    for j, (src, i) in enumerate(zip(bm.source.keys, bm.images)):
+                        image = helpers.map_oracle(bm.which, d, e, src)
                         col = [row[j] for row in matrix]
                         if image is None:
                             assert i is None and not any(col)
                         else:
-                            assert bm.target.elements[i][0] == image
+                            assert bm.target.element(i) == image
                             assert col == [int(k == i) for k in range(len(bm.target))]
 
     def test_json_shape(self):
@@ -135,8 +135,7 @@ class TestMapMatrices:
         crooked = FramedDiagram(3, 3, (2, 1, 0))
         assert not crooked.is_even()
         intact = build_basis(3, 3)
-        broken = replace(intact, elements=((crooked, intact.elements[0][1]),
-                                           *intact.elements[1:]))
+        broken = replace(intact, keys=(crooked.rows, *intact.keys[1:]))
         with pytest.raises(ValueError, match=r"rows=\(2, 1, 0\)"):
             cyclic_sequence(*anchor, lambda d, e: broken if (d, e) == (3, 3)
                             else build_basis(d, e))
@@ -145,15 +144,93 @@ class TestMapMatrices:
         """A basis's row index keys diagrams by rows alone, so it admits only
         diagrams of the basis's own frame, each once."""
         intact = build_basis(3, 3)
-        foreign = ((FramedDiagram(3, 4, (4, 4, 4)), intact.elements[0][1]),
-                   *intact.elements[1:])
-        repeated = intact.elements[:1] + intact.elements[:-1]
-        for elements, match in ((foreign, r"rows=\(4, 4, 4\) in 3x4"),
-                                (repeated, "holds an element twice")):
-            broken = replace(intact, elements=elements)
+        foreign = ((4, 4, 4), *intact.keys[1:])
+        repeated = intact.keys[:1] + intact.keys[:-1]
+        for keys, match in ((foreign, r"rows=\(4, 4, 4\)"),
+                            (repeated, "holds an element twice")):
+            broken = replace(intact, keys=keys)
             with pytest.raises(ValueError, match=match):
                 cyclic_sequence(3, 3, lambda d, e: broken if (d, e) == (3, 3)
                                 else build_basis(d, e))
+
+    @pytest.mark.parametrize("anchor", [(3, 4), (3, 3), (4, 3)],
+                             ids=["left", "middle", "right"])
+    def test_missing_or_reordered_element_is_named(self, anchor):
+        """A basis missing any one element, or with two elements swapped,
+        fails every sequence that reads it with a ValueError naming the frame
+        and the first position whose rank differs."""
+        intact = build_basis(3, 3)
+        assert intact.keys == ((3, 3, 3), (3, 1, 1), (2, 2, 0), (0, 0, 0))
+
+        def reading(broken):
+            return lambda d, e: broken if (d, e) == (3, 3) else build_basis(d, e)
+
+        for k in range(4):
+            dropped = replace(intact, keys=intact.keys[:k] + intact.keys[k + 1:],
+                              degrees=intact.degrees[:k] + intact.degrees[k + 1:])
+            with pytest.raises(ValueError, match=rf"^the 3x3 basis holds 3 of its 4: its "
+                                                 rf"element of rank {k} is not at position {k}$"):
+                cyclic_sequence(*anchor, reading(dropped))
+        swapped = replace(intact, keys=(intact.keys[0], intact.keys[2], intact.keys[1],
+                                        intact.keys[3]))
+        with pytest.raises(ValueError, match=r"^the 3x3 basis is out of order: its "
+                                             r"element of rank 1 is not at position 1$"):
+            cyclic_sequence(*anchor, reading(swapped))
+
+    @pytest.mark.parametrize("call", [cyclic_sequence, lambda d, e: map_matrix("iota", d, e),
+                                      duality_check], ids=["sequence", "map", "duality"])
+    def test_non_int_frame_is_a_value_error(self, call):
+        """A frame that is not a pair of ints gets check_frame's ValueError; a
+        frame with d or e equal to 0 keeps the message of its anchor."""
+        for d, e in [("2", 2), (2, "2"), (2.0, 2), (True, 2), (2, None)]:
+            with pytest.raises(ValueError, match="frame dimensions must be integers"):
+                call(d, e)
+        for d, e in [(0, 2), (2, 0)]:
+            with pytest.raises(ValueError, match="needs d,e >= 1"):
+                call(d, e)
+
+
+class TestRank:
+    """A basis's one check: the rank of a key, read off its completion counts."""
+
+    def test_positions_of_the_oracle_even_vectors(self):
+        """On every row vector up to 8x8, the rank is the position among the
+        oracle's even vectors, sorted descending, and None for the others."""
+        checked = 0
+        for d in range(1, 9):
+            for e in range(1, 9):
+                basis = build_basis(d, e)
+                vectors = sorted(helpers.all_row_vectors(d, e), reverse=True)
+                even = [rows for rows in vectors if helpers.evenness_oracle(d, e, rows)]
+                position = {rows: i for i, rows in enumerate(even)}
+                for rows in vectors:
+                    assert basis.rank(rows) == position.get(rows), (d, e, rows)
+                assert sum(c[d][e] for c in even_counts(d, e)) == len(even), (d, e)
+                checked += len(vectors)
+        assert checked == 48602
+
+    def test_total_is_the_closed_form(self):
+        """The completion counts need no enumeration, so their total is checked
+        far beyond where enumeration reaches."""
+        for d in range(1, 23):
+            for e in range(1, 23):
+                assert sum(c[d][e] for c in even_counts(d, e)) == expected_rank(d, e), (d, e)
+
+    def test_malformed_keys_have_no_rank(self):
+        basis = build_basis(3, 4)
+        assert basis.rank((4, 4, 4)) == 0 and basis.rank((2, 2, 0)) is not None
+        for key in ([4, 4, 4], (4, 4), (4, 4, 4, 4), (4.0, 4, 4), (4, 4.0, 4),
+                    (2, 2.0, 0), ("4", 4, 4), (None, 4, 4), (4, 4, None), (-2, -2, 0),
+                    (6, 6, 6), (2, 4, 4), (2, 2, 1), (3, 1, 0), (1, 0, 0),
+                    PointGenerator(0), (), None):
+            assert basis.rank(key) is None, key
+        assert build_basis(3, 1).rank((True, True, True)) is None
+
+    def test_point_frames(self):
+        for d, e in [(0, 3), (3, 0), (0, 1), (1, 0)]:
+            basis = build_basis(d, e)
+            assert [basis.rank(key) for key in basis.keys] == [0, 1]
+            assert basis.rank(()) is None and basis.rank(0) is None
 
 
 class TestExactness:
@@ -360,7 +437,8 @@ def _without_middle_element(seq, k):
     """The sequence with element k of its middle module dropped, and iota's
     images and kappa's sources re-indexed to the smaller basis."""
     middle = seq.kappa.source
-    middle = replace(middle, elements=middle.elements[:k] + middle.elements[k + 1:])
+    middle = replace(middle, keys=middle.keys[:k] + middle.keys[k + 1:],
+                     degrees=middle.degrees[:k] + middle.degrees[k + 1:])
     iota = tuple(None if i is None or i == k else i - (i > k) for i in seq.iota.images)
     kappa = seq.kappa.images[:k] + seq.kappa.images[k + 1:]
     return replace(seq, iota=replace(seq.iota, target=middle, images=iota),
@@ -404,7 +482,7 @@ class TestStructuralCheckersDetectBrokenMaps:
                 # the middle element no longer hit is named at the next position
                 position = report.positions[0 if which == "iota" else 1]
                 target = getattr(seq, which).target
-                assert position.witnesses == (target.elements[lost][0],)
+                assert position.witnesses == (target.element(lost),)
 
     def test_dropped_image_names_its_source(self):
         for d, e in self.FRAMES:
@@ -420,7 +498,7 @@ class TestStructuralCheckersDetectBrokenMaps:
                 ok, witnesses = _structural_position(getattr(broken, incoming),
                                                      getattr(broken, outgoing))
                 assert ok is False
-                assert witnesses == (getattr(seq, outgoing).source.elements[j][0],)
+                assert witnesses == (getattr(seq, outgoing).source.element(j),)
 
     def test_perturbed_degree_names_its_element(self):
         for d, e in self.FRAMES:
@@ -430,10 +508,10 @@ class TestStructuralCheckersDetectBrokenMaps:
                 j = next((j for j, i in enumerate(bm.images) if i is not None), None)
                 if j is None:
                     continue
-                elements = list(bm.source.elements)
-                elem, deg = elements[j]
-                elements[j] = (elem, replace(deg, shift=(deg.shift + 1) % 4))
-                source = replace(bm.source, elements=tuple(elements))
+                degrees = list(bm.source.degrees)
+                elem, deg = bm.source.element(j), degrees[j]
+                degrees[j] = replace(deg, shift=(deg.shift + 1) % 4)
+                source = replace(bm.source, degrees=tuple(degrees))
                 broken = replace(seq, **{which: replace(bm, source=source)})
                 for trivial in (False, True):
                     report = verify_degree_transport(broken, trivial_base=trivial)
@@ -461,13 +539,14 @@ class TestTransport:
         """kappa cannot carry BaseDet(4) of F(2,2) into the rank-3 frame F(1,2)."""
         seq = cyclic_sequence(2, 2)
         kappa = seq.kappa
-        elements = list(kappa.source.elements)
+        degrees = list(kappa.source.degrees)
         j = kappa.source.row_index[(0, 0)]
-        odd = next(deg for dg, deg in elements if dg.rho() % 2)
-        elements[j] = (elements[j][0], replace(elements[j][1], base=odd.base))
-        source = replace(kappa.source, elements=tuple(elements))
+        odd = next(deg for k, deg in enumerate(degrees)
+                   if kappa.source.element(k).rho() % 2)
+        degrees[j] = replace(degrees[j], base=odd.base)
+        source = replace(kappa.source, degrees=tuple(degrees))
         report = verify_degree_transport(replace(seq, kappa=replace(kappa, source=source)))
-        target_degree = kappa.target.elements[kappa.images[j]][1]
+        target_degree = kappa.target.degrees[kappa.images[j]]
         assert [f.to_json() for f in report.failures] == [
             {"which": "kappa", "source": FramedDiagram(2, 2, (0, 0)).to_json(),
              "expected": "unrepresentable", "actual": target_degree.to_json()}]
@@ -481,12 +560,12 @@ class TestTransport:
                 seq = cyclic_sequence(d, e)
                 kappa = seq.kappa
                 j = next(j for j, i in enumerate(kappa.images) if i is not None)
-                elements = list(kappa.source.elements)
-                elem, deg = elements[j]
-                elements[j] = (elem, replace(deg, base=(d + e + 1,)))
-                source = replace(kappa.source, elements=tuple(elements))
+                degrees = list(kappa.source.degrees)
+                elem, deg = kappa.source.element(j), degrees[j]
+                degrees[j] = replace(deg, base=(d + e + 1,))
+                source = replace(kappa.source, degrees=tuple(degrees))
                 broken = replace(seq, kappa=replace(kappa, source=source))
-                target_degree = kappa.target.elements[kappa.images[j]][1]
+                target_degree = kappa.target.degrees[kappa.images[j]]
                 for trivial in (False, True):
                     report = verify_degree_transport(broken, trivial_base=trivial)
                     assert [(f.which, f.source, f.expected, f.actual)
@@ -507,16 +586,16 @@ class TestTransport:
                         continue
                     for side, k in (("source", j), ("target", bm.images[j])):
                         basis = getattr(bm, side)
-                        elements = list(basis.elements)
-                        elem, deg = elements[k]
+                        degrees = list(basis.degrees)
+                        deg = degrees[k]
                         n = basis.d + basis.e
                         for changed in (
                                 replace(deg, shift=(deg.shift + 1) % 4),
                                 replace(deg, det_twist=1 - deg.det_twist),
                                 *(replace(deg, base=tuple(sorted(set(deg.base) ^ {i})))
                                   for i in (n, 1, n + 1))):
-                            elements[k] = (elem, changed)
-                            mutated = replace(basis, elements=tuple(elements))
+                            degrees[k] = changed
+                            mutated = replace(basis, degrees=tuple(degrees))
                             yield replace(seq, **{bm.which: replace(bm, **{side: mutated})})
 
     def test_trivial_base_failures_are_full_base_failures(self):
