@@ -11,30 +11,35 @@ applied to a fresh diagonalization.
 Every routine takes and returns matrices in one form, a ``SparseMatrix``:
 one dict {column: nonzero int} per row, and its shape.
 
-Elimination keeps each row and each column of the working matrix as a dict.
-An entry alone in its row and its column is a pivot taken at once, with no
-operation, so a partial permutation eliminates in time close to its size.
-Other pivots are picked Markowitz-style by a scan of the live entries: a unit
+The isolated entries of a matrix, each alone in its row and its column, are
+found once, by one count per column, and kept on the matrix: over Z and at
+every prime they are pivots that need no operation.  Only the other rows,
+none for a partial permutation, are eliminated, each row and column a dict,
+with pivots picked Markowitz-style by a scan of the live entries: a unit
 entry in the sparsest row or column first, and otherwise the smallest entry,
 reduced by Euclidean remainders.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from math import isqrt
 
 
 class SparseMatrix:
     """An integer matrix of ``shape`` (m, n) as m dicts {column: nonzero int}.
 
-    The routines here never modify a matrix they are given.
+    The routines here never modify a matrix they are given, so it keeps its
+    ``_split`` once found.
     """
 
-    __slots__ = ("rows", "shape")
+    __slots__ = ("rows", "shape", "_parts")
 
     def __init__(self, rows: list[dict[int, int]], shape: tuple[int, int]) -> None:
         self.rows = rows
         self.shape = shape
+        self._parts = None
 
     @classmethod
     def from_entries(cls, shape: tuple[int, int], entries) -> SparseMatrix:
@@ -70,30 +75,38 @@ class SparseMatrix:
         return SparseMatrix(_columns(self, 0, n), (n, m))
 
 
-class _Elimination:
-    """A matrix under elimination: row dicts and mirrored column dicts.
-
-    With a prime ``p`` the entries are kept reduced mod p and every one is a
-    unit.  A removed line (row or column) is None.
-    """
-
-    def __init__(self, A: SparseMatrix, p: int | None = None) -> None:
-        self.p = p
-        if p:
-            rows = [{j: r for j, v in row.items() if (r := v % p)} for row in A.rows]
-        else:
-            rows = [dict(row) for row in A.rows]
-        cols = _columns(SparseMatrix(rows, A.shape), 0, A.shape[1])
-        # An entry alone in its row and its column is a pivot that needs no
-        # operation, the cheapest choice of all: (row, column, value) of each
-        # is taken at once.  A partial permutation is all such entries.
-        self.isolated = []
-        for i, row in enumerate(rows):
+def _split(A: SparseMatrix):
+    """(values, rest) of A, found on first use and kept on A: the value of
+    each entry alone in its row and its column, in row order, and each other
+    nonempty row as rest[row], not copied.  One pass counts each column."""
+    if A._parts is None:
+        count = Counter(chain.from_iterable(A.rows))
+        values, rest = [], {}
+        for i, row in enumerate(A.rows):
             if len(row) == 1:
                 (j, v), = row.items()
-                if len(cols[j]) == 1:
-                    self.isolated.append((i, j, v))
-                    rows[i] = cols[j] = None
+                if count[j] == 1:
+                    values.append(v)
+                    continue
+            if row:
+                rest[i] = row
+        A._parts = values, rest
+    return A._parts
+
+
+class _Elimination:
+    """The rest of a split under elimination: {row: {column: value}} and the
+    mirrored columns.  With a prime ``p`` the entries are kept reduced mod p,
+    so every one is a unit.  A removed line (row or column) is deleted."""
+
+    def __init__(self, rest: dict[int, dict[int, int]], p: int | None = None) -> None:
+        self.p = p
+        rows = {i: {j: r for j, v in row.items() if (r := v % p if p else v)}
+                for i, row in rest.items()}
+        cols: dict[int, dict[int, int]] = {}
+        for i, row in rows.items():
+            for j, v in row.items():
+                cols.setdefault(j, {})[i] = v
         self.lines = (rows, cols)
 
     def set(self, i: int, j: int, v: int) -> None:
@@ -121,9 +134,7 @@ class _Elimination:
         """
         rows, cols = self.lines
         best = pivot_at = None
-        for i, row in enumerate(rows):
-            if not row:
-                continue
+        for i, row in rows.items():
             for j, v in row.items():
                 key = (1 if self.p else abs(v), min(len(row), len(cols[j])))
                 if best is None or key < best:
@@ -139,7 +150,7 @@ class _Elimination:
         for k in cols[j]:
             if k != i:
                 del rows[k][j]
-        rows[i] = cols[j] = None
+        del rows[i], cols[j]
 
 
 def _add(dst: dict[int, int], src: dict[int, int], c: int) -> None:
@@ -160,11 +171,14 @@ def diagonalize(A: SparseMatrix):
     suffices for ranks, kernels and membership.  All three are SparseMatrix.
     """
     m, n = A.shape
-    work = _Elimination(A)
+    rest = _split(A)[1]
+    work = _Elimination(rest)
     rows, cols = work.lines
     U = [{i: 1} for i in range(m)]  # rows of U, changed by the row operations
     V = [{j: 1} for j in range(n)]  # columns of V, changed by the column operations
-    pivots = list(work.isolated)
+    # each row outside the rest is empty or one isolated entry, a pivot as it is
+    pivots = [(i, j, v) for i, row in enumerate(A.rows) if i not in rest
+              for j, v in row.items()]
     while (pivot_at := work.next_pivot()) is not None:
         i, j = pivot_at
         while True:
@@ -307,9 +321,10 @@ def rank_mod_p(A: SparseMatrix, p: int) -> int:
     """
     if type(p) is not int or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"p must be a prime int, got {p!r}")
-    work = _Elimination(A, p)
+    values, rest = _split(A)
+    work = _Elimination(rest, p)
     rows, cols = work.lines
-    rank = len(work.isolated)
+    rank = sum(1 for v in values if v % p)  # an isolated v that p divides is 0 mod p
     while (pivot_at := work.next_pivot()) is not None:
         i, j = pivot_at
         inv = pow(rows[i][j], -1, p)

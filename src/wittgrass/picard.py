@@ -15,8 +15,9 @@ constructor here applies it.  All arithmetic is exact.
 The cond-even verdicts (``cond_even_rows``) build no class: they read a row
 tuple's mod-2 fiber canonical and pulled-back twist as two int masks,
 ``BaseDet(i)`` at bit i and ``TautDet(j)`` at bit n + j, and each mask applies
-the normalization as one move of a bit from n + d_1 to d_1.  ``PicClass`` serves
-the ``canonical`` command, ``les_twists`` and the tests' references.
+the normalization as one move of a bit from n + d_1 to d_1.  Degree transport
+applies the rule of ``les_twists`` on masks of the same layout.  ``PicClass``
+serves the ``canonical`` command, ``les_twists`` and the tests' references.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from functools import cache, cached_property
 
 from . import intmatrix
 from .diagrams import FramedDiagram, even_counts, even_rank, even_rows
-from .picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
 
 MAP_NAMES = ("iota", "kappa", "bord")
 
@@ -335,7 +334,8 @@ def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> Exact
     Three independent checks run at each position: the structural
     partial-bijection argument on the images, exact integer linear algebra
     on the matrices, and rank equalities over each prime field in ``primes``.
-    Each map is diagonalized once and eliminated once per prime; where it is
+    Each map is split once into its isolated entries and a remainder, which
+    is diagonalized once and eliminated once per prime; where it is
     outgoing its integer kernel is read, where incoming its span solver, and
     each piece is dropped once read.  Each product B A is built once.
     """
@@ -374,27 +374,29 @@ def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> Exact
 
 def _les_target(which: str, d: int, e: int, base: tuple[int, ...],
                 t: int) -> tuple[tuple[int, ...], int]:
-    """Target BaseDet indices and det twist of one map, read off ``les_twists``.
+    """Target BaseDet indices and det twist of one map, by ``les_twists`` on
+    bit masks: BaseDet(i) at bit i, TautDet(j) at bit n + j, n = d + e.
 
-    The source twist is ``base``, lifted to the sequence's rank n = d + e,
-    plus t times the source's TautDet.  iota lands on the sub side, whose det
-    is TautDet(d).  kappa lands on the complementary side, whose relabeling
-    TautDet(d) -> TautDet(d-1) + quotient det adds the quotient det exactly
-    when the source carries its det; so that is the target's det, also at
-    d = 1, where TautDet(0) is trivial and the target is a point frame.
-    bord's source is a complementary side, so bord reads that relabeling
-    backwards before taking the sub side.
+    The source twist is ``base`` plus t TautDet(d).  iota lands on the sub
+    side, which adds TautDet(d), its det, and the quotient det BaseDet(n) +
+    BaseDet(n-1) when d is odd.  kappa lands on the complementary side,
+    relabeling a carried TautDet(d) as TautDet(d-1) + quotient det; the
+    target's det is bit n + d - 1 of that move, also at d = 1, where
+    TautDet(0) is trivial and bit n is the quotient det's.  bord's source is
+    a complementary side: it reads that relabeling backwards first.
     """
     n = d + e
-    cls = PicClassMod2(n, tuple((BASE, i) for i in base))
+    qdet = 1 << n | 1 << (n - 1)
+    cls = sum(1 << i for i in base)
     if which == "bord" and t:
-        cls = cls + quotient_det(n).mod2()
-    sub, comp = les_twists(d, e, cls + taut_det2(n, d) if t else cls)
+        cls ^= qdet
     if which == "kappa":
-        side, det = comp, (comp + cls).has(BASE, n)
+        moved = t * (qdet | (d > 1) << (n + d - 1))
+        side, det = cls ^ moved, moved >> (n + d - 1) & 1
     else:
-        side, det = sub, sub.has(TAUT, d)
-    return tuple(i for kind, i in side.support if kind == BASE), int(det)
+        side = cls ^ (1 - t) << (n + d) ^ (qdet if d % 2 else 0)
+        det = side >> (n + d) & 1
+    return tuple(i for i in range(1, n + 1) if side >> i & 1), det
 
 
 @dataclass(frozen=True)
@@ -437,13 +439,14 @@ def verify_degree_transport(seq: CyclicSequence,
     """Check that every nonzero matrix entry moves degrees by the stated rule.
 
     The base class and det twist come from the localization lemma
-    (``picard.les_twists``); the shift moves by d under iota, 0 under kappa
-    and 1 - d under bord.  With ``trivial_base`` the base classes are not
-    compared.  Point-generator endpoints carry no assigned shift or base, so
-    entries whose source or target is a point generator are checked on the
-    det-twist component only and counted separately in the report.  A source
-    base index above d + e has no class to lift, so in both modes its entry
-    fails with the expectation ``"unrepresentable"``.
+    (``picard.les_twists``, on bit masks by ``_les_target``); the shift moves
+    by d under iota, 0 under kappa and 1 - d under bord.  With
+    ``trivial_base`` the base classes are not compared.  Point-generator
+    endpoints carry no assigned shift or base, so entries whose source or
+    target is a point generator are checked on the det-twist component only
+    and counted separately in the report.  A source base index above d + e
+    has no class to lift, so in both modes its entry fails with the
+    expectation ``"unrepresentable"``.
 
     Every trivial-base failure is also a full-base failure, as trivial mode
     compares (shift, det) projections, so a sweep needs full mode only.

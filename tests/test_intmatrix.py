@@ -297,3 +297,58 @@ class TestSparseNonUnit:
             rank = rank_mod_p(A, p)
             assert rank == helpers.rank_mod_p_oracle(rows, p)
             assert rank == sum(1 for v in diag if v % p)
+
+
+class TestIsolatedSplit:
+    """Entries alone in their row and column are pivots taken before any
+    elimination, at every prime: an isolated entry that p divides counts 0
+    mod p and stays a pivot over Z.  Held to the minors-gcd and sympy
+    rank oracles."""
+
+    @staticmethod
+    def _check(rows, width=None):
+        """diagonalize and rank_mod_p of the dense rows against the oracles."""
+        A = sparse(rows, width)
+        U, D, V = _dense_diagonalize(A)
+        assert _is_diagonal(D)
+        assert mat_mul(mat_mul(U, rows), V) == D
+        assert _unimodular(U)
+        assert _unimodular(V)
+        for k in range(1, min(A.shape) + 1):
+            assert helpers.minors_gcd(D, k) == helpers.minors_gcd(rows, k), k
+        for p in (2, 3, 5):
+            assert rank_mod_p(A, p) == helpers.rank_mod_p_oracle(rows, p), p
+        return D
+
+    @pytest.mark.parametrize("rows, ranks", [([[2]], (1, 0, 1, 1)),
+                                             ([[6, 0], [0, 1]], (2, 1, 1, 2))])
+    def test_non_unit_isolated_entry(self, rows, ranks):
+        """Ranks over Z, then mod 2, 3 and 5."""
+        D = self._check(rows)
+        assert _nonzero_diagonal(D) == ranks[0]
+        assert [rank_mod_p(sparse(rows), p) for p in (2, 3, 5)] == list(ranks[1:])
+        assert sorted(D[i][i] for i in range(len(D))) == sorted(max(map(abs, r)) for r in rows)
+
+    def test_block_beside_isolated_pivots(self):
+        """Rows 1 and 2 form the block [[1, 2], [2, 0]]: row 2's one entry
+        shares its column, so it is not isolated.  Its Smith form is
+        diag(1, 4), so the determinantal divisor of the whole is 12."""
+        rows = [[1, 0, 0, 0], [0, 1, 2, 0], [0, 2, 0, 0], [0, 0, 0, 3]]
+        D = self._check(rows)
+        assert helpers.minors_gcd(D, 4) == 12
+        assert [rank_mod_p(sparse(rows), p) for p in (2, 3, 5)] == [3, 3, 4]
+
+    def test_shared_column_of_single_entry_rows(self):
+        D = self._check([[0, 3], [0, 3], [1, 0]])
+        assert _nonzero_diagonal(D) == 2
+
+    def test_partial_permutation(self):
+        rows = [[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 0, 0, 2]]
+        D = self._check(rows)
+        assert [D[i][i] for i in range(3)] == [1, 1, 2]
+        assert rank_mod_p(sparse(rows), 2) == 2
+
+    @pytest.mark.parametrize("rows, width", [([], 3), ([[], [], []], None)])
+    def test_no_rows_or_no_columns(self, rows, width):
+        self._check(rows, width)
+        assert rank_mod_p(sparse(rows, width), 2) == 0

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -13,9 +14,10 @@ from wittgrass import (FramedDiagram, GradedDegree, PointGenerator,
 from wittgrass.diagrams import even_counts
 from wittgrass.intmatrix import (SparseMatrix, diagonalize, kernel_rows, multiply,
                                  rank_mod_p, span_solver)
+from wittgrass.picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
 from wittgrass.verify import verify_suites
-from wittgrass.witt_modules import (_linear_position, _mod_p_position,
-                                    _structural_position)
+from wittgrass.witt_modules import (MAP_NAMES, _les_target, _linear_position,
+                                    _mod_p_position, _structural_position)
 
 
 class TestDegrees:
@@ -389,6 +391,21 @@ class TestEachMapFactoredOnce:
         assert factor_calls["diagonalize"] == 75
         assert sum(factor_calls[p] for p in (2, 3, 5)) == 225
 
+    def test_each_map_is_split_once(self, monkeypatch):
+        """The diagonalization and the three ranks of a map share its one
+        split into isolated entries and the rest: one pass counts the
+        entries of each column per map, 3 in all, not one per call."""
+        passes = []
+        original = intmatrix.Counter
+
+        def counted(entries):
+            passes.append(1)
+            return original(entries)
+
+        monkeypatch.setattr(intmatrix, "Counter", counted)
+        assert verify_exactness(cyclic_sequence(4, 3), primes=(2, 3, 5)).ok
+        assert len(passes) == 3
+
 
 class TestChecksStayIndependent:
     """A fault in the integer or the F_p factorization changes its own check only."""
@@ -426,6 +443,23 @@ class TestChecksStayIndependent:
             assert self._without(after, "mod_p") == self._without(before, "mod_p")
             assert all(v for p in before.positions for _, v in p.mod_p)
             assert not any(v for p in after.positions for _, v in p.mod_p)
+
+
+def _les_route(which, d, e, base, t):
+    """``_les_target`` through Picard classes and ``les_twists``: the source
+    twist is ``base`` plus t TautDet(d), read backwards along the relabeling
+    first for bord; iota and bord read the sub side and its TautDet(d),
+    kappa the complementary side and the quotient det its relabeling adds."""
+    n = d + e
+    cls = PicClassMod2(n, tuple((BASE, i) for i in base))
+    if which == "bord" and t:
+        cls = cls + quotient_det(n).mod2()
+    sub, comp = les_twists(d, e, cls + taut_det2(n, d) if t else cls)
+    if which == "kappa":
+        side, det = comp, (comp + cls).has(BASE, n)
+    else:
+        side, det = sub, sub.has(TAUT, d)
+    return tuple(i for kind, i in side.support if kind == BASE), int(det)
 
 
 def _with_images(seq, which, images):
@@ -611,6 +645,20 @@ class TestTransport:
         assert sum(outcomes.values()) == 710
         assert outcomes[True, False] == 292  # the base classes alone catch these
         assert outcomes[True, True] == 271
+
+    def test_masks_follow_les_twists(self):
+        """``_les_target``'s bit masks give what ``les_twists`` gives on
+        Picard classes, for each map, t = 0 and 1 and every increasing base
+        of at most two indices, on every frame up to 6x6."""
+        for d in range(1, 7):
+            for e in range(1, 7):
+                n = d + e
+                bases = [b for k in range(3) for b in combinations(range(1, n + 1), k)]
+                for which in MAP_NAMES:
+                    for t in (0, 1):
+                        for base in bases:
+                            assert _les_target(which, d, e, base, t) == \
+                                _les_route(which, d, e, base, t), (which, d, e, base, t)
 
     def test_json_shape(self):
         obj = verify_degree_transport(cyclic_sequence(2, 2)).to_json()
