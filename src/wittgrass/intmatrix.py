@@ -3,10 +3,12 @@
 Everything here is fraction-free: unimodular row/column operations over the
 integers, no floating point, no rationals.  Used by the exactness checker to
 compute kernels, test membership in column spans, and take ranks over the
-integers and over small prime fields.  One diagonalization U A V = D serves
-both the kernel of A (``kernel_rows``) and membership in its column span
+integers and over small prime fields.  One diagonalization serves both the
+kernel of A (``kernel_rows``) and membership in its column span
 (``span_solver``); ``integer_kernel`` and ``solve_in_span`` are those two
-applied to a fresh diagonalization.
+applied to a fresh diagonalization.  It keeps each pivot at its own place
+and only the rows of U and columns of V that elimination changed, so a
+partial permutation's U and V are empty.
 
 Every routine takes and returns matrices in one form, a ``SparseMatrix``:
 one dict {column: nonzero int} per row, and its shape.
@@ -72,7 +74,11 @@ class SparseMatrix:
 
     def transpose(self) -> SparseMatrix:
         m, n = self.shape
-        return SparseMatrix(_columns(self, 0, n), (n, m))
+        cols: list[dict[int, int]] = [{} for _ in range(n)]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return SparseMatrix(cols, (n, m))
 
 
 def _split(A: SparseMatrix):
@@ -164,18 +170,22 @@ def _add(dst: dict[int, int], src: dict[int, int], c: int) -> None:
 
 
 def diagonalize(A: SparseMatrix):
-    """Diagonalize over the integers: returns (U, D, V) with U A V = D.
+    """Diagonalize over the integers: returns (shape, pivots, U, V).
 
-    U and V are unimodular; D is diagonal (no divisibility chain is
-    enforced), with its nonzero entries first and positive.  Diagonal shape
-    suffices for ranks, kernels and membership.  All three are SparseMatrix.
+    ``shape`` is A's.  ``pivots`` lists (row, column, value) of each pivot
+    at its own place: the isolated entries of the split first, in row order,
+    then the pivots of the rest in elimination order.  U is {row: that row
+    of U} and V is {column: that column of V}, holding only the lines that
+    elimination changed; every other row of U and column of V is a unit
+    vector.  With those filled in, U and V are unimodular and U A V holds
+    each pivot's value at its place and zeros elsewhere.  A partial
+    permutation gets empty U and V.
     """
-    m, n = A.shape
     rest = _split(A)[1]
     work = _Elimination(rest)
     rows, cols = work.lines
-    U = [{i: 1} for i in range(m)]  # rows of U, changed by the row operations
-    V = [{j: 1} for j in range(n)]  # columns of V, changed by the column operations
+    U: dict[int, dict[int, int]] = {}
+    V: dict[int, dict[int, int]] = {}
     # each row outside the rest is empty or one isolated entry, a pivot as it is
     pivots = [(i, j, v) for i, row in enumerate(A.rows) if i not in rest
               for j, v in row.items()]
@@ -188,7 +198,7 @@ def diagonalize(A: SparseMatrix):
                 q = rows[k][j] // pivot
                 if q:
                     work.add_row(k, i, -q)
-                    _add(U[k], U[i], -q)
+                    _add(U.setdefault(k, {k: 1}), U.get(i) or {i: 1}, -q)
             rest = [k for k in cols[j] if k != i]
             if rest:
                 i = min(rest, key=lambda k: abs(rows[k][j]))
@@ -199,56 +209,28 @@ def diagonalize(A: SparseMatrix):
                 q = rows[i][l] // pivot
                 if q:
                     work.set(i, l, rows[i][l] - q * pivot)
-                    _add(V[l], V[j], -q)
+                    _add(V.setdefault(l, {l: 1}), V.get(j) or {j: 1}, -q)
             rest = [l for l in rows[i] if l != j]
             if not rest:
                 break
             j = min(rest, key=lambda l: abs(rows[i][l]))
         work.remove(i, j)
         pivots.append((i, j, pivot))
-    # pivot k moves to (k, k): its row first in U, its column first in V
-    u_rows = [U[i] for i in _order(m, [i for i, _, _ in pivots])]
-    for k, (_, _, pivot) in enumerate(pivots):
-        if pivot < 0:
-            u_rows[k] = {c: -v for c, v in u_rows[k].items()}
-    D = [{k: abs(pivot)} for k, (_, _, pivot) in enumerate(pivots)]
-    D += [{} for _ in range(m - len(pivots))]
-    V_t = SparseMatrix([V[j] for j in _order(n, [j for _, j, _ in pivots])], (n, n))
-    return SparseMatrix(u_rows, (m, m)), SparseMatrix(D, (m, n)), V_t.transpose()
-
-
-def _order(size: int, first: list[int]) -> list[int]:
-    """``first``, then the other indices below ``size`` in increasing order."""
-    placed = set(first)
-    return first + [k for k in range(size) if k not in placed]
-
-
-def _rank_of_diagonal(D: SparseMatrix) -> int:
-    return sum(1 for row in D.rows if row)
-
-
-def _columns(M: SparseMatrix, start: int, stop: int) -> list[dict[int, int]]:
-    """Columns start to stop - 1 of M, each as a dict {row: nonzero int}."""
-    cols: list[dict[int, int]] = [{} for _ in range(start, stop)]
-    for i, row in enumerate(M.rows):
-        for k, v in row.items():
-            if start <= k < stop:
-                cols[k - start][i] = v
-    return cols
+    return A.shape, pivots, U, V
 
 
 def kernel_rows(factors) -> SparseMatrix:
     """Basis of the integer kernel {x : A x = 0}, one row per basis vector,
-    read off a diagonalization ``factors`` = (U, D, V) of A.
+    read off a diagonalization ``factors`` = (shape, pivots, U, V) of A.
 
-    The rows are the columns of V past the rank r of D.  They span a
-    saturated sublattice (the full kernel), so every rational kernel vector
-    is a rational combination of them.
+    The rows are the columns of V at the columns of A that hold no pivot, in
+    increasing order.  They span a saturated sublattice (the full kernel),
+    so every rational kernel vector is a rational combination of them.
     """
-    _, D, V = factors
-    r = _rank_of_diagonal(D)
-    n = V.shape[0]
-    return SparseMatrix(_columns(V, r, n), (n - r, n))
+    (_, n), pivots, _, V = factors
+    pivoted = {j for _, j, _ in pivots}
+    return SparseMatrix([V.get(j) or {j: 1} for j in range(n) if j not in pivoted],
+                        (n - len(pivots), n))
 
 
 def integer_kernel(A: SparseMatrix) -> SparseMatrix:
@@ -258,38 +240,36 @@ def integer_kernel(A: SparseMatrix) -> SparseMatrix:
 
 def span_solver(factors):
     """Membership in the column span of A, from a diagonalization ``factors``
-    = (U, D, V) of A: a function that maps a SparseMatrix whose rows are
-    right-hand sides b to a list with, for each b, a sparse integer x with
-    A x = b, or None when no such x exists.  Raises ValueError when the
-    right-hand sides are not as long as A has rows.
+    = (shape, pivots, U, V) of A: a function that maps a SparseMatrix whose
+    rows are right-hand sides b to a list with, for each b, a sparse integer
+    x with A x = b, or None when no such x exists.  Raises ValueError when
+    the right-hand sides are not as long as A has rows.
 
-    It keeps only what solving reads, the columns of U, the diagonal and the
-    first r columns of V, so U, D and V can be dropped once it is built.
     b is an integer combination of the columns of A exactly when c = U b
-    vanishes past the rank r of D and D[i][i] divides c[i] for i < r, and
-    then x = V y with y[i] = c[i] / D[i][i].
+    vanishes off the pivot rows and each pivot's value v divides c[i] at its
+    row i, and then x is the sum of c[i] / v times V's column j of each
+    pivot (i, j, v).
     """
-    U, D, V = factors
-    m = D.shape[0]
-    r = _rank_of_diagonal(D)
-    diag = [D.rows[i][i] for i in range(r)]
-    u_cols = _columns(U, 0, m)
-    v_cols = _columns(V, 0, r)
+    (m, _), pivots, U, V = factors
+    at_row = {i: (j, v) for i, j, v in pivots}
 
     def solve_many(vectors: SparseMatrix) -> list[dict[int, int] | None]:
         if vectors.shape[1] != m:
             raise ValueError(f"right-hand sides of length {vectors.shape[1]}, not {m}")
         out: list[dict[int, int] | None] = []
         for b in vectors.rows:
-            c: dict[int, int] = {}
-            for j, b_j in b.items():
-                _add(c, u_cols[j], b_j)
-            if any(i >= r or c_i % diag[i] for i, c_i in c.items()):
+            # a row that U does not hold is a unit row, so c[i] = b[i] there
+            c = {i: b_i for i, b_i in b.items() if i not in U}
+            for i, u in U.items():
+                if c_i := sum(u_k * b.get(k, 0) for k, u_k in u.items()):
+                    c[i] = c_i
+            if any(i not in at_row or c_i % at_row[i][1] for i, c_i in c.items()):
                 out.append(None)
                 continue
             x: dict[int, int] = {}
             for i, c_i in c.items():
-                _add(x, v_cols[i], c_i // diag[i])
+                j, v = at_row[i]
+                _add(x, V.get(j) or {j: 1}, c_i // v)
             out.append(x)
         return out
     return solve_many

@@ -336,30 +336,24 @@ def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> Exact
     on the matrices, and rank equalities over each prime field in ``primes``.
     Each map is split once into its isolated entries and a remainder, which
     is diagonalized once and eliminated once per prime; where it is
-    outgoing its integer kernel is read, where incoming its span solver, and
-    each piece is dropped once read.  Each product B A is built once.
+    outgoing its integer kernel is read, where incoming its span solver.
+    A diagonalization holds only its pivots and the lines elimination
+    changed, none for a well-formed map, so all three are kept until the
+    last position.  Each product B A is built once.
     """
     well_formed = all(_is_partial_bijection(m) for m in seq.maps())
     matrices = {m.which: m.sparse() for m in seq.maps()}
     ranks = {(which, p): intmatrix.rank_mod_p(A, p)
              for which, A in matrices.items() for p in primes}
-    pending: dict[str, dict] = {}  # the unread pieces of each map diagonalized
-
-    def take(which: str, piece: str):
-        if which not in pending:
-            factors = intmatrix.diagonalize(matrices[which])
-            pending[which] = {"kernel": intmatrix.kernel_rows(factors),
-                              "span": intmatrix.span_solver(factors)}
-        return pending[which].pop(piece)
-
+    factors = {which: intmatrix.diagonalize(A) for which, A in matrices.items()}
     positions = []
     for incoming, outgoing in ((seq.iota, seq.kappa), (seq.kappa, seq.bord),
                                (seq.bord, seq.iota)):
         structural, witnesses = _structural_position(incoming, outgoing)
         A, B = matrices[incoming.which], matrices[outgoing.which]
         product = intmatrix.multiply(B, A)
-        linear = _linear_position(take(incoming.which, "span"),
-                                  take(outgoing.which, "kernel"), product)
+        linear = _linear_position(intmatrix.span_solver(factors[incoming.which]),
+                                  intmatrix.kernel_rows(factors[outgoing.which]), product)
         mod_p = tuple((p, _mod_p_position(ranks[incoming.which, p],
                                           ranks[outgoing.which, p],
                                           A.shape[0], product, p))

@@ -26,8 +26,22 @@ def _unimodular(M):
 
 
 def _dense_diagonalize(A):
-    """diagonalize(A) with U, D and V as dense rows."""
-    return [M.dense() for M in diagonalize(A)]
+    """diagonalize(A) expanded to dense U, D and V with U A V = D: the unit
+    lines filled in, pivot k moved to (k, k) and made positive."""
+    (m, n), pivots, U, V = diagonalize(A)
+
+    def order(size, first):
+        return first + [k for k in range(size) if k not in first]
+
+    rows = order(m, [i for i, _, _ in pivots])
+    cols = order(n, [j for _, j, _ in pivots])
+    signs = [-1 if v < 0 else 1 for _, _, v in pivots] + [1] * (m - len(pivots))
+    U_dense = [[s * U.get(i, {i: 1}).get(k, 0) for k in range(m)]
+               for s, i in zip(signs, rows)]
+    D = [[abs(pivots[k][2]) if k == l and k < len(pivots) else 0 for l in range(n)]
+         for k in range(m)]
+    V_dense = [[V.get(j, {j: 1}).get(k, 0) for j in cols] for k in range(n)]
+    return U_dense, D, V_dense
 
 
 def _vec(x, n):
@@ -233,8 +247,9 @@ class TestSparseForm:
 class TestOneDiagonalization:
     """One diagonalization serves the kernel and span membership."""
 
+    # the last: a negative isolated pivot beside a row that needs column operations
     MATRICES = [[[2, 4, 0], [0, 0, 3]], [[1, 1], [1, 1], [0, 2]], [[0, 0, 0]],
-                [[6, 0, 0, 0], [0, 4, 0, 0], [0, 0, 0, 0]]]
+                [[6, 0, 0, 0], [0, 4, 0, 0], [0, 0, 0, 0]], [[-2, 0, 0], [0, 2, 3]]]
 
     @pytest.mark.parametrize("rows", MATRICES)
     def test_pieces_equal_the_wrappers(self, rows):
@@ -246,11 +261,13 @@ class TestOneDiagonalization:
                                                          for b in vectors]
 
     def test_solver_keeps_no_factor(self):
-        """The solver holds the pieces it reads, not U, D or V themselves."""
+        """The solver holds no matrix, and a partial permutation's
+        diagonalization changes no line of U or V."""
         factors = diagonalize(sparse([[2, 4, 0], [0, 0, 3]]))
         held = [cell.cell_contents for cell in span_solver(factors).__closure__]
-        assert not any(any(value is M for M in factors) for value in held)
         assert not any(isinstance(value, SparseMatrix) for value in held)
+        _, _, U, V = diagonalize(sparse([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))
+        assert U == {} and V == {}
 
 
 class TestSparseNonUnit:
@@ -307,8 +324,11 @@ class TestIsolatedSplit:
 
     @staticmethod
     def _check(rows, width=None):
-        """diagonalize and rank_mod_p of the dense rows against the oracles."""
+        """diagonalize, kernel_rows, span_solver and rank_mod_p of the dense
+        rows against the oracles.  The right-hand sides are each unit vector,
+        each column and the sum of the columns."""
         A = sparse(rows, width)
+        m, n = A.shape
         U, D, V = _dense_diagonalize(A)
         assert _is_diagonal(D)
         assert mat_mul(mat_mul(U, rows), V) == D
@@ -318,6 +338,22 @@ class TestIsolatedSplit:
             assert helpers.minors_gcd(D, k) == helpers.minors_gcd(rows, k), k
         for p in (2, 3, 5):
             assert rank_mod_p(A, p) == helpers.rank_mod_p_oracle(rows, p), p
+        # the kernel rows span the nullspace and a saturated lattice
+        factors = diagonalize(A)
+        K = kernel_rows(factors).dense()
+        nullspace = sympy.Matrix(m, n, [v for row in rows for v in row]).nullspace()
+        assert len(K) == len(nullspace)
+        assert all(v == 0 for k in K for v in mat_vec(rows, k))
+        if K:
+            assert sympy.Matrix(K).rank() == len(K)
+            assert helpers.minors_gcd(K, len(K)) == 1
+        columns = [list(col) for col in zip(*rows)]
+        vectors = [[int(i == k) for i in range(m)] for k in range(m)]
+        vectors += columns + [[sum(row) for row in rows]]
+        for b, x in zip(vectors, span_solver(factors)(sparse(vectors, m))):
+            assert (x is not None) == helpers.integer_solvable_oracle(rows, b), b
+            if x is not None:
+                assert mat_vec(rows, _vec(x, n)) == b
         return D
 
     @pytest.mark.parametrize("rows, ranks", [([[2]], (1, 0, 1, 1)),
@@ -340,6 +376,12 @@ class TestIsolatedSplit:
 
     def test_shared_column_of_single_entry_rows(self):
         D = self._check([[0, 3], [0, 3], [1, 0]])
+        assert _nonzero_diagonal(D) == 2
+
+    def test_kernel_through_column_operations(self):
+        """Row [0, 2, 3] needs column operations, so its kernel vector is a
+        changed column of V; the -2 beside it is an isolated pivot."""
+        D = self._check([[-2, 0, 0], [0, 2, 3]])
         assert _nonzero_diagonal(D) == 2
 
     def test_partial_permutation(self):
