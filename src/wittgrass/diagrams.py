@@ -18,11 +18,10 @@ that rule, ``even_rows`` builds a frame's even row tuples from it, with no
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class JumpTuples:
+class JumpTuples(namedtuple("JumpTuples", "dvec evec")):
     """Strictly increasing row-index and co-length vectors of equal length.
 
     ``dvec`` lists the row indices (1-based) where the row value strictly
@@ -32,50 +31,47 @@ class JumpTuples:
     supplied, not here.
     """
 
-    dvec: tuple[int, ...]
-    evec: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dvec", tuple(self.dvec))
-        object.__setattr__(self, "evec", tuple(self.evec))
-        if len(self.dvec) != len(self.evec) or not self.dvec:
+    def __new__(cls, dvec, evec) -> JumpTuples:
+        dvec, evec = tuple(dvec), tuple(evec)
+        if len(dvec) != len(evec) or not dvec:
             raise ValueError("dvec and evec must be nonempty and of equal length")
-        if any(type(v) is not int for v in self.dvec + self.evec):
+        if any(type(v) is not int for v in dvec + evec):
             raise ValueError("jump tuples must be integers")
-        if self.dvec[0] < 1 or self.evec[0] < 0:
+        if dvec[0] < 1 or evec[0] < 0:
             raise ValueError("need dvec[0] >= 1 and evec[0] >= 0")
-        if any(b <= a for a, b in zip(self.dvec, self.dvec[1:])):
+        if any(b <= a for a, b in zip(dvec, dvec[1:])):
             raise ValueError("dvec must be strictly increasing")
-        if any(b <= a for a, b in zip(self.evec, self.evec[1:])):
+        if any(b <= a for a, b in zip(evec, evec[1:])):
             raise ValueError("evec must be strictly increasing")
+        return tuple.__new__(cls, (dvec, evec))
 
     @property
     def k(self) -> int:
         return len(self.dvec)
 
 
-@dataclass(frozen=True, slots=True)
-class FramedDiagram:
+class FramedDiagram(namedtuple("FramedDiagram", "d e rows")):
     """Weakly decreasing row lengths in a d-by-e frame, zeros explicit."""
 
-    d: int
-    e: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if type(self.d) is not int or type(self.e) is not int or self.d < 1 or self.e < 1:
+    def __new__(cls, d: int, e: int, rows) -> FramedDiagram:
+        rows = tuple(rows)
+        if type(d) is not int or type(e) is not int or d < 1 or e < 1:
             raise ValueError("frame dimensions must be integers, at least 1")
-        if len(self.rows) != self.d:
-            raise ValueError(f"expected {self.d} rows, got {len(self.rows)}")
-        prev = e = self.e  # one pass: an int, and 0 <= row <= the row above it
-        for r in self.rows:
+        if len(rows) != d:
+            raise ValueError(f"expected {d} rows, got {len(rows)}")
+        prev = e  # one pass: an int, and 0 <= row <= the row above it
+        for r in rows:
             if type(r) is not int:
                 raise ValueError("row lengths must be integers")
             if not 0 <= r <= prev:
                 raise ValueError(f"row lengths must lie in [0, {e}]" if not 0 <= r <= e
                                  else "rows must be weakly decreasing")
             prev = r
+        return tuple.__new__(cls, (d, e, rows))
 
     def area(self) -> int:
         """Number of cells."""
@@ -128,9 +124,15 @@ def from_jump_tuples(tuples: JumpTuples, d: int, e: int) -> FramedDiagram:
 
 def row_jumps(rows: tuple[int, ...], e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Drop positions of ``rows``, of width ``e``, and their co-lengths: (dvec, evec)."""
-    d = len(rows)
-    dvec = (*(pos for pos in range(1, d) if rows[pos] < rows[pos - 1]), d)
-    return dvec, tuple(e - rows[pos - 1] for pos in dvec)
+    dvec, evec, prev = [], [], rows[0]
+    for pos, r in enumerate(rows):
+        if r < prev:  # row pos (1-based) is the last of its block
+            dvec.append(pos)
+            evec.append(e - prev)
+        prev = r
+    dvec.append(len(rows))
+    evec.append(e - prev)
+    return tuple(dvec), tuple(evec)
 
 
 def even_rows(d: int, e: int) -> tuple[tuple[int, ...], ...]:

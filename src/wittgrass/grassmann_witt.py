@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 
 from .diagrams import FramedDiagram, transpose_rows
 from .picard import cond_even_rows
@@ -141,11 +141,11 @@ def bord_vanishes(seq: CyclicSequence) -> bool:
     return by_parity
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    frame: tuple[int, int]
-    pairs_checked: int
-    failures: tuple = ()
+class DualityReport(namedtuple("DualityReport", "frame pairs_checked failures",
+                               defaults=((),))):
+    """Transpose duality of a frame: keys checked, (rows, reason) of each failure."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -199,11 +199,11 @@ def induction_report(seq: CyclicSequence, exact: ExactnessReport,
     p = 2 only, so it is the same whichever other primes were checked; a
     report without p = 2 raises ValueError.
     """
-    positions = tuple(replace(pos, mod_p=tuple(v for v in pos.mod_p if v[0] == 2))
+    positions = tuple(pos._replace(mod_p=tuple(v for v in pos.mod_p if v[0] == 2))
                       for pos in exact.positions)
     if not all(pos.mod_p for pos in positions):
         raise ValueError("the exactness report must check p = 2")
-    exact = replace(exact, positions=positions)
+    exact = exact._replace(positions=positions)
     iota, kappa, bord = seq.maps()
 
     def supported(bm):

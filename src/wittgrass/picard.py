@@ -22,8 +22,7 @@ serves the ``canonical`` command, ``les_twists`` and the tests' references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .diagrams import FramedDiagram, JumpTuples, row_jumps
 
@@ -55,17 +54,15 @@ def _validated_terms(n, terms, with_coeff):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PicClass:
+class PicClass(namedtuple("PicClass", "n terms")):
     """Integer combination of BaseDet/TautDet generators, ambient rank n."""
 
-    n: int
-    terms: tuple[tuple[str, int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
+    def __new__(cls, n: int, terms=()) -> PicClass:
+        if type(n) is not int or n < 1:
             raise ValueError("ambient rank must be a positive integer")
-        object.__setattr__(self, "terms", _validated_terms(self.n, self.terms, True))
+        return tuple.__new__(cls, (n, _validated_terms(n, terms, True)))
 
     @classmethod
     def from_dict(cls, n: int, coeffs: dict) -> "PicClass":
@@ -98,6 +95,8 @@ class PicClass:
             return NotImplemented
         return PicClass.from_dict(self.n, {(k, i): scalar * c for k, i, c in self.terms})
 
+    __mul__ = __rmul__  # not the tuple's repetition
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -109,18 +108,15 @@ class PicClass:
                 "terms": [{"gen": k, "index": i, "coeff": c} for k, i, c in self.terms]}
 
 
-@dataclass(frozen=True)
-class PicClassMod2:
+class PicClassMod2(namedtuple("PicClassMod2", "n support")):
     """Mod-2 class: the set of generators with odd coefficient."""
 
-    n: int
-    support: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
+    def __new__(cls, n: int, support=()) -> PicClassMod2:
+        if type(n) is not int or n < 1:
             raise ValueError("ambient rank must be a positive integer")
-        object.__setattr__(self, "support",
-                           _validated_terms(self.n, tuple(self.support), False))
+        return tuple.__new__(cls, (n, _validated_terms(n, support, False)))
 
     @classmethod
     def zero(cls, n: int) -> "PicClassMod2":
@@ -342,9 +338,7 @@ def cond_even_verdicts(diagram: FramedDiagram) -> tuple[bool, bool, bool]:
     return cond_even_rows(diagram.d, diagram.e, diagram.rows)
 
 
-class CellCanonicals(NamedTuple):
-    sub_grassmannian: PicClass
-    exceptional_divisor: PicClass
+CellCanonicals = namedtuple("CellCanonicals", "sub_grassmannian exceptional_divisor")
 
 
 def cell_canonicals(d: int, n: int) -> CellCanonicals:

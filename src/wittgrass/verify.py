@@ -12,7 +12,6 @@ frames, from one pair of bases, and holds the second report until its frame.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 
 from .grassmann_witt import bord_vanishes, duality_check, induction_report
@@ -25,13 +24,12 @@ SUITE_FIRST_FRAME = {"exactness": 1, "degrees": 2, "cond-even": 1, "bord": 2,
                      "duality": 1, "induction": 2}
 
 
-@dataclass(frozen=True)
 class _Frame:
-    d: int
-    e: int
-    primes: tuple[int, ...]
-    basis: Callable[[int, int], GradedBasis]  # the run's basis store
-    mirrors: dict  # (d, e) -> its duality report, held since its mirror's frame
+    def __init__(self, d: int, e: int, primes: tuple[int, ...],
+                 basis: Callable[[int, int], GradedBasis], mirrors: dict) -> None:
+        self.d, self.e, self.primes = d, e, primes
+        self.basis = basis  # the run's basis store
+        self.mirrors = mirrors  # (d, e) -> its duality report, held since its mirror's frame
 
     @cached_property
     def seq(self):

@@ -16,8 +16,8 @@ linear algebra on their matrices; and by ranks over prime fields.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import intmatrix
@@ -26,37 +26,47 @@ from .diagrams import FramedDiagram, even_counts, even_rank, even_rows
 MAP_NAMES = ("iota", "kappa", "bord")
 
 
-@dataclass(frozen=True, slots=True)
-class GradedDegree:
+class GradedDegree(namedtuple("GradedDegree", "shift base det_twist")):
     """Shift in Z/4, mod-2 base class as increasing BaseDet indices, det twist in Z/2."""
 
-    shift: int
-    base: tuple[int, ...]
-    det_twist: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.shift) is not int or not 0 <= self.shift <= 3:
+    def __new__(cls, shift: int, base: tuple[int, ...], det_twist: int) -> GradedDegree:
+        if type(shift) is not int or not 0 <= shift <= 3:
             raise ValueError("shift must be reduced mod 4")
-        if type(self.det_twist) is not int or self.det_twist not in (0, 1):
+        if type(det_twist) is not int or det_twist not in (0, 1):
             raise ValueError("det_twist must be 0 or 1")
-        base = self.base
         if (type(base) is not tuple or any(type(i) is not int or i < 1 for i in base)
                 or list(base) != sorted(set(base))):
             raise ValueError("degree base must be increasing positive BaseDet indices")
+        return tuple.__new__(cls, (shift, base, det_twist))
 
     def to_json(self) -> dict:
         return {"shift": self.shift, "base": list(self.base), "twist": self.det_twist}
 
 
-@dataclass(frozen=True)
 class PointGenerator:
-    """Unit generator of a degenerate frame, indexed by det-twist parity."""
+    """Unit generator of a degenerate frame, indexed by det-twist parity; not
+    a tuple, so a point frame's key never equals a row tuple such as (0,)."""
 
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self) -> None:
-        if type(self.index) is not int or self.index not in (0, 1):
+    def __init__(self, index: int) -> None:
+        if type(index) is not int or index not in (0, 1):
             raise ValueError("point index must be 0 or 1")
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r} of a PointGenerator")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is PointGenerator and other.index == self.index
+
+    def __hash__(self) -> int:
+        return hash((PointGenerator, self.index))
+
+    def __repr__(self) -> str:
+        return f"PointGenerator(index={self.index})"
 
     def label(self) -> str:
         return f"pt{self.index}"
@@ -73,15 +83,16 @@ def degree(d: int, e: int, rows: tuple[int, ...]) -> GradedDegree:
     return _graded_degree(d + e, sum(rows) % 4, rho % 2, (rows[0] + rho) % 2)
 
 
-@dataclass(frozen=True)
 class GradedBasis:
     """One frame's keys (even row tuples, largest first, or point generators)
-    and their degrees."""
+    and their degrees; read-only, as ``row_index`` keeps the keys' one check."""
 
-    d: int
-    e: int
-    keys: tuple
-    degrees: tuple[GradedDegree, ...]
+    def __init__(self, d: int, e: int, keys: tuple,
+                 degrees: tuple[GradedDegree, ...]) -> None:
+        vars(self).update(d=d, e=e, keys=keys, degrees=degrees)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r} of a GradedBasis")
 
     @cached_property
     def _counts(self) -> list[list[list[int]]]:
@@ -97,9 +108,13 @@ class GradedBasis:
     def row_index(self) -> dict:
         """Position of each key, built on first read: the one check of a basis,
         that each key's rank is its position and all of the frame's are there."""
-        keys, frame = self.keys, f"the {self.d}x{self.e} basis"
-        total = sum(c[self.d][self.e] for c in self._counts) if self.d and self.e else 2
-        ranks = list(map(self.rank, keys))
+        keys, d, e, frame = self.keys, self.d, self.e, f"the {self.d}x{self.e} basis"
+        if d and e:
+            counts = self._counts
+            total = counts[0][d][e] + counts[1][d][e]
+            ranks = [even_rank(key, d, e, counts) for key in keys]
+        else:
+            total, ranks = 2, list(map(self.rank, keys))
         if ranks == list(range(total)):
             return dict(zip(keys, ranks))
         n = len(keys)
@@ -140,18 +155,16 @@ def build_basis(d: int, e: int) -> GradedBasis:
     return GradedBasis(d, e, keys, tuple(degree(d, e, rows) for rows in keys))
 
 
-@dataclass(frozen=True)
-class BasisMap:
+class BasisMap(namedtuple("BasisMap", "which source target images")):
     """One of the three maps as a partial bijection between two bases.
 
     ``images[j]`` is the target index of source element j, or None when the
     map sends that element to zero.
     """
 
-    which: str
-    source: GradedBasis
-    target: GradedBasis
-    images: tuple[int | None, ...]
+    # no __slots__: perfbench/tracing.py reads vars() of a map, which is empty
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r} of a BasisMap")
 
     def frames_json(self) -> dict:
         """The wire form's fields before its matrix."""
@@ -198,15 +211,10 @@ def _image_rule(which: str, d: int, e: int) -> Callable:
     return lambda rows: (*(r - 1 for r in rows), 0) if rows[-1] % 2 else None
 
 
-@dataclass(frozen=True)
-class CyclicSequence:
+class CyclicSequence(namedtuple("CyclicSequence", "d e iota kappa bord")):
     """F(d,e-1) --iota--> F(d,e) --kappa--> F(d-1,e) --bord--> F(d,e-1)."""
 
-    d: int
-    e: int
-    iota: BasisMap
-    kappa: BasisMap
-    bord: BasisMap
+    __slots__ = ()
 
     def maps(self) -> tuple[BasisMap, BasisMap, BasisMap]:
         return (self.iota, self.kappa, self.bord)
@@ -248,17 +256,11 @@ def _element_json(elem):
     return {"pt": elem.index} if isinstance(elem, PointGenerator) else elem.to_json()
 
 
-@dataclass(frozen=True)
-class PositionVerdict:
+class PositionVerdict(namedtuple("PositionVerdict", "frame incoming outgoing structural "
+                                 "linear mod_p witnesses", defaults=((),))):
     """Exactness verdict at one module of the cyclic sequence."""
 
-    frame: tuple[int, int]
-    incoming: str
-    outgoing: str
-    structural: bool
-    linear: bool
-    mod_p: tuple[tuple[int, bool], ...]
-    witnesses: tuple = ()
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -274,11 +276,10 @@ class PositionVerdict:
                 "witnesses": [_element_json(w) for w in self.witnesses]}
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    frame: tuple[int, int]
-    positions: tuple[PositionVerdict, ...]
-    maps_well_formed: bool
+class ExactnessReport(namedtuple("ExactnessReport", "frame positions maps_well_formed")):
+    """Each module's ``PositionVerdict``, and whether each map is well formed."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -393,12 +394,10 @@ def _les_target(which: str, d: int, e: int, base: tuple[int, ...],
     return tuple(i for i in range(1, n + 1) if side >> i & 1), det
 
 
-@dataclass(frozen=True)
-class TransportFailure:
-    which: str
-    source: FramedDiagram | PointGenerator
-    expected: GradedDegree | int | str
-    actual: GradedDegree | int
+class TransportFailure(namedtuple("TransportFailure", "which source expected actual")):
+    """Map ``which`` gives ``source`` the degree or det twist ``actual``, not ``expected``."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         def enc(v):
@@ -407,13 +406,11 @@ class TransportFailure:
                 "expected": enc(self.expected), "actual": enc(self.actual)}
 
 
-@dataclass(frozen=True)
-class TransportReport:
-    frame: tuple[int, int]
-    trivial_base: bool
-    checked: int
-    point_entries_det_only: int
-    failures: tuple[TransportFailure, ...] = ()
+class TransportReport(namedtuple("TransportReport", "frame trivial_base checked "
+                                 "point_entries_det_only failures", defaults=((),))):
+    """Degree transport of a sequence: entries checked, det-only ones, failures."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

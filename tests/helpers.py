@@ -10,6 +10,15 @@ from wittgrass import FramedDiagram, enumerate_even
 from wittgrass.intmatrix import SparseMatrix
 
 
+def replace(record, **changes):
+    """A copy of ``record``, a namedtuple record or a ``GradedBasis``, with
+    the fields in ``changes``; its constructor validates it, as
+    ``dataclasses.replace`` did for the dataclasses these records were."""
+    fields = record._asdict() if isinstance(record, tuple) else {
+        name: getattr(record, name) for name in ("d", "e", "keys", "degrees")}
+    return type(record)(**{**fields, **changes})
+
+
 def all_row_vectors(d, e):
     """Every weakly decreasing length-d vector with entries in 0..e."""
     return combinations_with_replacement(range(e, -1, -1), d)

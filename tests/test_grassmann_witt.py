@@ -2,11 +2,11 @@
 
 import math
 import re
-from dataclasses import replace
 
 import pytest
 
 import helpers
+from helpers import replace
 from wittgrass import grassmann_witt
 from wittgrass import (FramedDiagram, GeneratorClass, bord_vanishes, build_basis,
                        class_degree, classify, cyclic_sequence, degree,

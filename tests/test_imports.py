@@ -3,6 +3,8 @@ public name of the package has a caller, every private function is read in
 its own module, and every parameter default is overridden by some call."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -41,6 +43,18 @@ def test_check_sees_an_unused_name():
               "import os.path\nfrom typing import Iterable, NamedTuple as NT\n"
               "x: NT = os.sep\n")
     assert unused_imports(source) == ["Iterable"]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Records are namedtuples or plain classes, so importing the CLI loads
+    neither ``dataclasses`` (nor through it ``inspect``) nor ``typing``, which
+    would double its start-up.  ``-S`` skips ``site``, which may load
+    ``typing`` itself."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import wittgrass.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_all_lists_exactly_what_the_package_imports():
@@ -162,8 +176,8 @@ def test_private_check_sees_an_unread_name():
 def _functions(tree):
     """(qualified name, called name, node, bound) of every function and
     method, nested ones included: a method is ``Class.method``, is called by
-    its own name (``__init__`` by its class's name) and has its first
-    parameter bound by the call, unless it is a staticmethod."""
+    its own name (``__init__`` and ``__new__`` by its class's name) and has
+    its first parameter bound by the call, unless it is a staticmethod."""
     def visit(body, prefix, cls):
         for node in body:
             if isinstance(node, ast.ClassDef):
@@ -171,7 +185,7 @@ def _functions(tree):
             elif isinstance(node, ast.FunctionDef):
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                              for d in node.decorator_list)
-                called = cls if cls and node.name == "__init__" else node.name
+                called = cls if cls and node.name in ("__init__", "__new__") else node.name
                 yield f"{prefix}{node.name}", called, node, bool(cls) and not static
                 yield from visit(node.body, f"{prefix}{node.name}.", None)
             else:
@@ -186,8 +200,8 @@ def unset_defaults(defining: list[str], calling: list[str]) -> list[str]:
     sources passes, by position or by keyword.
 
     A call is matched to a definition by the called name alone, and a call
-    of a class counts for its ``__init__``.  A starred argument passes every
-    position, and a double-starred one every keyword.
+    of a class counts for its ``__init__`` and its ``__new__``.  A starred
+    argument passes every position, and a double-starred one every keyword.
     """
     calls: dict[str, list] = {}
     for tree in map(ast.parse, calling):
@@ -235,8 +249,11 @@ def test_default_check_sees_an_unset_knob():
               "    def make(n=2): pass\n"
               "    def outer(self):\n"
               "        def inner(z=5): pass\n"
-              "        return inner\n")
+              "        return inner\n"
+              "class Pair(tuple):\n"
+              "    def __new__(cls, a, b=0, c=1): pass\n")
     calls = ("f(0, 1, e=4)\ng(*[1])\nh(**{})\nBox(2)\nBox().grow()\n"
-             "Box.make(3)\n")
+             "Box.make(3)\nPair(1, c=2)\n")
     assert unset_defaults([source], [source, calls]) == [
-        "f.c", "f.d", "Box.__init__.fill", "Box.grow.by", "Box.outer.inner.z"]
+        "f.c", "f.d", "Box.__init__.fill", "Box.grow.by", "Box.outer.inner.z",
+        "Pair.__new__.b"]

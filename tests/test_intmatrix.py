@@ -316,51 +316,69 @@ class TestSparseNonUnit:
             assert rank == sum(1 for v in diag if v % p)
 
 
+def _check_oracles(rows, width=None):
+    """diagonalize, kernel_rows, span_solver and rank_mod_p of the dense
+    rows against the oracles.  The right-hand sides are each unit vector,
+    each column and the sum of the columns."""
+    A = sparse(rows, width)
+    m, n = A.shape
+    U, D, V = _dense_diagonalize(A)
+    assert _is_diagonal(D)
+    assert mat_mul(mat_mul(U, rows), V) == D
+    assert _unimodular(U)
+    assert _unimodular(V)
+    for k in range(1, min(A.shape) + 1):
+        assert helpers.minors_gcd(D, k) == helpers.minors_gcd(rows, k), k
+    for p in (2, 3, 5):
+        assert rank_mod_p(A, p) == helpers.rank_mod_p_oracle(rows, p), p
+    # the kernel rows span the nullspace and a saturated lattice
+    factors = diagonalize(A)
+    K = kernel_rows(factors).dense()
+    nullspace = sympy.Matrix(m, n, [v for row in rows for v in row]).nullspace()
+    assert len(K) == len(nullspace)
+    assert all(v == 0 for k in K for v in mat_vec(rows, k))
+    if K:
+        assert sympy.Matrix(K).rank() == len(K)
+        assert helpers.minors_gcd(K, len(K)) == 1
+    columns = [list(col) for col in zip(*rows)]
+    vectors = [[int(i == k) for i in range(m)] for k in range(m)]
+    vectors += columns + [[sum(row) for row in rows]]
+    for b, x in zip(vectors, span_solver(factors)(sparse(vectors, m))):
+        assert (x is not None) == helpers.integer_solvable_oracle(rows, b), b
+        if x is not None:
+            assert mat_vec(rows, _vec(x, n)) == b
+    return D
+
+
+class TestRowOperationChain:
+    def test_row_operations_from_a_changed_row(self):
+        """In the column (2, 3, 5) the pivot 2 clears rows 1 and 2 to 1, so
+        their rows of U change; row 1 then pivots and clears rows 0 and 2, so
+        two row operations read U's row 1 after it changed, and row 2's
+        second one adds it to a changed row of its own.  In the 3x3 matrix,
+        after the isolated-free pivot 1 at (0, 2), rows 1 and 2 run Euclid's
+        algorithm on 3 and 5 beside a column operation, each step reading
+        the other's changed row of U."""
+        (m, n), pivots, U, V = diagonalize(sparse([[2], [3], [5]]))
+        assert [i for i, _, _ in pivots] == [1] and V == {}
+        assert U == {0: {0: 3, 1: -2}, 1: {0: -1, 1: 1}, 2: {0: -1, 1: -1, 2: 1}}
+        D = _check_oracles([[2], [3], [5]])
+        assert _nonzero_diagonal(D) == 1
+        D = _check_oracles([[2, 0, 1], [3, 0, 0], [5, 4, 0]])
+        assert _nonzero_diagonal(D) == 3
+
+
 class TestIsolatedSplit:
     """Entries alone in their row and column are pivots taken before any
     elimination, at every prime: an isolated entry that p divides counts 0
     mod p and stays a pivot over Z.  Held to the minors-gcd and sympy
     rank oracles."""
 
-    @staticmethod
-    def _check(rows, width=None):
-        """diagonalize, kernel_rows, span_solver and rank_mod_p of the dense
-        rows against the oracles.  The right-hand sides are each unit vector,
-        each column and the sum of the columns."""
-        A = sparse(rows, width)
-        m, n = A.shape
-        U, D, V = _dense_diagonalize(A)
-        assert _is_diagonal(D)
-        assert mat_mul(mat_mul(U, rows), V) == D
-        assert _unimodular(U)
-        assert _unimodular(V)
-        for k in range(1, min(A.shape) + 1):
-            assert helpers.minors_gcd(D, k) == helpers.minors_gcd(rows, k), k
-        for p in (2, 3, 5):
-            assert rank_mod_p(A, p) == helpers.rank_mod_p_oracle(rows, p), p
-        # the kernel rows span the nullspace and a saturated lattice
-        factors = diagonalize(A)
-        K = kernel_rows(factors).dense()
-        nullspace = sympy.Matrix(m, n, [v for row in rows for v in row]).nullspace()
-        assert len(K) == len(nullspace)
-        assert all(v == 0 for k in K for v in mat_vec(rows, k))
-        if K:
-            assert sympy.Matrix(K).rank() == len(K)
-            assert helpers.minors_gcd(K, len(K)) == 1
-        columns = [list(col) for col in zip(*rows)]
-        vectors = [[int(i == k) for i in range(m)] for k in range(m)]
-        vectors += columns + [[sum(row) for row in rows]]
-        for b, x in zip(vectors, span_solver(factors)(sparse(vectors, m))):
-            assert (x is not None) == helpers.integer_solvable_oracle(rows, b), b
-            if x is not None:
-                assert mat_vec(rows, _vec(x, n)) == b
-        return D
-
     @pytest.mark.parametrize("rows, ranks", [([[2]], (1, 0, 1, 1)),
                                              ([[6, 0], [0, 1]], (2, 1, 1, 2))])
     def test_non_unit_isolated_entry(self, rows, ranks):
         """Ranks over Z, then mod 2, 3 and 5."""
-        D = self._check(rows)
+        D = _check_oracles(rows)
         assert _nonzero_diagonal(D) == ranks[0]
         assert [rank_mod_p(sparse(rows), p) for p in (2, 3, 5)] == list(ranks[1:])
         assert sorted(D[i][i] for i in range(len(D))) == sorted(max(map(abs, r)) for r in rows)
@@ -370,27 +388,27 @@ class TestIsolatedSplit:
         shares its column, so it is not isolated.  Its Smith form is
         diag(1, 4), so the determinantal divisor of the whole is 12."""
         rows = [[1, 0, 0, 0], [0, 1, 2, 0], [0, 2, 0, 0], [0, 0, 0, 3]]
-        D = self._check(rows)
+        D = _check_oracles(rows)
         assert helpers.minors_gcd(D, 4) == 12
         assert [rank_mod_p(sparse(rows), p) for p in (2, 3, 5)] == [3, 3, 4]
 
     def test_shared_column_of_single_entry_rows(self):
-        D = self._check([[0, 3], [0, 3], [1, 0]])
+        D = _check_oracles([[0, 3], [0, 3], [1, 0]])
         assert _nonzero_diagonal(D) == 2
 
     def test_kernel_through_column_operations(self):
         """Row [0, 2, 3] needs column operations, so its kernel vector is a
         changed column of V; the -2 beside it is an isolated pivot."""
-        D = self._check([[-2, 0, 0], [0, 2, 3]])
+        D = _check_oracles([[-2, 0, 0], [0, 2, 3]])
         assert _nonzero_diagonal(D) == 2
 
     def test_partial_permutation(self):
         rows = [[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 0, 0, 2]]
-        D = self._check(rows)
+        D = _check_oracles(rows)
         assert [D[i][i] for i in range(3)] == [1, 1, 2]
         assert rank_mod_p(sparse(rows), 2) == 2
 
     @pytest.mark.parametrize("rows, width", [([], 3), ([[], [], []], None)])
     def test_no_rows_or_no_columns(self, rows, width):
-        self._check(rows, width)
+        _check_oracles(rows, width)
         assert rank_mod_p(sparse(rows, width), 2) == 0

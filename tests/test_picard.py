@@ -56,6 +56,14 @@ class TestPicClassAlgebra:
         assert (2 * a).terms == ((B, 4, 2),)
         assert 0 * a == PicClass(4)
 
+    def test_scalar_on_either_side(self):
+        """A class is a tuple, but ``cls * k`` scales it, not repeats it."""
+        a = PicClass(4, ((B, 2, 1), (T, 3, -2)))
+        assert a * 2 == 2 * a == a + a
+        assert (a * 3).terms == ((B, 2, 3), (T, 3, -6))
+        with pytest.raises(TypeError):
+            a * 1.5
+
     def test_mod2(self):
         cls = 2 * base_det(4, 4) + 3 * taut_det(4, 2) - base_det(4, 1)
         assert cls.mod2().support == ((B, 1), (T, 2))

@@ -6,12 +6,12 @@ import importlib.util
 import sys
 import weakref
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from helpers import replace
 from wittgrass import diagrams, grassmann_witt, verify, witt_modules
 from wittgrass.cli import main
 from wittgrass.grassmann_witt import expected_rank
@@ -247,10 +247,10 @@ class TestOnePass:
 def test_a_passing_run_builds_no_diagram(monkeypatch):
     """Every suite reads basis keys and degrees: a passing run builds no
     FramedDiagram, which only output and failure records need."""
-    def unbuilt(self):
+    def unbuilt(cls, *args):
         raise AssertionError("a diagram was built")
 
-    monkeypatch.setattr(diagrams.FramedDiagram, "__post_init__", unbuilt)
+    monkeypatch.setattr(diagrams.FramedDiagram, "__new__", unbuilt)
     with pytest.raises(AssertionError, match="was built"):
         diagrams.FramedDiagram(1, 1, (0,))
     assert all(suite["ok"] for suite in verify_suites("all", 6).values())

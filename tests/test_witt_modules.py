@@ -1,14 +1,14 @@
 """Graded bases, the three maps, exactness and degree transport."""
 
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 import helpers
-from wittgrass import (FramedDiagram, GradedDegree, PointGenerator,
-                       build_basis, cyclic_sequence, degree, duality_check,
+from helpers import replace
+from wittgrass import (FramedDiagram, GradedDegree, JumpTuples, PointGenerator,
+                       build_basis, cell_canonicals, cyclic_sequence, degree, duality_check,
                        expected_rank, induction_report, intmatrix, map_matrix,
                        verify_degree_transport, verify_exactness)
 from wittgrass.diagrams import even_counts
@@ -16,8 +16,8 @@ from wittgrass.intmatrix import (SparseMatrix, diagonalize, kernel_rows, multipl
                                  rank_mod_p, span_solver)
 from wittgrass.picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
 from wittgrass.verify import verify_suites
-from wittgrass.witt_modules import (MAP_NAMES, _les_target, _linear_position,
-                                    _mod_p_position, _structural_position)
+from wittgrass.witt_modules import (MAP_NAMES, TransportFailure, _les_target,
+                                    _linear_position, _mod_p_position, _structural_position)
 
 
 class TestDegrees:
@@ -676,3 +676,47 @@ class TestPointGenerator:
         for index in (True, False, 0.0, 1.0, "0"):
             with pytest.raises(ValueError):
                 PointGenerator(index)
+
+    def test_never_equals_a_row_tuple(self):
+        """A point frame's key and the 1-row key (0,) differ, in a dict too."""
+        assert PointGenerator(0) != (0,) and (0,) != PointGenerator(0)
+        assert {(0,): 0}.get(PointGenerator(0)) is None
+        assert PointGenerator(1) == PointGenerator(1) != PointGenerator(0)
+        assert {PointGenerator(1): 1}.get(PointGenerator(1)) == 1
+
+
+def _records():
+    """One of each record, by name: the namedtuples and the two plain classes."""
+    seq = cyclic_sequence(2, 2)
+    exact = verify_exactness(seq, (2,))
+    return {"JumpTuples": JumpTuples((1,), (0,)), "FramedDiagram": FramedDiagram(1, 1, (0,)),
+            "PicClass": quotient_det(4), "PicClassMod2": taut_det2(4, 2),
+            "CellCanonicals": cell_canonicals(2, 4), "GradedDegree": degree(2, 2, (1, 1)),
+            "PointGenerator": PointGenerator(0), "GradedBasis": build_basis(2, 2),
+            "BasisMap": seq.iota, "CyclicSequence": seq,
+            "PositionVerdict": exact.positions[0], "ExactnessReport": exact,
+            "TransportFailure": TransportFailure("iota", PointGenerator(1), 0, 1),
+            "TransportReport": verify_degree_transport(seq),
+            "DualityReport": duality_check(2, 2)}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", list(_records()))
+    def test_no_field_can_be_assigned(self, name):
+        """Every field, and any new attribute, of every record is read-only."""
+        record = _records()[name]
+        assert type(record).__name__ == name
+        fields = (record._fields if isinstance(record, tuple) else ("index",)
+                  if type(record) is PointGenerator else ("d", "e", "keys", "degrees"))
+        for field in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field, None))
+
+    def test_len_of_a_basis_is_its_key_count(self):
+        assert len(build_basis(4, 4)) == 12 == expected_rank(4, 4)
+
+    def test_reprs(self):
+        assert repr(GradedDegree(1, (5,), 0)) == \
+            "GradedDegree(shift=1, base=(5,), det_twist=0)"
+        assert repr(FramedDiagram(2, 3, [3, 1])) == "FramedDiagram(d=2, e=3, rows=(3, 1))"
+        assert repr(PointGenerator(1)) == "PointGenerator(index=1)"
