@@ -138,24 +138,27 @@ def row_jumps(rows: tuple[int, ...], e: int) -> tuple[tuple[int, ...], tuple[int
 def even_rows(d: int, e: int) -> tuple[tuple[int, ...], ...]:
     """Row tuples of the even diagrams of the d-by-e frame, largest first.
 
-    Built from the rule of ``FramedDiagram.is_even``: for each parity p, rows
-    equal to e (only when e has parity p) over equal pairs of values of
-    parity p strictly between 0 and e over rows equal to 0 (only when p is
-    0).  So the cost tracks the even diagrams, not all C(d+e, d) row vectors.
+    A depth-first walk of the rule of ``FramedDiagram.is_even`` (rows equal to
+    e, pairs of interior values, each at most the pair above, rows equal to 0,
+    all of one parity) that stacks the smallest step first: nothing is sorted,
+    and the cost tracks the even diagrams, not all C(d+e, d) row vectors.
     """
     if type(d) is not int or type(e) is not int or d < 1 or e < 1:
         raise ValueError("frame dimensions must be integers, at least 1")
-    rows = []
-    for p in (0, 1):
-        values = [v for v in range(e - 1, 0, -1) if v % 2 == p]
-        for pairs in range(d // 2 + 1):
-            rest = d - 2 * pairs  # rows equal to e or to 0
-            # all of them at the top when p is 1, none when e has not parity p
-            tops = range(rest if p else 0, (rest if e % 2 == p else 0) + 1)
-            for chosen in itertools.combinations_with_replacement(values, pairs):
-                middle = tuple(sorted(chosen * 2, reverse=True))  # each value twice
-                rows += [(e,) * top + middle + (0,) * (rest - top) for top in tops]
-    rows.sort(reverse=True)
+    rows, stack = [], [((), d, e, None)]  # rows so far, rows left, bound, parity
+    while stack:
+        prefix, left, bound, parity = stack.pop()
+        if not left:
+            rows.append(prefix)
+            continue
+        if parity != 1:  # rows equal to 0 to the end
+            stack.append((prefix + (0,) * left, 0, 0, 0))
+        if left > 1:  # a pair of an interior value at most the bound
+            lo, step = (1, 1) if parity is None else (2 - parity, 2)
+            stack += [(prefix + (v, v), left - 2, v, v % 2)
+                      for v in range(lo, min(bound, e - 1) + 1, step)]
+        if bound == e and parity in (None, e % 2):  # one more row equal to e
+            stack.append((prefix + (e,), left - 1, e, e % 2))
     return tuple(rows)
 
 
@@ -163,12 +166,16 @@ def even_counts(d: int, e: int) -> list[list[list[int]]]:
     """table[p][k][b]: how many k-row tails, of parity p and rows at most b, end an
     even diagram of width e; by the rule of ``is_even`` each starts with e or 0, or
     with a pair of one value between.  The d-by-e frame has [0][d][e] + [1][d][e]."""
-    table, ends = [[[1] * (e + 1)], [[1] * (e + 1)]], (0, e)
+    table = [[[1] * (e + 1)], [[1] * (e + 1)]]
     for p, counts in enumerate(table):
-        for k in range(1, d + 1):
-            counts.append(list(itertools.accumulate(
-                0 if v % 2 != p else counts[k - 1][v] if v in ends
-                else counts[k - 2][v] if k > 1 else 0 for v in range(e + 1))))
+        for k in range(1, d + 1):  # the k-row tails by first row: a pair of it
+            starts = [0] * (e + 1)  # over k - 2 rows, or 0 or e over k - 1 rows
+            if k > 1:
+                starts[p::2] = counts[k - 2][p::2]
+            for v in (0, e):
+                if v % 2 == p:
+                    starts[v] = counts[k - 1][v]
+            counts.append(list(itertools.accumulate(starts)))
     return table
 
 
@@ -204,10 +211,10 @@ def enumerate_even(d: int, e: int) -> tuple[FramedDiagram, ...]:
 
 def transpose_rows(rows: tuple[int, ...], e: int) -> tuple[int, ...]:
     """Column heights of the row vector ``rows`` of width ``e``: its transpose."""
-    heights, covered = (), 0
-    for height, r in zip(range(len(rows), 0, -1), reversed(rows)):
+    heights, covered, height = (), 0, len(rows)
+    for r in reversed(rows):
         if r > covered:  # the columns row ``height`` covers beyond the rows below it
             heights += (height,) * (r - covered)
             covered = r
+        height -= 1
     return heights + (0,) * (e - covered)
-

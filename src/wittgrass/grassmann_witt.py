@@ -156,38 +156,46 @@ class DualityReport(namedtuple("DualityReport", "frame pairs_checked failures",
                 "failures": [list(f) for f in self.failures], "ok": self.ok}
 
 
-def duality_check(d: int, e: int,
-                  basis: Callable[[int, int], GradedBasis] | None = None) -> DualityReport:
-    """Transposition is a degree-preserving bijection onto the mirror frame.
+def duality_check(d: int, e: int) -> DualityReport:
+    """Transposition is a degree-preserving bijection onto the mirror frame:
+    the (d, e) report of ``duality_pair`` on new bases."""
+    return duality_pair(d, e, build_basis)[0]
 
-    ``basis`` maps a frame to its graded basis, as in ``cyclic_sequence``;
-    by default the bases of (d, e) and (e, d) are built here.  Each mirror
-    is the transpose of a key's rows, looked up in the mirror basis's row
-    index; both bases pass their rank check.
-    """
+
+def duality_pair(d: int, e: int, basis: Callable[[int, int], GradedBasis]) -> tuple:
+    """The duality reports of (d, e) and, unless d == e, of (e, d), on the
+    checked bases ``basis`` gives, as in ``cyclic_sequence``.  Each key is
+    transposed once: ``fwd[i]`` is the rank of key i's mirror in (e, d), or
+    None, ``back`` the other way, and key i returns when back[fwd[i]] == i."""
     check_frame(d, e)
     if d < 1 or e < 1:
         raise ValueError("duality needs d,e >= 1")
-    if basis is None:
-        basis = build_basis
+
+    def mirror_ranks(source: GradedBasis, target: GradedBasis) -> list:
+        index = target.row_index
+        return [index.get(transpose_rows(rows, source.e)) for rows in source.row_index]
+
     source, target = basis(d, e), basis(e, d)
-    index = target.row_index
-    failures, images = [], set()
-    for rows, deg in zip(source.row_index, source.degrees):
-        mirror = transpose_rows(rows, e)
-        images.add(mirror)
-        idx = index.get(mirror)
-        if idx is None:
+    fwd = mirror_ranks(source, target)
+    back = fwd if d == e else mirror_ranks(target, source)
+    reports = (_duality_report(source, target, fwd, back),)
+    return reports if d == e else (*reports, _duality_report(target, source, back, fwd))
+
+
+def _duality_report(source: GradedBasis, target: GradedBasis, fwd: list,
+                    back: list) -> DualityReport:
+    failures, degrees = [], target.degrees
+    for i, (rows, deg, j) in enumerate(zip(source.keys, source.degrees, fwd)):
+        if j is None:
             failures.append((rows, "image not even in mirror frame"))
             continue
-        mirror_deg = target.degrees[idx]
-        if (deg.shift, deg.det_twist) != (mirror_deg.shift, mirror_deg.det_twist):
+        if (deg.shift, deg.det_twist) != (degrees[j].shift, degrees[j].det_twist):
             failures.append((rows, "degree not preserved"))
-        if transpose_rows(mirror, d) != rows:
+        if back[j] != i:
             failures.append((rows, "not an involution"))
-    if len(images) != len(source) or len(source) != len(target):
+    if len(set(fwd)) != len(source) or len(source) != len(target):
         failures.append(((), "not a bijection"))
-    return DualityReport((d, e), len(source), tuple(failures))
+    return DualityReport((source.d, source.e), len(source), tuple(failures))
 
 
 def induction_report(seq: CyclicSequence, exact: ExactnessReport,

@@ -14,9 +14,9 @@ constructor here applies it.  All arithmetic is exact.
 
 The cond-even verdicts (``cond_even_rows``) build no class: they read a row
 tuple's mod-2 fiber canonical and pulled-back twist as two int masks,
-``BaseDet(i)`` at bit i and ``TautDet(j)`` at bit n + j, and each mask applies
-the normalization as one move of a bit from n + d_1 to d_1.  Degree transport
-applies the rule of ``les_twists`` on masks of the same layout.  ``PicClass``
+``BaseDet(i)`` at bit i and ``TautDet(j)`` at bit n + j, in one pass over its
+blocks; each mask normalizes by moving a bit from n + d_1 to d_1.  Degree
+transport applies ``les_twists`` on masks of the same layout.  ``PicClass``
 serves the ``canonical`` command, ``les_twists`` and the tests' references.
 """
 
@@ -254,32 +254,6 @@ def twist_class(diagram: FramedDiagram) -> PicClassMod2:
     return PicClassMod2(n, tuple(support))
 
 
-def _fiber_mask(d: int, e: int, dvec: tuple[int, ...], evec: tuple[int, ...]) -> int:
-    # rel_canonical_fiber(JumpTuples(dvec, evec), d, e).mod2() as a bit mask,
-    # from _flag_canonical's coefficients with top_base = d: step i puts
-    # d_{i-1}-d_i on BaseDet(d_i+e_i) and d_i-d_{i-1}+e_i-e_{i+1} on
-    # TautDet(d_i); as d_k = d, last_taut = -d_{k-1}+e_k-e has the parity of
-    # that rule with e_{k+1} = n
-    n = d + e
-    mask = (d & 1) << n
-    prev = 0
-    for di, ei, e_next in zip(dvec, evec, (*evec[1:], n)):
-        step = (di - prev) & 1
-        mask ^= step << (di + ei) | (step ^ (ei - e_next) & 1) << (n + di)
-        prev = di
-    if evec[0] == 0 and mask >> (n + dvec[0]) & 1:  # co-length zero: TautDet(d_1)
-        mask ^= 1 << (n + dvec[0]) | 1 << dvec[0]  # becomes BaseDet(d_1)
-    return mask
-
-
-def _twist_mask(d: int, e: int, rows: tuple[int, ...], dvec: tuple, evec: tuple) -> int:
-    # pullback_to_flag(twist_class(diagram), tuples) as a bit mask: TautDet(d)
-    # is normalized to BaseDet(d) only when d_1 = d, that is k = 1, and e_1 = 0
-    n, rho = d + e, d - rows.count(0)
-    taut = d if len(dvec) == 1 and evec[0] == 0 else n + d
-    return (rho & 1) << n | (rows[0] + rho & 1) << taut
-
-
 def _admissible(e: int, dvec: tuple[int, ...], evec: tuple[int, ...]) -> bool:
     # the parity conditions of pushforward_admissible, read off the jumps
     for i in range(2, len(dvec)):  # 1-based interior steps
@@ -290,13 +264,38 @@ def _admissible(e: int, dvec: tuple[int, ...], evec: tuple[int, ...]) -> bool:
     return True
 
 
+def _masks(d: int, e: int, rows: tuple[int, ...]) -> tuple[int, int, bool]:
+    # the fiber and twist masks of rows and its admissibility, in one pass over
+    # its blocks: block i ends at row d_i, has co-length e_i and puts d_i-d_{i-1}
+    # on BaseDet(d_i+e_i) and d_i-d_{i-1}+e_i-e_{i+1} on TautDet(d_i), e_{k+1} = n,
+    # as _flag_canonical with top_base = d; admissible: that TautDet parity even
+    # but at block k, and at block 1 if e_1 = 0, where TautDet(d_1) is BaseDet(d_1)
+    n, co_first, blocks = d + e, e - rows[0], iter(dict.fromkeys(rows))
+    end = first = rows.count(next(blocks))  # d_1
+    fiber = (d & 1) << n ^ (first & 1) << (first + co_first)
+    owed, admissible = (first ^ co_first) & 1, True
+    for v in blocks:  # e_i completes the TautDet parity of block i - 1
+        co = e - v
+        owed ^= co & 1
+        if owed:
+            fiber ^= 1 << (n + end)
+            admissible = admissible and end == first and co_first == 0
+        size = rows.count(v)
+        fiber ^= (size & 1) << (end + size + co)
+        owed, end = (size ^ co) & 1, end + size
+    fiber ^= ((owed ^ n) & 1) << (n + d)
+    taut = d if co_first == 0 and first == d else n + d  # the twist's TautDet(d)
+    if co_first == 0 and fiber >> (n + first) & 1:
+        fiber ^= 1 << (n + first) | 1 << first
+    rho = d - rows.count(0)  # the twist: rho BaseDet(n) + (rows[0] + rho) TautDet(d)
+    return fiber, (rho & 1) << n | (rows[0] + rho & 1) << taut, admissible
+
+
 def cond_even_rows(d: int, e: int, rows: tuple[int, ...]) -> tuple[bool, bool, bool]:
     """``cond_even_verdicts`` of the d-by-e frame's ``rows``, unchecked for evenness."""
-    dvec, evec = row_jumps(rows, e)
-    fiber = _fiber_mask(d, e, dvec, evec)
+    fiber, twist, admissible = _masks(d, e, rows)
     # in span: no TautDet bit but TautDet(d) = TautDet(d_k) is set in the fiber mask
-    return (fiber == _twist_mask(d, e, rows, dvec, evec), _admissible(e, dvec, evec),
-            not fiber >> (d + e) & ~(1 | 1 << d))
+    return fiber == twist, admissible, not fiber >> (d + e) & ~(1 | 1 << d)
 
 
 def verify_cond_even(diagram: FramedDiagram) -> bool:

@@ -1,12 +1,12 @@
 """Verification suites over a range of frames, run in one pass per frame.
 
 Each frame's sequence and its exactness and transport reports are computed at
-most once, on first use, and shared by every suite that checks the frame.
-The graded bases come from one store per run, which keeps two rows of
-frames at most, so each basis a sequence reads is built once; the cond-even
-suite reads its frame's keys from the same store and builds no diagram.  The
-duality suite checks each mirror pair {(d, e), (e, d)} at the first of its two
-frames, from one pair of bases, and holds the second report until its frame.
+most once, on first use, and shared by every suite that checks the frame; a
+map's images and a basis's degrees are built only when a suite reads them.
+The graded bases come from one store per run, which keeps two rows of frames
+at most and which every suite reads.  The duality suite checks each mirror
+pair {(d, e), (e, d)} at its first frame, from one transpose of each key, and
+holds the other report until its frame.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import cached_property
 
-from .grassmann_witt import bord_vanishes, duality_check, induction_report
+from .grassmann_witt import bord_vanishes, duality_pair, induction_report
 from .picard import cond_even_rows
 from .witt_modules import (GradedBasis, build_basis, cyclic_sequence,
                            verify_degree_transport, verify_exactness)
@@ -69,18 +69,12 @@ def _bord(f: _Frame) -> list:
 
 
 def _duality(f: _Frame) -> list:
-    """The first frame of a mirror pair checks both frames from one pair of
-    bases and holds the mirror's report; the mirror's frame takes it."""
+    """The first frame of a mirror pair checks both frames and holds the
+    mirror's report; the mirror's frame takes it."""
     report = f.mirrors.pop((f.d, f.e), None)
     if report is None:
-        pair = {(f.d, f.e): f.basis(f.d, f.e), (f.e, f.d): f.basis(f.e, f.d)}
-
-        def basis(r: int, c: int) -> GradedBasis:
-            return pair[r, c]
-
-        report = duality_check(f.d, f.e, basis)
-        if f.d != f.e:
-            f.mirrors[f.e, f.d] = duality_check(f.e, f.d, basis)
+        report, *mirror = duality_pair(f.d, f.e, f.basis)
+        f.mirrors.update(zip([(f.e, f.d)], mirror))
     return _failed([report])
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 from . import intmatrix
 from .diagrams import FramedDiagram, even_counts, even_rank, even_rows
@@ -84,15 +84,21 @@ def degree(d: int, e: int, rows: tuple[int, ...]) -> GradedDegree:
 
 
 class GradedBasis:
-    """One frame's keys (even row tuples, largest first, or point generators)
-    and their degrees; read-only, as ``row_index`` keeps the keys' one check."""
+    """One frame's keys (even row tuples, largest first, or point generators) and
+    degrees (None: built on first read); read-only, ``row_index`` checks the keys."""
 
     def __init__(self, d: int, e: int, keys: tuple,
-                 degrees: tuple[GradedDegree, ...]) -> None:
-        vars(self).update(d=d, e=e, keys=keys, degrees=degrees)
+                 degrees: tuple[GradedDegree, ...] | None) -> None:
+        vars(self).update(d=d, e=e, keys=keys)
+        if degrees is not None:
+            vars(self)["degrees"] = degrees
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r} of a GradedBasis")
+
+    @cached_property
+    def degrees(self) -> tuple[GradedDegree, ...]:
+        return tuple(map(partial(degree, self.d, self.e), self.row_index))
 
     @cached_property
     def _counts(self) -> list[list[list[int]]]:
@@ -151,20 +157,30 @@ def build_basis(d: int, e: int) -> GradedBasis:
     if d == 0 or e == 0:
         return GradedBasis(d, e, (PointGenerator(0), PointGenerator(1)),
                            (GradedDegree(0, (), 0), GradedDegree(0, (), 1)))
-    keys = even_rows(d, e)
-    return GradedBasis(d, e, keys, tuple(degree(d, e, rows) for rows in keys))
+    return GradedBasis(d, e, even_rows(d, e), None)
 
 
 class BasisMap(namedtuple("BasisMap", "which source target images")):
     """One of the three maps as a partial bijection between two bases.
 
     ``images[j]`` is the target index of source element j, or None when the
-    map sends that element to zero.
+    map sends that element to zero; None builds them on first read, by the
+    rule of ``which`` on the source's checked keys.
     """
 
-    # no __slots__: perfbench/tracing.py reads vars() of a map, which is empty
+    # no __slots__: the images built on first read are kept in __dict__
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r} of a BasisMap")
+
+    @cached_property
+    def images(self) -> tuple:
+        which, source, target, images = self  # the fields as given
+        if images is None:  # the sequence's frame: the larger of the two in each dimension
+            rule = _image_rule(which, max(source.d, target.d), max(source.e, target.e))
+            index = target.row_index
+            images = tuple(None if image is None else index[image]
+                           for image in map(rule, source.row_index))
+        return images
 
     def frames_json(self) -> dict:
         """The wire form's fields before its matrix."""
@@ -197,7 +213,7 @@ def _image_rule(which: str, d: int, e: int) -> Callable:
         if e == 1:  # source is the point frame
             full = (1,) * d
             return lambda pt: full if pt.index == d % 2 else None
-        return lambda rows: None if rows.count(0) % 2 else tuple(r + 1 for r in rows)
+        return lambda rows: None if rows.count(0) % 2 else tuple(map((1).__add__, rows))
     if which == "kappa":
         if d == 1:  # target is the point frame
             return lambda rows: PointGenerator(0) if rows[0] == 0 else None
@@ -208,7 +224,7 @@ def _image_rule(which: str, d: int, e: int) -> Callable:
         return lambda pt: image if pt.index == 1 else None
     if e == 1:  # target is the point frame
         return lambda rows: PointGenerator((d + 1) % 2) if rows[-1] % 2 else None
-    return lambda rows: (*(r - 1 for r in rows), 0) if rows[-1] % 2 else None
+    return lambda rows: (*map((-1).__add__, rows), 0) if rows[-1] % 2 else None
 
 
 class CyclicSequence(namedtuple("CyclicSequence", "d e iota kappa bord")):
@@ -226,8 +242,8 @@ def cyclic_sequence(d: int, e: int,
 
     ``basis`` maps a frame (d, e) to its graded basis, such as a store that
     a caller shares between sequences; by default each is a new ``build_basis``.
-    Each map applies its row rule to the keys of its source's row index, which
-    have passed their rank check, and looks each image up in its target's.
+    Each basis passes its rank check (``row_index``) here; each map's images
+    are built on first read, by its rule on its source's checked keys.
     """
     check_frame(d, e)
     if d < 1 or e < 1:
@@ -235,14 +251,10 @@ def cyclic_sequence(d: int, e: int,
     if basis is None:
         basis = build_basis
     left, middle, right = basis(d, e - 1), basis(d, e), basis(d - 1, e)
-    maps = []
-    for which, source, target in (("iota", left, middle), ("kappa", middle, right),
-                                  ("bord", right, left)):
-        rule, index = _image_rule(which, d, e), target.row_index
-        images = tuple(None if (image := rule(key)) is None else index[image]
-                       for key in source.row_index)
-        maps.append(BasisMap(which, source, target, images))
-    return CyclicSequence(d, e, *maps)
+    left.row_index, middle.row_index, right.row_index  # each basis's one check
+    return CyclicSequence(d, e, BasisMap("iota", left, middle, None),
+                          BasisMap("kappa", middle, right, None),
+                          BasisMap("bord", right, left, None))
 
 
 def map_matrix(which: str, d: int, e: int) -> BasisMap:
@@ -464,12 +476,12 @@ def verify_degree_transport(seq: CyclicSequence,
     det_only = 0
     failures = []
     for bm in seq.maps():
-        rank = bm.target.d + bm.target.e
+        rank, degrees = bm.target.d + bm.target.e, bm.target.degrees
         points = 0 in (bm.source.d, bm.source.e, bm.target.d, bm.target.e)
         for j, (src_deg, i) in enumerate(zip(bm.source.degrees, bm.images)):
             if i is None:
                 continue
-            tgt_deg = bm.target.degrees[i]
+            tgt_deg = degrees[i]
             checked += 1
             want, det = expected(bm.which, rank, src_deg)
             if det is None:  # the source degree cannot be lifted, in either mode

@@ -227,15 +227,15 @@ class TestVerificationFailure:
     def broken(self, monkeypatch):
         diagram = FramedDiagram(3, 4, (4, 2, 2))
         jumps = row_jumps(diagram.rows, diagram.e)
-        original = picard._fiber_mask
+        original = picard._masks
 
-        def stray_term(d, e, dvec, evec):
-            mask = original(d, e, dvec, evec)
-            if (d, e, (dvec, evec)) == (diagram.d, diagram.e, jumps):
-                return mask ^ 1 << (d + e + dvec[0])  # TautDet(d_1)
-            return mask
+        def stray_term(d, e, rows):
+            fiber, twist, admissible = original(d, e, rows)
+            if (d, e, rows) == diagram:
+                fiber ^= 1 << (d + e + jumps[0][0])  # TautDet(d_1)
+            return fiber, twist, admissible
 
-        monkeypatch.setattr(picard, "_fiber_mask", stray_term)
+        monkeypatch.setattr(picard, "_masks", stray_term)
 
     @pytest.mark.parametrize("argv", [["table", "--d", "3", "--e", "4"],
                                       ["enumerate", "--d", "3", "--e", "4",

@@ -183,15 +183,15 @@ class TestTwist:
         broken = FramedDiagram(3, 4, (4, 2, 2))
         jumps = row_jumps(broken.rows, broken.e)
         assert broken.is_even() and jumps[0][0] != jumps[0][-1]
-        original = picard._fiber_mask
+        original = picard._masks
 
-        def stray_term(d, e, dvec, evec):
-            mask = original(d, e, dvec, evec)
-            if (d, e, (dvec, evec)) == (broken.d, broken.e, jumps):
-                return mask ^ 1 << (d + e + dvec[0])  # TautDet(d_1)
-            return mask
+        def stray_term(d, e, rows):
+            fiber, twist, admissible = original(d, e, rows)
+            if (d, e, rows) == broken:
+                fiber ^= 1 << (d + e + jumps[0][0])  # TautDet(d_1)
+            return fiber, twist, admissible
 
-        monkeypatch.setattr(picard, "_fiber_mask", stray_term)
+        monkeypatch.setattr(picard, "_masks", stray_term)
         assert not verify_cond_even(broken)
         assert all(verify_cond_even(dg) for dg in enumerate_even(3, 4) if dg != broken)
         suite = verify_suites("cond-even", 4)["cond-even"]
@@ -203,13 +203,18 @@ class TestTwist:
         """A parity check that fails one diagram fails exactly that diagram's
         admissibility, and no cancellation."""
         broken = FramedDiagram(3, 4, (4, 2, 2))
-        original = picard._admissible
+        original, masks = picard._admissible, picard._masks
         jumps = row_jumps(broken.rows, broken.e)
 
         def fails_broken(e, dvec, evec):
             return (e, dvec, evec) != (broken.e, *jumps) and original(e, dvec, evec)
 
+        def masks_failing_broken(d, e, rows):  # the same fault in the one-pass parity
+            fiber, twist, admissible = masks(d, e, rows)
+            return fiber, twist, admissible and (d, e, rows) != broken
+
         monkeypatch.setattr(picard, "_admissible", fails_broken)
+        monkeypatch.setattr(picard, "_masks", masks_failing_broken)
         assert not pushforward_admissible(broken)
         assert verify_cond_even(broken) and canonical_in_pullback_span(broken)
         suite = verify_suites("cond-even", 4)["cond-even"]
@@ -231,14 +236,14 @@ class TestCondEvenVerdicts:
     def test_equal_to_the_three_checks_on_a_broken_canonical(self, monkeypatch):
         broken = FramedDiagram(3, 4, (4, 2, 2))
         jumps = row_jumps(broken.rows, broken.e)
-        original = picard._fiber_mask
+        original = picard._masks
 
-        def stray_term(d, e, dvec, evec):
-            mask = original(d, e, dvec, evec)
-            stray = 1 << (d + e + dvec[0])  # TautDet(d_1)
-            return mask ^ stray if (d, e, (dvec, evec)) == (3, 4, jumps) else mask
+        def stray_term(d, e, rows):
+            fiber, twist, admissible = original(d, e, rows)
+            stray = 1 << (d + e + jumps[0][0])  # TautDet(d_1)
+            return (fiber ^ stray if (d, e, rows) == broken else fiber), twist, admissible
 
-        monkeypatch.setattr(picard, "_fiber_mask", stray_term)
+        monkeypatch.setattr(picard, "_masks", stray_term)
         assert cond_even_verdicts(broken) == (False, True, False) == (
             verify_cond_even(broken), pushforward_admissible(broken),
             canonical_in_pullback_span(broken))
@@ -251,7 +256,7 @@ class TestCondEvenVerdicts:
         def unread(*args):
             raise AssertionError("the fiber mask was computed")
 
-        monkeypatch.setattr(picard, "_fiber_mask", unread)
+        monkeypatch.setattr(picard, "_masks", unread)
         assert pushforward_admissible(FramedDiagram(3, 3, (2, 1, 1)))
         assert all(pushforward_admissible(dg) for dg in enumerate_even(4, 5))
 
@@ -271,18 +276,21 @@ def _row_vectors_up_to_8x8():
 
 class TestMasks:
     """The two masks the verdicts read, held to the coefficient oracle and to
-    the PicClass route on every row vector up to 8x8, even or not."""
+    the PicClass route on every row vector up to 8x8, even or not; the
+    admissibility read in the same pass, to the one read off the jumps."""
 
     def test_match_the_coefficient_oracle(self):
         count = 0
         for dg in _row_vectors_up_to_8x8():
             d, e, n = dg.d, dg.e, dg.d + dg.e
             dvec, evec = row_jumps(dg.rows, dg.e)
+            fiber_mask, twist_mask, admissible = picard._masks(d, e, dg.rows)
+            assert admissible == picard._admissible(e, dvec, evec), dg.rows
             fiber = helpers.canonical_fiber_oracle(dvec, evec, d, e)
-            assert _support(picard._fiber_mask(d, e, dvec, evec), n) == {
+            assert _support(fiber_mask, n) == {
                 key for key, c in fiber.items() if c % 2}, dg.rows
             twist = helpers._normalized({(B, n): dg.rho(), (T, d): dg.twist()}, dvec, evec)
-            assert _support(picard._twist_mask(d, e, dg.rows, dvec, evec), n) == {
+            assert _support(twist_mask, n) == {
                 key for key, c in twist.items() if c % 2}, dg.rows
             count += 1
         assert count == 48602
@@ -291,10 +299,10 @@ class TestMasks:
         for dg in _row_vectors_up_to_8x8():
             d, e, n = dg.d, dg.e, dg.d + dg.e
             t = dg.jump_tuples()
-            dvec, evec = row_jumps(dg.rows, dg.e)
-            assert _support(picard._fiber_mask(d, e, dvec, evec), n) == set(
+            fiber_mask, twist_mask, _ = picard._masks(d, e, dg.rows)
+            assert _support(fiber_mask, n) == set(
                 rel_canonical_fiber(t, d, e).mod2().support), dg.rows
-            assert _support(picard._twist_mask(d, e, dg.rows, dvec, evec), n) == set(
+            assert _support(twist_mask, n) == set(
                 pullback_to_flag(twist_class(dg), t).support), dg.rows
 
     def test_verdicts_build_no_picard_class(self, monkeypatch):

@@ -24,7 +24,7 @@ def calls(monkeypatch):
     by the frame (d, e) followed by the keyword arguments' values."""
     seen = {}
     for name in ("cyclic_sequence", "verify_exactness", "verify_degree_transport",
-                 "cond_even_rows", "bord_vanishes", "duality_check",
+                 "cond_even_rows", "bord_vanishes", "duality_pair",
                  "induction_report"):
         seen[name] = Counter()
 
@@ -82,7 +82,9 @@ class TestSharedWork:
         assert calls["cond_even_rows"] == Counter(
             {(d, e): expected_rank(d, e) for d, e in _frames(1, 5)})
         assert calls["bord_vanishes"] == _frames(2, 5)
-        assert calls["duality_check"] == _frames(1, 5)
+        # one call per mirror pair {(d, e), (e, d)}, at its first frame
+        assert calls["duality_pair"] == Counter(
+            {(d, e): 1 for d, e in _frames(1, 5) if d <= e})
         assert calls["induction_report"] == _frames(2, 5)
 
     def test_induction_runs_no_transport_check_of_its_own(self, monkeypatch):
@@ -119,6 +121,29 @@ class TestSharedWork:
         assert verify_suites(scope, 4)[scope]["ok"]
         assert calls["cyclic_sequence"] == _frames(2, 4)
         assert not calls["verify_exactness"]
+
+
+def test_suites_build_only_what_they_read(monkeypatch):
+    """The bord suite reads bord's images and no degree, and the cond-even
+    suite reads keys alone: neither builds another map's images or a degree."""
+    rules, degrees = Counter(), Counter()
+    image_rule, degree = witt_modules._image_rule, witt_modules.degree
+
+    def counted_rule(which, d, e):
+        rules[which] += 1
+        return image_rule(which, d, e)
+
+    def counted_degree(d, e, rows):
+        degrees[d, e] += 1
+        return degree(d, e, rows)
+
+    monkeypatch.setattr(witt_modules, "_image_rule", counted_rule)
+    monkeypatch.setattr(witt_modules, "degree", counted_degree)
+    assert verify_suites("bord", 6)["bord"]["ok"]
+    assert rules == Counter({"bord": 25}) and not degrees
+    rules.clear()
+    assert verify_suites("cond-even", 6)["cond-even"]["ok"]
+    assert not rules and not degrees
 
 
 class TestBasisStore:
