@@ -16,10 +16,9 @@ one dict {column: nonzero int} per row, and its shape.
 The isolated entries of a matrix, each alone in its row and its column, are
 found once, by one count per column, and kept on the matrix: over Z and at
 every prime they are pivots that need no operation.  Only the other rows,
-none for a partial permutation, are eliminated, each row and column a dict,
-with pivots picked Markowitz-style by a scan of the live entries: a unit
-entry in the sparsest row or column first, and otherwise the smallest entry,
-reduced by Euclidean remainders.
+none for a partial permutation, are eliminated, each routine in a loop of
+its own over a dict of row dicts.  A map's matrix has at most one entry per
+column, so over Z it never needs a row operation.
 """
 
 from __future__ import annotations
@@ -100,65 +99,6 @@ def _split(A: SparseMatrix):
     return A._parts
 
 
-class _Elimination:
-    """The rest of a split under elimination: {row: {column: value}} and the
-    mirrored columns.  With a prime ``p`` the entries are kept reduced mod p,
-    so every one is a unit.  A removed line (row or column) is deleted."""
-
-    def __init__(self, rest: dict[int, dict[int, int]], p: int | None = None) -> None:
-        self.p = p
-        rows = {i: {j: r for j, v in row.items() if (r := v % p if p else v)}
-                for i, row in rest.items()}
-        cols: dict[int, dict[int, int]] = {}
-        for i, row in rows.items():
-            for j, v in row.items():
-                cols.setdefault(j, {})[i] = v
-        self.lines = (rows, cols)
-
-    def set(self, i: int, j: int, v: int) -> None:
-        if self.p:
-            v %= self.p
-        rows, cols = self.lines
-        if v:
-            rows[i][j] = cols[j][i] = v
-        else:
-            rows[i].pop(j, None)
-            cols[j].pop(i, None)
-
-    def add_row(self, k: int, i: int, c: int) -> None:
-        """Row k += c * row i."""
-        rows = self.lines[0]
-        row_k = rows[k]
-        for j, v in rows[i].items():
-            self.set(k, j, row_k.get(j, 0) + c * v)
-
-    def next_pivot(self) -> tuple[int, int] | None:
-        """(row, column) of the next pivot, or None when no entry is left.
-
-        A scan of the live entries for the least |value| (over the integers),
-        then the sparsest line through it.
-        """
-        rows, cols = self.lines
-        best = pivot_at = None
-        for i, row in rows.items():
-            for j, v in row.items():
-                key = (1 if self.p else abs(v), min(len(row), len(cols[j])))
-                if best is None or key < best:
-                    best, pivot_at = key, (i, j)
-        return pivot_at
-
-    def remove(self, i: int, j: int) -> None:
-        """Remove row i and column j, whose other entries the caller has settled."""
-        rows, cols = self.lines
-        for l in rows[i]:
-            if l != j:
-                del cols[l][i]
-        for k in cols[j]:
-            if k != i:
-                del rows[k][j]
-        del rows[i], cols[j]
-
-
 def _add(dst: dict[int, int], src: dict[int, int], c: int) -> None:
     """dst += c * src on sparse vectors."""
     for k, v in src.items():
@@ -174,48 +114,44 @@ def diagonalize(A: SparseMatrix):
 
     ``shape`` is A's.  ``pivots`` lists (row, column, value) of each pivot
     at its own place: the isolated entries of the split first, in row order,
-    then the pivots of the rest in elimination order.  U is {row: that row
-    of U} and V is {column: that column of V}, holding only the lines that
-    elimination changed; every other row of U and column of V is a unit
-    vector.  With those filled in, U and V are unimodular and U A V holds
-    each pivot's value at its place and zeros elsewhere.  A partial
-    permutation gets empty U and V.
+    then those of the rest, each the entry of least absolute value, once
+    Euclidean remainders have cleared its column and then its row.  U is
+    {row: that row of U} and V is {column: that column of V}, holding only
+    the lines that elimination changed; every other row of U and column of
+    V is a unit vector.  With those filled in, U and V are unimodular and
+    U A V holds each pivot's value at its place and zeros elsewhere.  A
+    partial permutation gets empty U and V.
     """
     rest = _split(A)[1]
-    work = _Elimination(rest)
-    rows, cols = work.lines
+    rows = {i: dict(row) for i, row in rest.items()}
     U: dict[int, dict[int, int]] = {}
     V: dict[int, dict[int, int]] = {}
     # each row outside the rest is empty or one isolated entry, a pivot as it is
     pivots = [(i, j, v) for i, row in enumerate(A.rows) if i not in rest
               for j, v in row.items()]
-    while (pivot_at := work.next_pivot()) is not None:
-        i, j = pivot_at
-        while True:
-            pivot = rows[i][j]
-            # clear the column; a remainder is smaller than the pivot: promote it
-            for k in [k for k in cols[j] if k != i]:
-                q = rows[k][j] // pivot
-                if q:
-                    work.add_row(k, i, -q)
-                    _add(U.setdefault(k, {k: 1}), U.get(i) or {i: 1}, -q)
-            rest = [k for k in cols[j] if k != i]
-            if rest:
-                i = min(rest, key=lambda k: abs(rows[k][j]))
-                continue
-            # clear the row; the pivot is alone in its column now, so each
-            # column operation changes row i only
-            for l in [l for l in rows[i] if l != j]:
-                q = rows[i][l] // pivot
-                if q:
-                    work.set(i, l, rows[i][l] - q * pivot)
-                    _add(V.setdefault(l, {l: 1}), V.get(j) or {j: 1}, -q)
-            rest = [l for l in rows[i] if l != j]
-            if not rest:
-                break
-            j = min(rest, key=lambda l: abs(rows[i][l]))
-        work.remove(i, j)
-        pivots.append((i, j, pivot))
+    while True:
+        # the entry of least absolute value, the first by row and column
+        entries = [(abs(v), k, l) for k, row in rows.items() for l, v in row.items()]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        pivot = rows[i][j]
+        # clear the column; each remainder is smaller than the pivot
+        for k in [k for k, row in rows.items() if j in row and k != i]:
+            q = rows[k][j] // pivot
+            _add(rows[k], rows[i], -q)
+            _add(U.setdefault(k, {k: 1}), U.get(i) or {i: 1}, -q)
+        if any(j in row for k, row in rows.items() if k != i):
+            continue
+        # clear the row; the pivot is alone in its column now, so each
+        # column operation changes row i only
+        for l in [l for l in rows[i] if l != j]:
+            q = rows[i][l] // pivot
+            _add(rows[i], {l: pivot}, -q)
+            _add(V.setdefault(l, {l: 1}), V.get(j) or {j: 1}, -q)
+        if len(rows[i]) == 1:
+            del rows[i]
+            pivots.append((i, j, pivot))
     return A.shape, pivots, U, V
 
 
@@ -295,21 +231,27 @@ def multiply(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
 
 
 def rank_mod_p(A: SparseMatrix, p: int) -> int:
-    """Rank over the prime field with p elements, by sparse elimination.
+    """Rank over the prime field with p elements.  In the rest of the split,
+    reduced mod p, any entry is a unit that pivots and clears its column.
 
     Raises ValueError unless p is a prime int (bool excluded).
     """
     if type(p) is not int or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"p must be a prime int, got {p!r}")
     values, rest = _split(A)
-    work = _Elimination(rest, p)
-    rows, cols = work.lines
+    rows = {i: {j: r for j, v in row.items() if (r := v % p)} for i, row in rest.items()}
     rank = sum(1 for v in values if v % p)  # an isolated v that p divides is 0 mod p
-    while (pivot_at := work.next_pivot()) is not None:
-        i, j = pivot_at
-        inv = pow(rows[i][j], -1, p)
-        for k in [k for k in cols[j] if k != i]:
-            work.add_row(k, i, -rows[k][j] * inv)
-        work.remove(i, j)
+    while rows:
+        if not (row := rows.popitem()[1]):
+            continue
+        j, v = next(iter(row.items()))
+        inv = pow(v, -1, p)
+        for other in [other for other in rows.values() if j in other]:
+            c = -other[j] * inv
+            for l, w in row.items():
+                if r := (other.get(l, 0) + c * w) % p:
+                    other[l] = r
+                else:
+                    del other[l]
         rank += 1
     return rank

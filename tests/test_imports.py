@@ -1,6 +1,7 @@
 """Every name a package module imports is used by that module, every
 public name of the package has a caller, every private function is read in
-its own module, and every parameter default is overridden by some call."""
+its own module, every parameter default is overridden by some call, and
+every Python file parses with the oldest supported Python's grammar."""
 
 import ast
 import subprocess
@@ -257,3 +258,13 @@ def test_default_check_sees_an_unset_knob():
     assert unset_defaults([source], [source, calls]) == [
         "f.c", "f.d", "Box.__init__.fill", "Box.grow.by", "Box.outer.inner.z",
         "Pair.__new__.b"]
+
+
+def test_every_file_parses_with_the_oldest_supported_grammar():
+    """``requires-python`` is >=3.10, so every Python file of the package,
+    its tests, demos and benchmark parses with Python 3.10's grammar."""
+    paths = [p for top in ("src", "tests", "demos", "perfbench")
+             for p in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

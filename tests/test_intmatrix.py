@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import mat_mul, mat_vec, sparse
+from helpers import mat_mul, mat_vec, replace, sparse
+from wittgrass import MAP_NAMES, cyclic_sequence
 from wittgrass.intmatrix import (SparseMatrix, diagonalize, integer_kernel, kernel_rows,
                                  multiply, rank_mod_p, solve_in_span, span_solver)
 
@@ -402,6 +403,18 @@ class TestIsolatedSplit:
         D = _check_oracles([[-2, 0, 0], [0, 2, 3]])
         assert _nonzero_diagonal(D) == 2
 
+    def test_double_arrow_fills_in(self):
+        """Ones along row 0 and column 0, and 2 on the rest of the diagonal:
+        the first least entry, at (0, 0), sits on a dense row and a dense
+        column, so row operations reach every other row.  Its determinant
+        is 2^4 (1 - 5/2) = -48."""
+        rows = [[1] * 6] + [[1] + [2 * (k == i) for k in range(1, 6)] for i in range(1, 6)]
+        D = _check_oracles(rows)
+        assert _nonzero_diagonal(D) == 6
+        assert helpers.minors_gcd(D, 6) == 48
+        assert [rank_mod_p(sparse(rows), p) for p in (2, 3, 5)] == [2, 5, 6]
+        assert sorted(diagonalize(sparse(rows))[2]) == [1, 2, 3, 4, 5]
+
     def test_partial_permutation(self):
         rows = [[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 0, 0, 2]]
         D = _check_oracles(rows)
@@ -412,3 +425,38 @@ class TestIsolatedSplit:
     def test_no_rows_or_no_columns(self, rows, width):
         _check_oracles(rows, width)
         assert rank_mod_p(sparse(rows, width), 2) == 0
+
+
+class TestMapMatrices:
+    """Why the pivot rule costs nothing on the verifier's matrices: a map's
+    images are a function, so its matrix holds at most one entry per column
+    even when the map is broken, and its diagonalization needs column
+    operations at most, never a row operation."""
+
+    def test_broken_maps_need_no_row_operation(self):
+        """Each map of every sequence up to 5x5, broken by sending each pair
+        of its mapped sources to one target.  The oracles take every k x k
+        minor, so they run on the distinct matrices of at most 24 cells."""
+        merged, checked = 0, set()
+        for d in range(1, 6):
+            for e in range(1, 6):
+                seq = cyclic_sequence(d, e)
+                for which in MAP_NAMES:
+                    bm = getattr(seq, which)
+                    images = list(bm.images)
+                    hit = [j for j, i in enumerate(images) if i is not None]
+                    for a, b in zip(hit[::2], hit[1::2]):
+                        images[b] = images[a]
+                    A = replace(bm, images=tuple(images)).sparse()
+                    columns = [j for row in A.rows for j in row]
+                    assert len(columns) == len(set(columns)) == len(hit)
+                    _, _, U, V = diagonalize(A)
+                    assert U == {}, (d, e, which)
+                    assert bool(V) == (len(hit) > 1), (d, e, which)
+                    merged += len(hit) > 1
+                    rows = A.dense()
+                    key = tuple(map(tuple, rows))
+                    if A.shape[0] * A.shape[1] <= 24 and key not in checked:
+                        checked.add(key)
+                        _check_oracles(rows)
+        assert (merged, len(checked)) == (36, 30)
