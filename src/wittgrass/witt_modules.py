@@ -193,10 +193,10 @@ class BasisMap(namedtuple("BasisMap", "which source target images")):
         return {**self.frames_json(), "matrix": self.array()}
 
     def sparse(self) -> intmatrix.SparseMatrix:
-        """The matrix, one entry 1 in row images[j] of each column j mapped."""
-        return intmatrix.SparseMatrix.from_entries(
-            (len(self.target), len(self.source)),
-            ((i, j, 1) for j, i in enumerate(self.images) if i is not None))
+        """The matrix, built by column: an entry 1 at row images[j] of each column j mapped."""
+        images = self.images
+        return intmatrix.SparseMatrix.from_columns(
+            len(self.target), images, [0 if i is None else 1 for i in images])
 
     def array(self) -> list[list[int]]:
         """The matrix as new dense int rows; it has ``len(self.source)`` columns."""
@@ -324,9 +324,9 @@ def _linear_position(span, kernel: intmatrix.SparseMatrix,
     ``span`` is the incoming map A's ``intmatrix.span_solver``, ``kernel``
     the outgoing map B's ``intmatrix.kernel_rows`` and ``product`` is B A.
     """
-    if any(product.rows):
+    if next(product.entries(), None):
         return False
-    return all(x is not None for x in span(kernel))
+    return None not in span(kernel)
 
 
 def _mod_p_position(rank_a: int, rank_b: int, middle: int,
@@ -336,7 +336,7 @@ def _mod_p_position(rank_a: int, rank_b: int, middle: int,
     ``rank_a`` and ``rank_b`` are the ranks of A and B mod p, and ``middle``
     the number of rows of A.
     """
-    if any(v % p for row in product.rows for v in row.values()):
+    if any(v % p for _, _, v in product.entries()):
         return False
     return rank_a + rank_b == middle
 

@@ -1,8 +1,8 @@
 """Shared test utilities: independent oracles and hypothesis strategies."""
 
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
-from math import comb, gcd
+from itertools import combinations_with_replacement
+from math import comb, prod
 
 from hypothesis import strategies as st
 
@@ -226,40 +226,46 @@ def is_zero(M):
     return all(v == 0 for row in M for v in row)
 
 
-def minors_gcd(M, k):
-    """gcd of all k x k minors of M (list of lists), via sympy determinants."""
-    import sympy
+def invariant_factors(M):
+    """The invariant factors of M (list of lists), min(m, n) of them with
+    zeros past the rank, from sympy's Smith form of a ``DomainMatrix`` over ZZ."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors as factors
 
     m = len(M)
     n = len(M[0]) if m else 0
-    g = 0
-    for rows in combinations(range(m), k):
-        for cols in combinations(range(n), k):
-            sub = sympy.Matrix([[M[i][j] for j in cols] for i in rows])
-            g = gcd(g, int(sub.det()))
-    return g
+    if not m or not n:
+        return ()
+    return tuple(abs(int(f)) for f in factors(DomainMatrix([[ZZ(v) for v in row] for row in M],
+                                                           (m, n), ZZ)))
+
+
+def _minors_gcd_from(factors, k):
+    """The gcd of the k x k minors, as the product of the first k invariant
+    factors: 0 past the rank or past min(m, n), and 1 for k = 0."""
+    return prod(factors[:k]) if k <= len(factors) else 0
+
+
+def minors_gcd(M, k):
+    """gcd of all k x k minors of M (list of lists), read off its invariant factors."""
+    return _minors_gcd_from(invariant_factors(M), k)
 
 
 def integer_solvable_oracle(M, b):
     """Whether M x = b has an integer solution, by the minors-gcd criterion.
 
     Solvable over the integers iff the augmented matrix has the same rank
-    and the same gcd of k x k minors as M for every k up to the rank.
-    Exponential in the matrix size; only for small test matrices.
+    and the same gcd of k x k minors as M for every k up to the rank; every
+    k is read off one factor list of M and one of the augmented matrix.
     """
-    import sympy
-
-    A = sympy.Matrix(M)
-    aug = A.row_join(sympy.Matrix([[v] for v in b]))
-    r = A.rank()
-    if aug.rank() != r:
+    factors = invariant_factors(M)
+    augmented = invariant_factors([list(row) + [v] for row, v in zip(M, b)])
+    rank = sum(1 for f in factors if f)
+    if sum(1 for f in augmented if f) != rank:
         return False
-    Ml = [list(row) for row in M]
-    augl = [list(row) + [bv] for row, bv in zip(M, b)]
-    for k in range(1, r + 1):
-        if minors_gcd(Ml, k) != minors_gcd(augl, k):
-            return False
-    return True
+    return all(_minors_gcd_from(factors, k) == _minors_gcd_from(augmented, k)
+               for k in range(1, rank + 1))
 
 
 @st.composite

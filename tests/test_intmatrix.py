@@ -1,5 +1,9 @@
 """Exact integer linear algebra against sympy and minors-gcd oracles."""
 
+import random
+from itertools import chain, combinations, product
+from math import gcd
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -427,16 +431,83 @@ class TestIsolatedSplit:
         assert rank_mod_p(sparse(rows, width), 2) == 0
 
 
+def _minors_gcd_literal(M, k):
+    """gcd of every k x k minor of M (list of lists), one sympy determinant each."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    g = 0
+    for rows in combinations(range(m), k):
+        for cols in combinations(range(n), k):
+            g = gcd(g, int(sympy.Matrix([[M[i][j] for j in cols] for i in rows]).det()))
+    return g
+
+
+class TestMinorsOracle:
+    """``helpers.minors_gcd`` reads the minors gcd off sympy's invariant
+    factors; held here to the literal loop over every k x k minor, for every
+    k up to one past the smaller side, and ``integer_solvable_oracle`` to the
+    criterion stated with the literal loop."""
+
+    @staticmethod
+    def _agree(M):
+        for k in range(min(len(M), len(M[0])) + 2):
+            assert helpers.minors_gcd(M, k) == _minors_gcd_literal(M, k), (M, k)
+
+    def test_every_sign_matrix_up_to_2x3(self):
+        """Every matrix with entries in {-1, 0, 1}, at most 2 rows and 3 columns."""
+        for m, n in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]:
+            for cells in product((-1, 0, 1), repeat=m * n):
+                self._agree([list(cells[i * n:(i + 1) * n]) for i in range(m)])
+
+    def test_seeded_random_integer_matrices_up_to_4x4(self):
+        rng = random.Random(26)
+        for _ in range(80):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            M = [[rng.randint(-6, 6) * (rng.random() < 0.7) for _ in range(n)]
+                 for _ in range(m)]
+            self._agree(M)
+            b = [rng.randint(-6, 6) for _ in range(m)]
+            augmented = [row + [v] for row, v in zip(M, b)]
+            rank = sympy.Matrix(M).rank()
+            literal = sympy.Matrix(augmented).rank() == rank and all(
+                _minors_gcd_literal(M, k) == _minors_gcd_literal(augmented, k)
+                for k in range(1, rank + 1))
+            assert helpers.integer_solvable_oracle(M, b) == literal, (M, b)
+
+
+def _row_dicts(M):
+    """The dicts a SparseMatrix holds as rows, and any among its column sequences."""
+    return len(M.rest) + sum(type(x) is dict for x in chain(M.at, M.values))
+
+
 class TestMapMatrices:
     """Why the pivot rule costs nothing on the verifier's matrices: a map's
     images are a function, so its matrix holds at most one entry per column
     even when the map is broken, and its diagonalization needs column
     operations at most, never a row operation."""
 
+    def test_well_formed_maps_hold_no_dict_per_row(self):
+        """At every position of every sequence up to 6x6, counted in the
+        returned matrices: each map's matrix is all isolated entries, its
+        kernel holds each vector as an isolated 1 and no dict, and B A holds
+        no entry and no dict."""
+        for d in range(1, 7):
+            for e in range(1, 7):
+                seq = cyclic_sequence(d, e)
+                matrices = {bm.which: bm.sparse() for bm in seq.maps()}
+                for incoming, outgoing in [("iota", "kappa"), ("kappa", "bord"),
+                                           ("bord", "iota")]:
+                    A, B = matrices[incoming], matrices[outgoing]
+                    assert _row_dicts(A) == _row_dicts(B) == 0, (d, e, incoming)
+                    K = kernel_rows(diagonalize(B))
+                    assert _row_dicts(K) == 0 and sum(K.values) == K.shape[0], (d, e)
+                    P = multiply(B, A)
+                    assert _row_dicts(P) == 0 and not any(P.values), (d, e, incoming)
+
     def test_broken_maps_need_no_row_operation(self):
         """Each map of every sequence up to 5x5, broken by sending each pair
-        of its mapped sources to one target.  The oracles take every k x k
-        minor, so they run on the distinct matrices of at most 24 cells."""
+        of its mapped sources to one target, and every distinct matrix held
+        to the oracles."""
         merged, checked = 0, set()
         for d in range(1, 6):
             for e in range(1, 6):
@@ -448,7 +519,7 @@ class TestMapMatrices:
                     for a, b in zip(hit[::2], hit[1::2]):
                         images[b] = images[a]
                     A = replace(bm, images=tuple(images)).sparse()
-                    columns = [j for row in A.rows for j in row]
+                    columns = [j for _, j, _ in A.entries()]
                     assert len(columns) == len(set(columns)) == len(hit)
                     _, _, U, V = diagonalize(A)
                     assert U == {}, (d, e, which)
@@ -456,7 +527,7 @@ class TestMapMatrices:
                     merged += len(hit) > 1
                     rows = A.dense()
                     key = tuple(map(tuple, rows))
-                    if A.shape[0] * A.shape[1] <= 24 and key not in checked:
+                    if key not in checked:
                         checked.add(key)
                         _check_oracles(rows)
-        assert (merged, len(checked)) == (36, 30)
+        assert (merged, len(checked)) == (36, 52)

@@ -1,5 +1,6 @@
 """One verification pass: shared per-frame work, and suites kept independent."""
 
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -44,10 +45,10 @@ def _frames(first, last):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Graded bases built through any module, counted by frame, and the most
-    of them alive at once, seen at each build."""
-    seen = SimpleNamespace(frames=Counter(), peak=0)
+    """Graded bases built through any module, counted by frame, those alive,
+    and the most of them alive at once, seen at each build."""
     alive = weakref.WeakSet()
+    seen = SimpleNamespace(frames=Counter(), peak=0, alive=alive)
     original = witt_modules.build_basis
 
     def counted(d, e):
@@ -165,6 +166,23 @@ class TestBasisStore:
         again = {frame: n for frame, n in builds.frames.items() if n > 1}
         assert all(n == 2 and d > e >= 1 for (d, e), n in again.items())
         assert sum(builds.frames.values()) <= 108
+
+    def test_last_frame_holds_only_its_sequence(self, builds, monkeypatch):
+        """No row follows the last, so at the last frame (n, n) the bases
+        alive are the three its sequence reads, and none of the frames
+        (n, e) that the row's earlier sequences read."""
+        seen, bord = [], verify._SUITES["bord"]
+
+        def watched(frame):
+            failures = bord(frame)
+            if (frame.d, frame.e) == (6, 6):
+                gc.collect()
+                seen.append(sorted((basis.d, basis.e) for basis in builds.alive))
+            return failures
+
+        monkeypatch.setitem(verify._SUITES, "bord", watched)
+        assert verify_suites("bord", 6)["bord"]["ok"]
+        assert seen == [[(5, 6), (6, 5), (6, 6)]]
 
     @pytest.mark.parametrize("scope", ["all", "degrees", "duality", "cond-even"])
     def test_store_stays_bounded(self, builds, scope):

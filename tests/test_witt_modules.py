@@ -16,7 +16,7 @@ from wittgrass.intmatrix import (SparseMatrix, diagonalize, kernel_rows, multipl
                                  rank_mod_p, span_solver)
 from wittgrass.picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
 from wittgrass.verify import verify_suites
-from wittgrass.witt_modules import (MAP_NAMES, TransportFailure, _les_target,
+from wittgrass.witt_modules import (MAP_NAMES, BasisMap, TransportFailure, _les_target,
                                     _linear_position, _mod_p_position, _structural_position)
 
 
@@ -325,6 +325,16 @@ class TestCheckersDetectBrokenMaps:
             _, j = _first_one(B)
             assert _linear(A, _without_column(B, j), width, middle) is False
 
+    def test_product_is_read_in_full(self):
+        """B A is read entry by entry, its rest included: a product whose one
+        nonzero row holds two entries fails the integer check, and every
+        prime that does not divide both of them."""
+        for value, verdicts in [(1, (False, False)), (2, (True, False)), (6, (True, True))]:
+            product = helpers.sparse([[value, value]])
+            assert product.rest, value
+            assert _linear_position(lambda kernel: [], None, product) is False
+            assert tuple(_mod_p_position(1, 1, 2, product, p) for p in (2, 3)) == verdicts
+
     def test_dropped_image_fails_verify_exactness(self):
         """The same fault in ``images`` reaches the checkers through each
         map's sparse matrix."""
@@ -393,18 +403,34 @@ class TestEachMapFactoredOnce:
 
     def test_each_map_is_split_once(self, monkeypatch):
         """The diagonalization and the three ranks of a map share its one
-        split into isolated entries and the rest: one pass counts the
-        entries of each column per map, 3 in all, not one per call."""
-        passes = []
-        original = intmatrix.Counter
+        split into isolated entries and the rest, found when its matrix is
+        built from its images: 3 builds in all, none counting entries, as no
+        two columns share a row.  A broken map's matrix is split by one
+        Counter pass, and its diagonalization and ranks split nothing."""
+        seen = Counter()
+        build, count_entries = intmatrix.SparseMatrix.from_columns, intmatrix.Counter
 
-        def counted(entries):
-            passes.append(1)
-            return original(entries)
+        def counted_build(cls, m, at, values):
+            seen["build"] += 1
+            return build(m, at, values)
 
-        monkeypatch.setattr(intmatrix, "Counter", counted)
-        assert verify_exactness(cyclic_sequence(4, 3), primes=(2, 3, 5)).ok
-        assert len(passes) == 3
+        def counted_pass(*entries):
+            seen["pass"] += 1
+            return count_entries(*entries)
+
+        monkeypatch.setattr(intmatrix.SparseMatrix, "from_columns", classmethod(counted_build))
+        monkeypatch.setattr(intmatrix, "Counter", counted_pass)
+        seq = cyclic_sequence(4, 3)
+        assert verify_exactness(seq, primes=(2, 3, 5)).ok
+        assert seen == {"build": 3}
+        images = list(seq.kappa.images)
+        hit = [j for j, i in enumerate(images) if i is not None]
+        images[hit[1]] = images[hit[0]]
+        A = replace(seq.kappa, images=tuple(images)).sparse()
+        assert len(A.rest) == 1 and seen == {"build": 4, "pass": 1}
+        intmatrix.diagonalize(A)
+        assert [intmatrix.rank_mod_p(A, p) for p in (2, 3, 5)] == [len(hit) - 1] * 3
+        assert seen == {"build": 4, "pass": 1}
 
 
 class TestChecksStayIndependent:
@@ -426,14 +452,34 @@ class TestChecksStayIndependent:
         original = intmatrix.diagonalize
 
         def zero_diagonalization(A):
-            m, n = A.shape
-            return original(SparseMatrix([{} for _ in range(m)], (m, n)))
+            return original(SparseMatrix.from_entries(A.shape, ()))
 
         monkeypatch.setattr(intmatrix, "diagonalize", zero_diagonalization)
         for before, after in zip(clean, self._reports()):
             assert self._without(after, "linear") == self._without(before, "linear")
             assert all(p.linear for p in before.positions)
             assert not any(p.linear for p in after.positions)
+
+    def test_doubled_entry_fails_linear_and_mod_2_only(self, monkeypatch):
+        """The checks read entry values, not only where entries sit: one
+        entry of a well-formed map doubled through the matrix builder, its
+        images untouched, fails the integer check where the map is incoming
+        and the mod-2 check at both its positions.  Mod 3, where 2 is a
+        unit, and the structural check on the images still pass."""
+        build = BasisMap.sparse
+        for seq in (cyclic_sequence(d, e) for d, e in self.FRAMES):
+            for k, bm in enumerate(seq.maps()):
+                values = [0 if i is None else 1 for i in bm.images]
+                values[values.index(1)] = 2  # no map of these frames is zero
+                doubled = SparseMatrix.from_columns(len(bm.target), bm.images, values)
+                with monkeypatch.context() as patch:
+                    patch.setattr(BasisMap, "sparse",
+                                  lambda m, bm=bm: doubled if m is bm else build(m))
+                    positions = verify_exactness(seq, primes=(2, 3)).positions
+                assert [p.linear for p in positions] == [i != k for i in range(3)]
+                assert [dict(p.mod_p) for p in positions] == [
+                    {2: i not in (k, (k - 1) % 3), 3: True} for i in range(3)]
+                assert all(p.structural for p in positions), (seq.d, seq.e, bm.which)
 
     def test_rank_one_short_changes_mod_p_only(self, monkeypatch):
         clean = self._reports()
