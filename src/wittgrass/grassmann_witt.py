@@ -2,10 +2,10 @@
 
 The graded basis of a frame is keyed by the rows of its even diagrams.  This
 module assembles it with validated twists, folds it into rank tables,
-classifies every even diagram into exactly one of four strip-and-blocks
-families, decides when the connecting map vanishes, checks the transpose
-duality between mirror frames, and emits a machine-readable certificate per
-frame combining exactness, degree transport and the basis partition.
+classifies every even diagram into its one strip-and-blocks family by parity,
+decides when the connecting map vanishes, checks the transpose duality between
+mirror frames, and emits a machine-readable certificate per frame combining
+exactness, degree transport and the basis partition.
 """
 
 from __future__ import annotations
@@ -73,43 +73,26 @@ def table_json(d: int, e: int, trivial_base: bool = True) -> dict:
             "total": sum(table.values())}
 
 
-def _is_block_union(rows: tuple[int, ...]) -> bool:
-    # doubled diagram: values even, rows pair up equal, odd leftover row empty
-    if any(r % 2 for r in rows):
-        return False
-    if any(rows[i] != rows[i + 1] for i in range(0, len(rows) - 1, 2)):
-        return False
-    if len(rows) % 2 and rows[-1] != 0:
-        return False
-    return True
-
-
 def classify(diagram: FramedDiagram) -> GeneratorClass:
-    """Unique strip-and-blocks family of an even diagram.
+    """Strip-and-blocks family of an even diagram, read off two parities.
 
-    Try stripping a full first row (length e) and/or a full first column
-    (length d), then test the remainder for being a union of 2x2 blocks.
-    The parity constraints (full row needs e even, full column needs d even,
-    both need d and e odd) make exactly one of the four attempts succeed.
+    A family strips a full first row (e even), a full first column (d even)
+    or both (d and e odd), and leaves 2x2 blocks: even rows, equal in pairs
+    from the top, any odd one out empty.  An even diagram's rows share one
+    parity: its k rows equal to e, then pairs of values strictly between 0
+    and e, then its empty rows.  Odd rows are never empty, so k has d's
+    parity; only the column's strip leaves even rows, and with it the row's
+    exactly when d, and so k, is odd (k >= 1 then makes e odd).  Even rows
+    keep the column, and the rest pairs up exactly when the row goes for odd
+    k (e is even then) and stays for even k.
     """
     if not diagram.is_even():
         raise ValueError("classify expects an even diagram")
-    d, e, rows = diagram.d, diagram.e, diagram.rows
-    matches = []
-    if _is_block_union(rows):
-        matches.append(GeneratorClass.BLOCKS)
-    if e % 2 == 0 and rows[0] == e and _is_block_union(rows[1:]):
-        matches.append(GeneratorClass.ROW_PLUS_BLOCKS)
-    if d % 2 == 0 and rows[-1] >= 1 and _is_block_union(tuple(r - 1 for r in rows)):
-        matches.append(GeneratorClass.COLUMN_PLUS_BLOCKS)
-    if (d % 2 and e % 2 and rows[0] == e
-            and all(r >= 1 for r in rows)
-            and _is_block_union(tuple(r - 1 for r in rows[1:]))):
-        matches.append(GeneratorClass.ROW_COLUMN_PLUS_BLOCKS)
-    if len(matches) != 1:
-        raise RuntimeError(f"classification not unique for rows={rows} "
-                           f"in {d}x{e}: {matches}")
-    return matches[0]
+    d, e, rows = diagram
+    if rows[0] % 2:
+        return (GeneratorClass.ROW_COLUMN_PLUS_BLOCKS if d % 2
+                else GeneratorClass.COLUMN_PLUS_BLOCKS)
+    return GeneratorClass.ROW_PLUS_BLOCKS if rows.count(e) % 2 else GeneratorClass.BLOCKS
 
 
 def class_degree(cls: GeneratorClass, d: int, e: int) -> tuple[int, int]:

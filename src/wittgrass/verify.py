@@ -4,9 +4,9 @@ Each frame's sequence and its exactness and transport reports are computed at
 most once, on first use, and shared by every suite that checks the frame; a
 map's images and a basis's degrees are built only when a suite reads them.
 The graded bases come from one store per run, which keeps two rows of frames
-at most and which every suite reads.  The duality suite checks each mirror
-pair {(d, e), (e, d)} at its first frame, from one transpose of each key, and
-holds the other report until its frame.
+at most and which every suite reads.  The duality suite checks both frames
+of each mirror pair {(d, e), (e, d)} at the one with d <= e, from one
+transpose of each key; each suite's failures are sorted into (d, e) order.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ SUITE_FIRST_FRAME = {"exactness": 1, "degrees": 2, "cond-even": 1, "bord": 2,
 
 class _Frame:
     def __init__(self, d: int, e: int, primes: tuple[int, ...],
-                 basis: Callable[[int, int], GradedBasis], mirrors: dict) -> None:
+                 basis: Callable[[int, int], GradedBasis]) -> None:
         self.d, self.e, self.primes = d, e, primes
         self.basis = basis  # the run's basis store
-        self.mirrors = mirrors  # (d, e) -> its duality report, held since its mirror's frame
 
     @cached_property
     def seq(self):
@@ -69,13 +68,8 @@ def _bord(f: _Frame) -> list:
 
 
 def _duality(f: _Frame) -> list:
-    """The first frame of a mirror pair checks both frames and holds the
-    mirror's report; the mirror's frame takes it."""
-    report = f.mirrors.pop((f.d, f.e), None)
-    if report is None:
-        report, *mirror = duality_pair(f.d, f.e, f.basis)
-        f.mirrors.update(zip([(f.e, f.d)], mirror))
-    return _failed([report])
+    """Both frames of a mirror pair, checked at the one with d <= e."""
+    return _failed(duality_pair(f.d, f.e, f.basis)) if f.d <= f.e else []
 
 
 def _induction(f: _Frame) -> list:
@@ -129,11 +123,10 @@ def verify_suites(scope: str, max_frame: int) -> dict:
     failures: dict[str, list] = {name: [] for name in names}
     first = min(SUITE_FIRST_FRAME[name] for name in names)
     bases: dict = {}  # (d, e) -> GradedBasis, of the two rows being swept
-    mirrors: dict = {}  # (d, e) -> DualityReport, made at the frame (e, d)
     for d in range(first, max_frame + 1):
         basis = _store_reader(bases, d)
         for e in range(first, max_frame + 1):
-            frame = _Frame(d, e, primes, basis, mirrors)
+            frame = _Frame(d, e, primes, basis)
             for name in names:
                 if min(d, e) >= SUITE_FIRST_FRAME[name]:
                     failures[name] += _SUITES[name](frame)
@@ -145,5 +138,6 @@ def verify_suites(scope: str, max_frame: int) -> dict:
             if d == max_frame:  # no later row reads row d either
                 bases.pop((d, e - 1), None)
     return {name: {"frames": (max_frame - SUITE_FIRST_FRAME[name] + 1) ** 2,
-                   "failures": failures[name], "ok": not failures[name]}
+                   "failures": sorted(failures[name], key=lambda f: f["frame"]),
+                   "ok": not failures[name]}
             for name in names}

@@ -91,6 +91,8 @@ class GradedBasis:
                  degrees: tuple[GradedDegree, ...] | None) -> None:
         vars(self).update(d=d, e=e, keys=keys)
         if degrees is not None:
+            if len(degrees) != len(keys):
+                raise ValueError(f"{len(degrees)} degrees given for {len(keys)} keys")
             vars(self)["degrees"] = degrees
 
     def __setattr__(self, name, value):
@@ -165,7 +167,7 @@ class BasisMap(namedtuple("BasisMap", "which source target images")):
 
     ``images[j]`` is the target index of source element j, or None when the
     map sends that element to zero; None builds them on first read, by the
-    rule of ``which`` on the source's checked keys.
+    rule of ``which`` on the source's checked keys, and checks given ones.
     """
 
     # no __slots__: the images built on first read are kept in __dict__
@@ -178,8 +180,14 @@ class BasisMap(namedtuple("BasisMap", "which source target images")):
         if images is None:  # the sequence's frame: the larger of the two in each dimension
             rule = _image_rule(which, max(source.d, target.d), max(source.e, target.e))
             index = target.row_index
-            images = tuple(None if image is None else index[image]
-                           for image in map(rule, source.row_index))
+            return tuple(None if image is None else index[image]
+                         for image in map(rule, source.row_index))
+        if len(images) != len(source):
+            raise ValueError(f"{which} has {len(images)} images for {len(source)} sources")
+        for j, i in enumerate(images):
+            if i is not None and (type(i) is not int or not 0 <= i < len(target)):
+                raise ValueError(f"{which}'s image of column {j}, {i!r}, is not an index "
+                                 f"of its {len(target)}-element target")
         return images
 
     def frames_json(self) -> dict:

@@ -75,6 +75,35 @@ def even_count_by_rule(d, e):
     return total
 
 
+def _is_block_union(rows):
+    """Doubled diagram: values even, rows equal in pairs, an odd leftover row empty."""
+    if any(r % 2 for r in rows):
+        return False
+    if any(rows[i] != rows[i + 1] for i in range(0, len(rows) - 1, 2)):
+        return False
+    return not (len(rows) % 2 and rows[-1] != 0)
+
+
+def strip_families(d, e, rows):
+    """Names of the families whose strip leaves 2x2 blocks, by trying all four.
+
+    Strip nothing (Blocks), a full first row when e is even (RowPlusBlocks), a
+    full first column when d is even (ColumnPlusBlocks), or both when d and e
+    are odd (RowColumnPlusBlocks), and test what is left.
+    """
+    found = []
+    if _is_block_union(rows):
+        found.append("Blocks")
+    if e % 2 == 0 and rows[0] == e and _is_block_union(rows[1:]):
+        found.append("RowPlusBlocks")
+    if d % 2 == 0 and rows[-1] >= 1 and _is_block_union(tuple(r - 1 for r in rows)):
+        found.append("ColumnPlusBlocks")
+    if (d % 2 and e % 2 and rows[0] == e and all(r >= 1 for r in rows)
+            and _is_block_union(tuple(r - 1 for r in rows[1:]))):
+        found.append("RowColumnPlusBlocks")
+    return found
+
+
 def map_oracle(which, d, e, rows):
     """Image of a diagram of the source frame under one map of the (d,e)
     cyclic sequence F(d,e-1) --iota--> F(d,e) --kappa--> F(d-1,e) --bord-->

@@ -151,6 +151,18 @@ class TestClassification:
                     shift, twist = class_degree(classify(dg), d, e)
                     assert (deg.shift, deg.det_twist) == (shift, twist), dg.rows
 
+    def test_parity_matches_the_four_strips(self):
+        """On every even diagram up to 12x12, exactly one of the four trial
+        strips leaves 2x2 blocks, and it is the family the parities give."""
+        checked = 0
+        for d in range(1, 13):
+            for e in range(1, 13):
+                for dg in enumerate_even(d, e):
+                    assert helpers.strip_families(d, e, dg.rows) == [classify(dg).value], \
+                        (d, e, dg.rows)
+                    checked += 1
+        assert checked == 15518
+
     def test_non_even_rejected(self):
         for d in range(1, 6):
             for e in range(1, 6):

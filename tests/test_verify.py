@@ -88,6 +88,12 @@ class TestSharedWork:
             {(d, e): 1 for d, e in _frames(1, 5) if d <= e})
         assert calls["induction_report"] == _frames(2, 5)
 
+    def test_duality_checks_each_mirror_pair_once(self, calls):
+        assert verify_suites("duality", 11)["duality"]["ok"]
+        assert calls["duality_pair"] == Counter(
+            {(d, e): 1 for d, e in _frames(1, 11) if d <= e})
+        assert sum(calls["duality_pair"].values()) == 66
+
     def test_induction_runs_no_transport_check_of_its_own(self, monkeypatch):
         """Induction reads the frame's full-base transport report, which the
         degrees suite also reads and no suite runs again in trivial-base mode;
@@ -285,6 +291,31 @@ class TestOnePass:
         assert [tuple(r["frame"]) for r in duality["failures"]] == [(3, 4), (4, 3)]
         assert duality["failures"] == [grassmann_witt.duality_check(3, 4).to_json(),
                                        grassmann_witt.duality_check(4, 3).to_json()]
+
+    def test_interleaved_mirror_pairs_fail_in_frame_order(self, monkeypatch):
+        """Two broken pairs whose mirrors interleave, {(2, 5), (5, 2)} and
+        {(3, 4), (4, 3)}: both pairs are checked at their first frames, and
+        the four failures still come out in (d, e) order."""
+        original = witt_modules.build_basis
+
+        def swapped(basis):
+            degrees = list(basis.degrees)
+            j = next(j for j in range(1, len(degrees))
+                     if (degrees[j].shift, degrees[j].det_twist)
+                     != (degrees[0].shift, degrees[0].det_twist))
+            degrees[0], degrees[j] = degrees[j], degrees[0]
+            return replace(basis, degrees=tuple(degrees))
+
+        broken = {frame: swapped(original(*frame)) for frame in [(5, 2), (4, 3)]}
+
+        def patched(d, e):
+            return broken[d, e] if (d, e) in broken else original(d, e)
+
+        for module in (verify, witt_modules, grassmann_witt):
+            monkeypatch.setattr(module, "build_basis", patched)
+        duality = verify_suites("duality", 5)["duality"]
+        assert [tuple(r["frame"]) for r in duality["failures"]] == [
+            (2, 5), (3, 4), (4, 3), (5, 2)]
 
 
 def test_a_passing_run_builds_no_diagram(monkeypatch):

@@ -192,6 +192,37 @@ class TestMapMatrices:
                 call(d, e)
 
 
+class TestGivenParts:
+    """A hand-built basis or map is checked against what it claims to index."""
+
+    def test_degrees_one_per_key(self):
+        """A left basis cut to its first degree would pass the transport check
+        on 3 of the sequence's 6 entries; it is refused instead."""
+        seq = cyclic_sequence(2, 4)
+        assert verify_degree_transport(seq).checked == 6
+        left = seq.iota.source
+        with pytest.raises(ValueError, match=f"^1 degrees given for {len(left)} keys$"):
+            replace(left, degrees=left.degrees[:1])
+
+    @pytest.mark.parametrize("image", [4, -1, True, 1.0])
+    def test_image_outside_the_target_is_named(self, image):
+        seq = cyclic_sequence(2, 3)
+        assert len(seq.iota.target) == 4
+        broken = _with_images(seq, "iota", (image, *seq.iota.images[1:]))
+        match = rf"^iota's image of column 0, {image!r}, is not an index of its 4-element"
+        for check in (verify_exactness, verify_degree_transport):
+            with pytest.raises(ValueError, match=match):
+                check(broken)
+
+    def test_image_count_is_the_source_size(self):
+        seq = cyclic_sequence(2, 3)
+        n = len(seq.iota.source)
+        for images in (seq.iota.images[:-1], (*seq.iota.images, None)):
+            broken = _with_images(seq, "iota", images)
+            with pytest.raises(ValueError, match=rf"^iota has {len(images)} images for {n} "):
+                broken.iota.sparse()
+
+
 class TestRank:
     """A basis's one check: the rank of a key, read off its completion counts."""
 
