@@ -22,10 +22,9 @@ from .picard import (PicClass, PicClassMod2, base_det,
                      rel_canonical_grass, relative_dimension, taut_det,
                      taut_det2, twist_class, verify_cond_even)
 from .witt_modules import (MAP_NAMES, BasisMap, CyclicSequence, ExactnessReport,
-                           GradedBasis, GradedDegree, PointGenerator,
-                           TransportReport, build_basis, cyclic_sequence,
-                           degree, map_matrix, verify_degree_transport,
-                           verify_exactness)
+                           GradedBasis, GradedDegree, TransportReport,
+                           build_basis, cyclic_sequence, degree, map_matrix,
+                           verify_degree_transport, verify_exactness)
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,7 @@ __all__ = [
     "canonical_in_pullback_span", "cell_canonicals", "cond_even_verdicts",
     "les_twists",
     "MAP_NAMES", "BasisMap", "CyclicSequence", "ExactnessReport", "GradedBasis",
-    "GradedDegree", "PointGenerator", "TransportReport", "build_basis",
+    "GradedDegree", "TransportReport", "build_basis",
     "cyclic_sequence", "degree", "map_matrix", "verify_degree_transport",
     "verify_exactness",
     "DualityReport", "GeneratorClass", "bord_vanishes",

@@ -5,13 +5,14 @@ For a frame (d,e) the cyclic sequence runs
     F(d,e-1) --iota--> F(d,e) --kappa--> F(d-1,e) --bord--> F(d,e-1)
 
 with iota, kappa and bord stated once, by ``_image_rule``, as rules on a
-source's key (an even diagram's row tuple, or a point generator), each image
+source's key (an even diagram's row tuple, or a point frame's int), each image
 looked up in the target basis's row index.  A basis holds its keys, checked
 once by ranking each by counting, and their graded degrees (shift in Z/4, a
 mod-2 base class, a det twist in Z/2); a frame with no rows or no columns has
-two point generators.  Exactness is verified three independent ways:
-structurally, from the partial-bijection shape of the maps; by exact integer
-linear algebra on their matrices; and by ranks over prime fields.
+two point generators, the ints 0 and 1, each its own rank and det twist.
+Exactness is verified three independent ways: structurally, from the
+partial-bijection shape of the maps; by exact integer linear algebra on
+their matrices; and by ranks over prime fields.
 """
 
 from __future__ import annotations
@@ -45,33 +46,6 @@ class GradedDegree(namedtuple("GradedDegree", "shift base det_twist")):
         return {"shift": self.shift, "base": list(self.base), "twist": self.det_twist}
 
 
-class PointGenerator:
-    """Unit generator of a degenerate frame, indexed by det-twist parity; not
-    a tuple, so a point frame's key never equals a row tuple such as (0,)."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        if type(index) is not int or index not in (0, 1):
-            raise ValueError("point index must be 0 or 1")
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r} of a PointGenerator")
-
-    def __eq__(self, other) -> bool:
-        return type(other) is PointGenerator and other.index == self.index
-
-    def __hash__(self) -> int:
-        return hash((PointGenerator, self.index))
-
-    def __repr__(self) -> str:
-        return f"PointGenerator(index={self.index})"
-
-    def label(self) -> str:
-        return f"pt{self.index}"
-
-
 @cache  # each distinct degree is built and checked once; 16 at most per n
 def _graded_degree(n: int, shift: int, odd_rho: int, twist: int) -> GradedDegree:
     return GradedDegree(shift, (n,) if odd_rho else (), twist)
@@ -84,8 +58,9 @@ def degree(d: int, e: int, rows: tuple[int, ...]) -> GradedDegree:
 
 
 class GradedBasis:
-    """One frame's keys (even row tuples, largest first, or point generators) and
-    degrees (None: built on first read); read-only, ``row_index`` checks the keys."""
+    """One frame's keys (even row tuples, largest first, or a point frame's ints
+    0 and 1, each its own rank and det twist) and degrees (None: built on first
+    read); read-only, ``row_index`` checks the keys."""
 
     def __init__(self, d: int, e: int, keys: tuple,
                  degrees: tuple[GradedDegree, ...] | None) -> None:
@@ -110,7 +85,7 @@ class GradedBasis:
         """Position of ``key`` in the basis, or None unless it is an even key of the frame."""
         if self.d and self.e:
             return even_rank(key, self.d, self.e, self._counts)
-        return key.index if type(key) is PointGenerator else None
+        return key if type(key) is int and key in (0, 1) else None  # type(True) is bool
 
     @cached_property
     def row_index(self) -> dict:
@@ -137,13 +112,13 @@ class GradedBasis:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def element(self, i: int) -> FramedDiagram | PointGenerator:
+    def element(self, i: int) -> FramedDiagram | int:
         """Element i as a diagram or point generator, for output and witnesses."""
         key = self.keys[i]
-        return key if type(key) is PointGenerator else FramedDiagram(self.d, self.e, key)
+        return key if type(key) is int else FramedDiagram(self.d, self.e, key)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(str(key) if type(key) is tuple else key.label() for key in self.keys)
+        return tuple(str(key) if type(key) is tuple else f"pt{key}" for key in self.keys)
 
 
 def check_frame(d: int, e: int) -> None:
@@ -154,10 +129,10 @@ def check_frame(d: int, e: int) -> None:
 
 def build_basis(d: int, e: int) -> GradedBasis:
     """Basis of the frame (d,e), keyed by ``even_rows``; degenerate frames get
-    the two point generators.  Equal degrees share one ``GradedDegree``."""
+    the two point generators 0 and 1.  Equal degrees share one ``GradedDegree``."""
     check_frame(d, e)
     if d == 0 or e == 0:
-        return GradedBasis(d, e, (PointGenerator(0), PointGenerator(1)),
+        return GradedBasis(d, e, (0, 1),
                            (GradedDegree(0, (), 0), GradedDegree(0, (), 1)))
     return GradedBasis(d, e, even_rows(d, e), None)
 
@@ -220,18 +195,18 @@ def _image_rule(which: str, d: int, e: int) -> Callable:
     if which == "iota":
         if e == 1:  # source is the point frame
             full = (1,) * d
-            return lambda pt: full if pt.index == d % 2 else None
+            return lambda pt: full if pt == d % 2 else None
         return lambda rows: None if rows.count(0) % 2 else tuple(map((1).__add__, rows))
     if which == "kappa":
         if d == 1:  # target is the point frame
-            return lambda rows: PointGenerator(0) if rows[0] == 0 else None
+            return lambda rows: 0 if rows[0] == 0 else None
         return lambda rows: rows[:-1] if rows[-1] == 0 else None
     # bord
     if d == 1:  # source is the point frame
-        image = PointGenerator(0) if e == 1 else (0,)  # the empty row when e > 1
-        return lambda pt: image if pt.index == 1 else None
+        image = 0 if e == 1 else (0,)  # the empty row when e > 1
+        return lambda pt: image if pt == 1 else None
     if e == 1:  # target is the point frame
-        return lambda rows: PointGenerator((d + 1) % 2) if rows[-1] % 2 else None
+        return lambda rows: (d + 1) % 2 if rows[-1] % 2 else None
     return lambda rows: (*map((-1).__add__, rows), 0) if rows[-1] % 2 else None
 
 
@@ -273,7 +248,7 @@ def map_matrix(which: str, d: int, e: int) -> BasisMap:
 
 
 def _element_json(elem):
-    return {"pt": elem.index} if isinstance(elem, PointGenerator) else elem.to_json()
+    return {"pt": elem} if type(elem) is int else elem.to_json()
 
 
 class PositionVerdict(namedtuple("PositionVerdict", "frame incoming outgoing structural "

@@ -7,8 +7,8 @@ import pytest
 
 import helpers
 from helpers import replace
-from wittgrass import (FramedDiagram, GradedDegree, JumpTuples, PointGenerator,
-                       build_basis, cell_canonicals, cyclic_sequence, degree, duality_check,
+from wittgrass import (FramedDiagram, GradedDegree, JumpTuples, build_basis,
+                       cell_canonicals, cyclic_sequence, degree, duality_check,
                        expected_rank, induction_report, intmatrix, map_matrix,
                        verify_degree_transport, verify_exactness)
 from wittgrass.diagrams import even_counts
@@ -54,18 +54,20 @@ class TestDegrees:
 
 class TestBases:
     def test_point_frames_have_two_generators(self):
+        """A point frame's keys are the ints 0 and 1, each its own rank and det twist."""
         for d, e in [(0, 3), (3, 0), (0, 1), (1, 0)]:
             basis = build_basis(d, e)
-            assert all(isinstance(key, PointGenerator) for key in basis.keys)
+            assert basis.keys == (0, 1) and all(type(key) is int for key in basis.keys)
             assert basis.labels() == ("pt0", "pt1")
             degs = basis.degrees
             assert [dg.det_twist for dg in degs] == [0, 1]
             assert all(dg.shift == 0 and dg.base == () for dg in degs)
+            assert [basis.element(i) for i in range(2)] == [0, 1]
 
     def test_diagram_frame(self):
         basis = build_basis(2, 2)
         assert len(basis) == 4
-        assert not any(isinstance(key, PointGenerator) for key in basis.keys)
+        assert all(type(key) is tuple for key in basis.keys)
         assert basis.labels()[0] == "(2, 2)"
         assert basis.row_index[(1, 1)] == 2
 
@@ -255,15 +257,19 @@ class TestRank:
         for key in ([4, 4, 4], (4, 4), (4, 4, 4, 4), (4.0, 4, 4), (4, 4.0, 4),
                     (2, 2.0, 0), ("4", 4, 4), (None, 4, 4), (4, 4, None), (-2, -2, 0),
                     (6, 6, 6), (2, 4, 4), (2, 2, 1), (3, 1, 0), (1, 0, 0),
-                    PointGenerator(0), (), None):
+                    0, 1, (), None):
             assert basis.rank(key) is None, key
         assert build_basis(3, 1).rank((True, True, True)) is None
 
     def test_point_frames(self):
+        """Only the ints 0 and 1 rank in a point frame: not True, which equals 1,
+        nor the 1-row key (0,), which never equals the key 0, in a dict too."""
         for d, e in [(0, 3), (3, 0), (0, 1), (1, 0)]:
             basis = build_basis(d, e)
             assert [basis.rank(key) for key in basis.keys] == [0, 1]
-            assert basis.rank(()) is None and basis.rank(0) is None
+            for key in (True, False, 2, -1, (0,), (), None):
+                assert basis.rank(key) is None, key
+        assert {(0,): 0}.get(0) is None
 
 
 class TestExactness:
@@ -744,35 +750,17 @@ class TestTransport:
         assert obj["ok"] is True
 
 
-class TestPointGenerator:
-    def test_labels_and_validation(self):
-        assert PointGenerator(0).label() == "pt0"
-        assert PointGenerator(1).label() == "pt1"
-        with pytest.raises(ValueError):
-            PointGenerator(2)
-        for index in (True, False, 0.0, 1.0, "0"):
-            with pytest.raises(ValueError):
-                PointGenerator(index)
-
-    def test_never_equals_a_row_tuple(self):
-        """A point frame's key and the 1-row key (0,) differ, in a dict too."""
-        assert PointGenerator(0) != (0,) and (0,) != PointGenerator(0)
-        assert {(0,): 0}.get(PointGenerator(0)) is None
-        assert PointGenerator(1) == PointGenerator(1) != PointGenerator(0)
-        assert {PointGenerator(1): 1}.get(PointGenerator(1)) == 1
-
-
 def _records():
-    """One of each record, by name: the namedtuples and the two plain classes."""
+    """One of each record, by name: the namedtuples and the plain class GradedBasis."""
     seq = cyclic_sequence(2, 2)
     exact = verify_exactness(seq, (2,))
     return {"JumpTuples": JumpTuples((1,), (0,)), "FramedDiagram": FramedDiagram(1, 1, (0,)),
             "PicClass": quotient_det(4), "PicClassMod2": taut_det2(4, 2),
             "CellCanonicals": cell_canonicals(2, 4), "GradedDegree": degree(2, 2, (1, 1)),
-            "PointGenerator": PointGenerator(0), "GradedBasis": build_basis(2, 2),
+            "GradedBasis": build_basis(2, 2),
             "BasisMap": seq.iota, "CyclicSequence": seq,
             "PositionVerdict": exact.positions[0], "ExactnessReport": exact,
-            "TransportFailure": TransportFailure("iota", PointGenerator(1), 0, 1),
+            "TransportFailure": TransportFailure("iota", 1, 0, 1),
             "TransportReport": verify_degree_transport(seq),
             "DualityReport": duality_check(2, 2)}
 
@@ -783,8 +771,7 @@ class TestRecords:
         """Every field, and any new attribute, of every record is read-only."""
         record = _records()[name]
         assert type(record).__name__ == name
-        fields = (record._fields if isinstance(record, tuple) else ("index",)
-                  if type(record) is PointGenerator else ("d", "e", "keys", "degrees"))
+        fields = record._fields if isinstance(record, tuple) else ("d", "e", "keys", "degrees")
         for field in (*fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field, None))
@@ -796,4 +783,3 @@ class TestRecords:
         assert repr(GradedDegree(1, (5,), 0)) == \
             "GradedDegree(shift=1, base=(5,), det_twist=0)"
         assert repr(FramedDiagram(2, 3, [3, 1])) == "FramedDiagram(d=2, e=3, rows=(3, 1))"
-        assert repr(PointGenerator(1)) == "PointGenerator(index=1)"
