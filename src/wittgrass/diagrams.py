@@ -10,13 +10,15 @@ the jump-tuple encoding (``row_jumps``, on row tuples) and its inverse, the
 numeric invariants, transposition (``transpose_rows``, on row tuples), and
 evenness, stated once on the rows: all rows share one parity, and every value
 strictly between 0 and e occurs an even number of times.  ``is_even`` checks
-that rule, ``even_rows`` builds a frame's even row tuples from it, with no
-``FramedDiagram`` each, and ``even_counts`` counts their completions, by which
-``even_rank`` ranks a row tuple.  The maps between frames are in ``witt_modules``.
+that rule; ``even_rows`` builds a frame's even row tuples from it, bottom-up by row
+count from blocks frames share (``EvenTails``) and with no ``FramedDiagram`` each;
+``even_counts`` counts their completions, by which ``even_rank`` ranks a row tuple.
+The maps between frames are in ``witt_modules``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 
@@ -135,31 +137,54 @@ def row_jumps(rows: tuple[int, ...], e: int) -> tuple[tuple[int, ...], tuple[int
     return tuple(dvec), tuple(evec)
 
 
-def even_rows(d: int, e: int) -> tuple[tuple[int, ...], ...]:
-    """Row tuples of the even diagrams of the d-by-e frame, largest first.
+class EvenTails:
+    """The blocks of ``even_rows`` that frames of at most ``cols`` columns share:
+    ``levels[k][v + 1]`` holds the k-row tails of first row v (for v > 0 a pair
+    block, for v = 0 the zeros) and ``levels[k][0]`` the one tail of no rows;
+    ``full[d, e]`` holds a frame's full-row block, and ``counts(e)`` gives the count
+    table of width e and ``rows`` rows.  A caller that shares one drops a full-row
+    block with its frame."""
 
-    A depth-first walk of the rule of ``FramedDiagram.is_even`` (rows equal to
-    e, pairs of interior values, each at most the pair above, rows equal to 0,
-    all of one parity) that stacks the smallest step first: nothing is sorted,
-    and the cost tracks the even diagrams, not all C(d+e, d) row vectors.
-    """
+    def __init__(self, rows: int, cols: int) -> None:
+        self.cols, self.levels, self.full = cols, {}, {}
+        self.counts = functools.cache(functools.partial(even_counts, rows))
+
+    def frame(self, d: int, e: int) -> tuple[tuple[int, ...], ...]:
+        k = d - 1 if (d - 1, e) in self.full else 0
+        block = self.full.get((k, e), ())  # that of (d - 1, e), else built from 0 rows
+        for j in range(k + 1, d + 1):  # e, then a key of (j - 1, e) of e's parity
+            tails = self._level(j - 1)[e - 1::-2]
+            block = tuple(map((e,).__add__, itertools.chain(block, *tails)))
+        self.full[d, e] = block
+        return (*block, *itertools.chain(*self._level(d)[e::-1]))
+
+    def _level(self, k: int) -> list:
+        """The k-row tails by first row: those of pairs of v's parity, each at most
+        v, then zeros if v is even, are at v + 1, v - 1, ... down to 1 or 0.  Built
+        up from the level two rows below (or none), each level drops it."""
+        if k < 2:  # no pair fits
+            return [() if k else ((),), ((0,) * k,)] + [()] * (self.cols - 1)
+        low = k if k in self.levels else k - 2 if k - 2 in self.levels else k % 2
+        for j in range(low + 2, k + 1, 2):
+            below = self._level(j - 2)
+            self.levels[j] = [(), ((0,) * j,)] + [
+                tuple(map((v, v).__add__, itertools.chain(*below[v + 1::-2])))
+                for v in range(1, self.cols)]
+            self.levels.pop(j - 2, None)
+        return self.levels[k]
+
+
+def even_rows(d: int, e: int, tails: EvenTails | None = None) -> tuple[tuple[int, ...], ...]:
+    """Row tuples of the even diagrams of the d-by-e frame, largest first, by the
+    rule of ``FramedDiagram.is_even``: the full-row block, ``(e,) + t`` for each of
+    (d - 1, e) of e's parity; for v = e - 1 down to 1, the pair block of (d, v),
+    ``(v, v) + t`` for each (d - 2)-row tail t of pairs of v's parity, each at most
+    v, then zero rows when v is even; then d zeros.  Each block is built bottom-up
+    by row count, with no walk of the diagrams; a pair block does not depend on e,
+    so frames built on one ``tails`` (by default, or if too narrow, new) share it."""
     if type(d) is not int or type(e) is not int or d < 1 or e < 1:
         raise ValueError("frame dimensions must be integers, at least 1")
-    rows, stack = [], [((), d, e, None)]  # rows so far, rows left, bound, parity
-    while stack:
-        prefix, left, bound, parity = stack.pop()
-        if not left:
-            rows.append(prefix)
-            continue
-        if parity != 1:  # rows equal to 0 to the end
-            stack.append((prefix + (0,) * left, 0, 0, 0))
-        if left > 1:  # a pair of an interior value at most the bound
-            lo, step = (1, 1) if parity is None else (2 - parity, 2)
-            stack += [(prefix + (v, v), left - 2, v, v % 2)
-                      for v in range(lo, min(bound, e - 1) + 1, step)]
-        if bound == e and parity in (None, e % 2):  # one more row equal to e
-            stack.append((prefix + (e,), left - 1, e, e % 2))
-    return tuple(rows)
+    return (tails if tails is not None and e <= tails.cols else EvenTails(d, e)).frame(d, e)
 
 
 def even_counts(d: int, e: int) -> list[list[list[int]]]:

@@ -4,9 +4,10 @@ Each frame's sequence and its exactness and transport reports are computed at
 most once, on first use, and shared by every suite that checks the frame; a
 map's images and a basis's degrees are built only when a suite reads them.
 The graded bases come from one store per run, which keeps two rows of frames
-at most and which every suite reads.  The duality suite checks both frames
-of each mirror pair {(d, e), (e, d)} at the one with d <= e, from one
-transpose of each key; each suite's failures are sorted into (d, e) order.
+at most, builds their keys from blocks they share and keeps one count table
+per width; every suite reads it.  The duality suite checks both frames of
+each mirror pair {(d, e), (e, d)} at the one with d <= e, from one transpose
+of each key; each suite's failures are sorted into (d, e) order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import cached_property
 
+from .diagrams import EvenTails
 from .grassmann_witt import bord_vanishes, duality_pair, induction_report
 from .picard import cond_even_rows
 from .witt_modules import (GradedBasis, build_basis, cyclic_sequence,
@@ -85,17 +87,17 @@ _SUITES = {"exactness": lambda f: _failed([f.exact]),
            "induction": _induction}
 
 
-def _store_reader(bases: dict, d: int) -> Callable[[int, int], GradedBasis]:
+def _store_reader(bases: dict, tails: EvenTails, d: int) -> Callable[[int, int], GradedBasis]:
     """Basis lookup for the frames of row d: reads ``bases``, builds what it
-    lacks and keeps the bases of rows d - 1 and d, the rows the row's
-    sequences read; any other frame, a duality mirror, is built for the one
-    pair of checks that reads it."""
+    lacks on the run's ``tails`` and keeps the bases of rows d - 1 and d, the
+    rows the row's sequences read; any other frame, a duality mirror, is built
+    on its own for the one pair of checks that reads it."""
     def basis(r: int, c: int) -> GradedBasis:
         found = bases.get((r, c))
         if found is None:
-            found = build_basis(r, c)
-            if d - 1 <= r <= d:
-                bases[r, c] = found
+            if not d - 1 <= r <= d:
+                return build_basis(r, c)
+            found = bases[r, c] = build_basis(r, c, tails)
         return found
     return basis
 
@@ -123,20 +125,20 @@ def verify_suites(scope: str, max_frame: int) -> dict:
     failures: dict[str, list] = {name: [] for name in names}
     first = min(SUITE_FIRST_FRAME[name] for name in names)
     bases: dict = {}  # (d, e) -> GradedBasis, of the two rows being swept
+    tails = EvenTails(max_frame, max_frame)  # their keys' blocks, a count table per width
     for d in range(first, max_frame + 1):
-        basis = _store_reader(bases, d)
+        basis = _store_reader(bases, tails, d)
         for e in range(first, max_frame + 1):
             frame = _Frame(d, e, primes, basis)
             for name in names:
                 if min(d, e) >= SUITE_FIRST_FRAME[name]:
                     failures[name] += _SUITES[name](frame)
-            # no later sequence reads row d - 1 up to column e: the one at
-            # (d, c) is the last to read (d - 1, c), and only the one at
-            # (d - 1, first) reads (d - 1, first - 1)
-            bases.pop((d - 1, e - 1), None)
-            bases.pop((d - 1, e), None)
-            if d == max_frame:  # no later row reads row d either
-                bases.pop((d, e - 1), None)
+            # no later sequence reads row d - 1 up to column e: the one at (d, c)
+            # is the last to read (d - 1, c), and only the one at (d - 1, first)
+            # reads (d - 1, first - 1); on the last row, none reads (d, e - 1)
+            for dead in [(d - 1, e - 1), (d - 1, e)] + [(d, e - 1)] * (d == max_frame):
+                bases.pop(dead, None)
+                tails.full.pop(dead, None)  # a full-row block goes with its basis
     return {name: {"frames": (max_frame - SUITE_FIRST_FRAME[name] + 1) ** 2,
                    "failures": sorted(failures[name], key=lambda f: f["frame"]),
                    "ok": not failures[name]}

@@ -22,7 +22,7 @@ from collections.abc import Callable
 from functools import cache, cached_property, partial
 
 from . import intmatrix
-from .diagrams import FramedDiagram, even_counts, even_rank, even_rows
+from .diagrams import EvenTails, FramedDiagram, even_counts, even_rank, even_rows
 
 MAP_NAMES = ("iota", "kappa", "bord")
 
@@ -59,12 +59,12 @@ def degree(d: int, e: int, rows: tuple[int, ...]) -> GradedDegree:
 
 class GradedBasis:
     """One frame's keys (even row tuples, largest first, or a point frame's ints
-    0 and 1, each its own rank and det twist) and degrees (None: built on first
-    read); read-only, ``row_index`` checks the keys."""
+    0 and 1, each its own rank and det twist), degrees (None: built on first
+    read) and count table (by default its own); read-only, ``row_index`` checks them."""
 
     def __init__(self, d: int, e: int, keys: tuple,
-                 degrees: tuple[GradedDegree, ...] | None) -> None:
-        vars(self).update(d=d, e=e, keys=keys)
+                 degrees: tuple[GradedDegree, ...] | None, counts: list | None = None) -> None:
+        vars(self).update(d=d, e=e, keys=keys, _counts=counts or even_counts(d, e))
         if degrees is not None:
             if len(degrees) != len(keys):
                 raise ValueError(f"{len(degrees)} degrees given for {len(keys)} keys")
@@ -76,10 +76,6 @@ class GradedBasis:
     @cached_property
     def degrees(self) -> tuple[GradedDegree, ...]:
         return tuple(map(partial(degree, self.d, self.e), self.row_index))
-
-    @cached_property
-    def _counts(self) -> list[list[list[int]]]:
-        return even_counts(self.d, self.e)
 
     def rank(self, key) -> int | None:
         """Position of ``key`` in the basis, or None unless it is an even key of the frame."""
@@ -127,14 +123,16 @@ def check_frame(d: int, e: int) -> None:
         raise ValueError("frame dimensions must be integers, at least 0 and not both zero")
 
 
-def build_basis(d: int, e: int) -> GradedBasis:
-    """Basis of the frame (d,e), keyed by ``even_rows``; degenerate frames get
-    the two point generators 0 and 1.  Equal degrees share one ``GradedDegree``."""
+def build_basis(d: int, e: int, tails: EvenTails | None = None) -> GradedBasis:
+    """Basis of the frame (d,e), keyed by ``even_rows`` on ``tails`` and ranked by
+    their count table of width e (by default new ones); degenerate frames get the
+    two point generators 0 and 1.  Equal degrees share one ``GradedDegree``."""
     check_frame(d, e)
     if d == 0 or e == 0:
         return GradedBasis(d, e, (0, 1),
                            (GradedDegree(0, (), 0), GradedDegree(0, (), 1)))
-    return GradedBasis(d, e, even_rows(d, e), None)
+    tails = EvenTails(d, e) if tails is None else tails
+    return GradedBasis(d, e, even_rows(d, e, tails), None, tails.counts(e))
 
 
 class BasisMap(namedtuple("BasisMap", "which source target images")):

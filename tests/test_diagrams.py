@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import helpers
 from wittgrass import (FramedDiagram, JumpTuples, cyclic_sequence, enumerate_even,
                        expected_rank, from_jump_tuples)
-from wittgrass.diagrams import transpose_rows
+from wittgrass.diagrams import EvenTails, even_rows, transpose_rows
 
 
 class TestValidation:
@@ -157,6 +157,36 @@ class TestEnumeration:
                      if helpers.evenness_oracle(d, e, rows)),
                     reverse=True)
                 assert [dg.rows for dg in enumerate_even(d, e)] == expected
+
+    def test_one_tails_object_serves_the_whole_sweep(self):
+        """Frames built one after another on one EvenTails, row by row as a
+        verify run builds them or column by column, equal the oracle up to
+        7x7 and a fresh enumeration up to 14x14."""
+        frames = [(d, e) for d in range(1, 15) for e in range(1, 15)]
+        for order in (frames, sorted(frames, key=lambda frame: frame[::-1])):
+            tails = EvenTails(14, 14)
+            for d, e in order:
+                shared = even_rows(d, e, tails)
+                assert shared == even_rows(d, e), (d, e)
+                if d < 8 and e < 8:
+                    assert list(shared) == sorted(
+                        (rows for rows in helpers.all_row_vectors(d, e)
+                         if helpers.evenness_oracle(d, e, rows)),
+                        reverse=True), (d, e)
+        assert even_rows(3, 15, tails) == even_rows(3, 15)  # too narrow: not used
+
+    def test_pair_blocks_are_shared_across_widths(self):
+        """Each key (v, v) + t of a pair block is one tuple in every frame of
+        its row that one EvenTails builds: (d, e) and (d, e + 1) hold the same."""
+        tails, shared = EvenTails(9, 9), 0
+        for d in range(2, 10):
+            for e in range(2, 9):
+                narrow, wide = even_rows(d, e, tails), even_rows(d, e + 1, tails)
+                held = {rows: rows for rows in wide}
+                pairs = [rows for rows in narrow if 0 < rows[0] < e]
+                assert all(held[rows] is rows for rows in pairs), (d, e)
+                shared += len(pairs)
+        assert shared  # not vacuous
 
     def test_rule_count_is_the_closed_form(self):
         """The parity-and-pairs count, by binomials, is 2 * C(d//2 + e//2, e//2)

@@ -51,9 +51,9 @@ def builds(monkeypatch):
     seen = SimpleNamespace(frames=Counter(), peak=0, alive=alive)
     original = witt_modules.build_basis
 
-    def counted(d, e):
+    def counted(d, e, tails=None):
         seen.frames[d, e] += 1
-        basis = original(d, e)
+        basis = original(d, e, tails)
         alive.add(basis)
         seen.peak = max(seen.peak, len(alive))
         return basis
@@ -61,6 +61,19 @@ def builds(monkeypatch):
     for module in (verify, witt_modules, grassmann_witt):
         monkeypatch.setattr(module, "build_basis", counted)
     return seen
+
+
+@pytest.fixture
+def run_tails(monkeypatch):
+    """Each EvenTails that verify_suites makes for its store, in order."""
+    made = []
+
+    def recorded(rows, cols):
+        made.append(diagrams.EvenTails(rows, cols))
+        return made[-1]
+
+    monkeypatch.setattr(verify, "EvenTails", recorded)
+    return made
 
 
 def _sequence_bases(first, last):
@@ -197,15 +210,66 @@ class TestBasisStore:
         verify_suites(scope, 9)
         assert 0 < builds.peak <= 2 * (9 + 1)
 
+    @pytest.mark.parametrize("scope", [*SUITE_FIRST_FRAME, "all"])
+    def test_tails_hold_three_row_counts_at_most(self, run_tails, monkeypatch, scope):
+        """At every frame of a run, the store's tails are of at most three
+        consecutive row counts."""
+        seen = []
+        for name, suite in list(verify._SUITES.items()):
+            def watched(frame, _suite=suite):
+                failures = _suite(frame)
+                seen.append(sorted(run_tails[0].levels))
+                return failures
+
+            monkeypatch.setitem(verify._SUITES, name, watched)
+        report = verify_suites(scope, 9)
+        assert all(suite["ok"] for suite in report.values())
+        assert len(run_tails) == 1 and any(seen)
+        assert all(counts[-1] - counts[0] <= 2 for counts in seen if counts)
+
+    def test_last_frame_holds_only_its_sequences_full_rows(self, run_tails, monkeypatch):
+        """The full-row blocks go with their bases: at the last frame (n, n) the
+        store's tails hold those of the three bases its sequence reads."""
+        seen, bord = [], verify._SUITES["bord"]
+
+        def watched(frame):
+            failures = bord(frame)
+            if (frame.d, frame.e) == (6, 6):
+                seen.append(sorted(run_tails[0].full))
+            return failures
+
+        monkeypatch.setitem(verify._SUITES, "bord", watched)
+        assert verify_suites("bord", 6)["bord"]["ok"]
+        assert seen == [[(5, 6), (6, 5), (6, 6)]]
+
+    def test_no_tails_outlive_a_run(self, run_tails, monkeypatch):
+        """A second run in the same interpreter builds exactly as many tails as
+        the first: nothing is kept from one run to the next.  Each tail is made
+        by prefixing rows to a shorter one, counted at the ``map`` doing it."""
+        built = []
+
+        def counted(prefix, *tails):
+            found = list(map(prefix, *tails))
+            built[-1] += len(found)
+            return found
+
+        monkeypatch.setattr(diagrams, "map", counted, raising=False)
+        for _ in range(2):
+            built.append(0)
+            assert verify_suites("degrees", 8)["degrees"]["ok"]
+        assert built[0] == built[1] > 0
+        assert len(run_tails) == 2 and run_tails[0] is not run_tails[1]
+        assert all(tails.full for tails in run_tails)  # each run's store read its own
+
     def test_diagrams_are_enumerated_only_to_build_bases(self, monkeypatch):
         """Cond-even reads the run's bases: every enumeration of even row
         tuples comes from build_basis, once per diagram frame it builds."""
         callers = Counter()
         original = diagrams.even_rows
 
-        def counted(d, e):
+        def counted(d, e, tails=None):
             callers[sys._getframe(1).f_code.co_name] += 1
-            return original(d, e)
+            return original(d, e, tails)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("wittgrass") and \
@@ -249,8 +313,8 @@ class TestOnePass:
         degrees frame with its one full-base report."""
         original = witt_modules.build_basis
 
-        def shifted(d, e):
-            basis = original(d, e)
+        def shifted(d, e, tails=None):
+            basis = original(d, e, tails)
             if (d, e) != (3, 2):
                 return basis
             return replace(basis, degrees=tuple(
@@ -281,8 +345,8 @@ class TestOnePass:
         degrees[0], degrees[j] = degrees[j], degrees[0]
         swapped = replace(mirror, degrees=tuple(degrees))
 
-        def patched(d, e):
-            return swapped if (d, e) == (4, 3) else original(d, e)
+        def patched(d, e, tails=None):
+            return swapped if (d, e) == (4, 3) else original(d, e, tails)
 
         for module in (verify, witt_modules, grassmann_witt):
             monkeypatch.setattr(module, "build_basis", patched)
@@ -308,8 +372,8 @@ class TestOnePass:
 
         broken = {frame: swapped(original(*frame)) for frame in [(5, 2), (4, 3)]}
 
-        def patched(d, e):
-            return broken[d, e] if (d, e) in broken else original(d, e)
+        def patched(d, e, tails=None):
+            return broken[d, e] if (d, e) in broken else original(d, e, tails)
 
         for module in (verify, witt_modules, grassmann_witt):
             monkeypatch.setattr(module, "build_basis", patched)

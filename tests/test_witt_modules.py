@@ -11,7 +11,7 @@ from wittgrass import (FramedDiagram, GradedDegree, JumpTuples, build_basis,
                        cell_canonicals, cyclic_sequence, degree, duality_check,
                        expected_rank, induction_report, intmatrix, map_matrix,
                        verify_degree_transport, verify_exactness)
-from wittgrass.diagrams import even_counts
+from wittgrass.diagrams import even_counts, even_rank
 from wittgrass.intmatrix import (SparseMatrix, diagonalize, kernel_rows, multiply,
                                  rank_mod_p, span_solver)
 from wittgrass.picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
@@ -251,15 +251,30 @@ class TestRank:
             for e in range(1, 23):
                 assert sum(c[d][e] for c in even_counts(d, e)) == expected_rank(d, e), (d, e)
 
+    MALFORMED = ([4, 4, 4], (4, 4), (4, 4, 4, 4), (4.0, 4, 4), (4, 4.0, 4),
+                 (2, 2.0, 0), ("4", 4, 4), (None, 4, 4), (4, 4, None), (-2, -2, 0),
+                 (6, 6, 6), (2, 4, 4), (2, 2, 1), (3, 1, 0), (1, 0, 0),
+                 0, 1, (), None)
+
     def test_malformed_keys_have_no_rank(self):
         basis = build_basis(3, 4)
         assert basis.rank((4, 4, 4)) == 0 and basis.rank((2, 2, 0)) is not None
-        for key in ([4, 4, 4], (4, 4), (4, 4, 4, 4), (4.0, 4, 4), (4, 4.0, 4),
-                    (2, 2.0, 0), ("4", 4, 4), (None, 4, 4), (4, 4, None), (-2, -2, 0),
-                    (6, 6, 6), (2, 4, 4), (2, 2, 1), (3, 1, 0), (1, 0, 0),
-                    0, 1, (), None):
+        for key in self.MALFORMED:
             assert basis.rank(key) is None, key
         assert build_basis(3, 1).rank((True, True, True)) is None
+
+    def test_taller_count_tables_rank_alike(self):
+        """A count table of width e and n >= d rows ranks every row vector of the
+        d-by-e frame, and every malformed key, as the frame's own table does:
+        so a run keeps one table per width."""
+        for e in range(1, 11):
+            tables = [None] + [even_counts(n, e) for n in range(1, 11)]
+            for d in range(1, 11):
+                keys = [*helpers.all_row_vectors(d, e), *self.MALFORMED]
+                own = [even_rank(key, d, e, tables[d]) for key in keys]
+                assert tables[d] == even_counts(d, e)
+                for n in range(d + 1, 11):
+                    assert [even_rank(key, d, e, tables[n]) for key in keys] == own, (d, e, n)
 
     def test_point_frames(self):
         """Only the ints 0 and 1 rank in a point frame: not True, which equals 1,
