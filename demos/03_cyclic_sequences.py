@@ -24,7 +24,7 @@ def show_move(name, which, d, e, rows):
     """Send the diagram ``rows`` of the frame (d,e) through one map."""
     bm = getattr(cyclic_sequence(d + ANCHOR_OFFSET[which][0],
                                  e + ANCHOR_OFFSET[which][1]), which)
-    i = bm.images[bm.source.row_index[rows]]
+    i = bm.images[bm.source.rank(rows)]
     target = "0" if i is None else f"{bm.target.labels()[i]} in {bm.target.d}x{bm.target.e}"
     print(f"  {name}({rows}) = {target}")
 

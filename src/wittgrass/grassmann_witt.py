@@ -39,7 +39,7 @@ def total_witt_basis(d: int, e: int) -> GradedBasis:
     if type(d) is not int or type(e) is not int or d < 1 or e < 1:
         raise ValueError("frame dimensions must be integers, at least 1")
     basis = build_basis(d, e)
-    for rows in basis.row_index:
+    for rows in basis.checked:
         if not cond_even_rows(d, e, rows)[0]:
             raise RuntimeError(f"twist cancellation fails for rows={rows}")
     return basis
@@ -155,8 +155,8 @@ def duality_pair(d: int, e: int, basis: Callable[[int, int], GradedBasis]) -> tu
         raise ValueError("duality needs d,e >= 1")
 
     def mirror_ranks(source: GradedBasis, target: GradedBasis) -> list:
-        index = target.row_index
-        return [index.get(transpose_rows(rows, source.e)) for rows in source.row_index]
+        index = dict(zip(target.checked, range(len(target))))  # transposing breaks the order
+        return [index.get(transpose_rows(rows, source.e)) for rows in source.checked]
 
     source, target = basis(d, e), basis(e, d)
     fwd = mirror_ranks(source, target)

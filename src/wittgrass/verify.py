@@ -51,7 +51,7 @@ def _failed(reports) -> list:
 
 def _cond_even(f: _Frame) -> list:
     failures = []
-    for rows in f.basis(f.d, f.e).row_index:  # the keys that pass the rank check
+    for rows in f.basis(f.d, f.e).checked:
         cancels, admissible, in_span = cond_even_rows(f.d, f.e, rows)
         if not cancels:
             failures.append({"frame": [f.d, f.e], "rows": list(rows)})

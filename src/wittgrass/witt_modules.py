@@ -6,7 +6,7 @@ For a frame (d,e) the cyclic sequence runs
 
 with iota, kappa and bord stated once, by ``_image_rule``, as rules on a
 source's key (an even diagram's row tuple, or a point frame's int), each image
-looked up in the target basis's row index.  A basis holds its keys, checked
+found walking forward through the target's keys.  A basis holds its keys, checked
 once by ranking each by counting, and their graded degrees (shift in Z/4, a
 mod-2 base class, a det twist in Z/2); a frame with no rows or no columns has
 two point generators, the ints 0 and 1, each its own rank and det twist.
@@ -60,7 +60,7 @@ def degree(d: int, e: int, rows: tuple[int, ...]) -> GradedDegree:
 class GradedBasis:
     """One frame's keys (even row tuples, largest first, or a point frame's ints
     0 and 1, each its own rank and det twist), degrees (None: built on first
-    read) and count table (by default its own); read-only, ``row_index`` checks them."""
+    read) and count table (by default its own); read-only, ``checked`` checks them."""
 
     def __init__(self, d: int, e: int, keys: tuple,
                  degrees: tuple[GradedDegree, ...] | None, counts: list | None = None) -> None:
@@ -75,7 +75,7 @@ class GradedBasis:
 
     @cached_property
     def degrees(self) -> tuple[GradedDegree, ...]:
-        return tuple(map(partial(degree, self.d, self.e), self.row_index))
+        return tuple(map(partial(degree, self.d, self.e), self.checked))
 
     def rank(self, key) -> int | None:
         """Position of ``key`` in the basis, or None unless it is an even key of the frame."""
@@ -84,8 +84,8 @@ class GradedBasis:
         return key if type(key) is int and key in (0, 1) else None  # type(True) is bool
 
     @cached_property
-    def row_index(self) -> dict:
-        """Position of each key, built on first read: the one check of a basis,
+    def checked(self) -> tuple:
+        """The keys, once they pass the one check of a basis, made on first read:
         that each key's rank is its position and all of the frame's are there."""
         keys, d, e, frame = self.keys, self.d, self.e, f"the {self.d}x{self.e} basis"
         if d and e:
@@ -95,7 +95,7 @@ class GradedBasis:
         else:
             total, ranks = 2, list(map(self.rank, keys))
         if ranks == list(range(total)):
-            return dict(zip(keys, ranks))
+            return keys
         n = len(keys)
         i = next((i for i, rank in enumerate(ranks) if rank != i), n)  # the first amiss
         if i < n and ranks[i] is None:
@@ -152,9 +152,14 @@ class BasisMap(namedtuple("BasisMap", "which source target images")):
         which, source, target, images = self  # the fields as given
         if images is None:  # the sequence's frame: the larger of the two in each dimension
             rule = _image_rule(which, max(source.d, target.d), max(source.e, target.e))
-            index = target.row_index
-            return tuple(None if image is None else index[image]
-                         for image in map(rule, source.row_index))
+            keys, found, at = target.checked, [], -1  # at: the last image's position
+            for image in map(rule, source.checked):
+                try:  # the rules keep the keys' order: each image comes after the last
+                    found.append(None if image is None else (at := keys.index(image, at + 1)))
+                except ValueError:
+                    raise ValueError(f"{which}'s image rows={image!r} is not a "
+                                     f"{target.d}x{target.e} key after index {at}") from None
+            return tuple(found)
         if len(images) != len(source):
             raise ValueError(f"{which} has {len(images)} images for {len(source)} sources")
         for j, i in enumerate(images):
@@ -185,11 +190,12 @@ class BasisMap(namedtuple("BasisMap", "which source target images")):
 
 
 def _image_rule(which: str, d: int, e: int) -> Callable:
-    """One map of the (d,e) sequence on row-index keys: the key of a source
-    element's image in the target, or None when it maps to zero.  Between
-    diagram frames iota widens every row, kappa drops an empty last row and
-    bord peels one cell off every row and appends an empty row.
-    """
+    """One map of the (d,e) sequence on basis keys: the key of a source key's
+    image in the target, or None when it maps to zero.  Each rule keeps the keys'
+    descending order.  Let keys r > s first differ at row k.  iota adds 1 to every
+    row, and bord takes 1 from every row and appends a 0, so the images first differ
+    at row k, in the same order; kappa drops the last row of keys that end in 0,
+    where r and s agree, so row k comes before it.  Each point branch gives one image."""
     if which == "iota":
         if e == 1:  # source is the point frame
             full = (1,) * d
@@ -223,7 +229,7 @@ def cyclic_sequence(d: int, e: int,
 
     ``basis`` maps a frame (d, e) to its graded basis, such as a store that
     a caller shares between sequences; by default each is a new ``build_basis``.
-    Each basis passes its rank check (``row_index``) here; each map's images
+    Each basis passes its rank check (``checked``) here; each map's images
     are built on first read, by its rule on its source's checked keys.
     """
     check_frame(d, e)
@@ -232,7 +238,7 @@ def cyclic_sequence(d: int, e: int,
     if basis is None:
         basis = build_basis
     left, middle, right = basis(d, e - 1), basis(d, e), basis(d - 1, e)
-    left.row_index, middle.row_index, right.row_index  # each basis's one check
+    left.checked, middle.checked, right.checked  # each basis's one check
     return CyclicSequence(d, e, BasisMap("iota", left, middle, None),
                           BasisMap("kappa", middle, right, None),
                           BasisMap("bord", right, left, None))

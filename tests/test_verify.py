@@ -203,6 +203,24 @@ class TestBasisStore:
         assert verify_suites("bord", 6)["bord"]["ok"]
         assert seen == [[(5, 6), (6, 5), (6, 6)]]
 
+    def test_no_basis_holds_a_dict(self, monkeypatch):
+        """A basis keeps no index of its keys: after a run, and after a duality
+        pair on its own, every basis built was checked and holds no dict."""
+        built, original = [], witt_modules.build_basis
+
+        def kept(d, e, tails=None):
+            built.append(original(d, e, tails))
+            return built[-1]
+
+        for module in (verify, witt_modules, grassmann_witt):
+            monkeypatch.setattr(module, "build_basis", kept)
+        assert all(suite["ok"] for suite in verify_suites("all", 6).values())
+        grassmann_witt.duality_pair(3, 5, kept)
+        assert {(3, 5), (5, 3), (6, 6), (0, 6)} <= {(basis.d, basis.e) for basis in built}
+        for basis in built:
+            assert vars(basis).get("checked") is basis.keys
+            assert not [name for name, value in vars(basis).items() if isinstance(value, dict)]
+
     @pytest.mark.parametrize("scope", ["all", "degrees", "duality", "cond-even"])
     def test_store_stays_bounded(self, builds, scope):
         """The store, and every basis still referenced, holds two rows of

@@ -1,5 +1,6 @@
 """Graded bases, the three maps, exactness and degree transport."""
 
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -16,8 +17,9 @@ from wittgrass.intmatrix import (SparseMatrix, diagonalize, kernel_rows, multipl
                                  rank_mod_p, span_solver)
 from wittgrass.picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
 from wittgrass.verify import verify_suites
-from wittgrass.witt_modules import (MAP_NAMES, BasisMap, TransportFailure, _les_target,
-                                    _linear_position, _mod_p_position, _structural_position)
+from wittgrass.witt_modules import (MAP_NAMES, BasisMap, TransportFailure, _image_rule,
+                                    _les_target, _linear_position, _mod_p_position,
+                                    _structural_position)
 
 
 class TestDegrees:
@@ -69,7 +71,7 @@ class TestBases:
         assert len(basis) == 4
         assert all(type(key) is tuple for key in basis.keys)
         assert basis.labels()[0] == "(2, 2)"
-        assert basis.row_index[(1, 1)] == 2
+        assert basis.rank((1, 1)) == 2
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -145,7 +147,7 @@ class TestMapMatrices:
                             else build_basis(d, e))
 
     def test_foreign_or_repeated_element_is_rejected(self):
-        """A basis's row index keys diagrams by rows alone, so it admits only
+        """A basis's check ranks diagrams by rows alone, so it admits only
         diagrams of the basis's own frame, each once."""
         intact = build_basis(3, 3)
         foreign = ((4, 4, 4), *intact.keys[1:])
@@ -180,6 +182,51 @@ class TestMapMatrices:
         with pytest.raises(ValueError, match=r"^the 3x3 basis is out of order: its "
                                              r"element of rank 1 is not at position 1$"):
             cyclic_sequence(*anchor, reading(swapped))
+
+    def test_images_keep_the_keys_order(self):
+        """On every map up to 10x10, point frames included, the images strictly
+        increase along the support, and each is the position of its rule's image
+        in a lookup of the target's keys."""
+        longest = 0
+        for d in range(1, 11):
+            for e in range(1, 11):
+                for bm in cyclic_sequence(d, e).maps():
+                    support = [i for i in bm.images if i is not None]
+                    assert all(i < j for i, j in zip(support, support[1:])), (d, e, bm.which)
+                    index = {key: i for i, key in enumerate(bm.target.keys)}
+                    rule = _image_rule(bm.which, d, e)
+                    assert bm.images == tuple(None if rule(key) is None else index[rule(key)]
+                                              for key in bm.source.keys), (d, e, bm.which)
+                    longest = max(longest, len(support))
+        assert longest == 252  # iota into 10x10: C(10, 5) of its 504 keys
+
+    def test_image_missing_from_the_target_is_named(self, monkeypatch):
+        """A kappa that reverses its image's rows sends (4, 0, 0) of 3x4 to
+        (0, 4), no key of 2x4: the walk names that image, not a KeyError."""
+        rule = _image_rule
+
+        def reversing(which, d, e):
+            kept = rule(which, d, e)
+            return lambda key: None if kept(key) is None else kept(key)[::-1]
+
+        monkeypatch.setattr("wittgrass.witt_modules._image_rule", reversing)
+        with pytest.raises(ValueError, match=r"^kappa's image rows=\(0, 4\) is not a 2x4 key "):
+            cyclic_sequence(3, 4).kappa.images
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["swapped", "repeated"])
+    @pytest.mark.parametrize("which", MAP_NAMES)
+    def test_images_out_of_order_are_refused(self, monkeypatch, which, repeated):
+        """A rule whose images are all target keys, two neighbouring ones
+        swapped or the first given twice, is refused: the walk finds the
+        second at or before the first.  Only ``which`` reads the patched rule."""
+        source = getattr(cyclic_sequence(3, 4), which).source
+        rule = _image_rule(which, 3, 4)
+        a, b = [key for key in source.keys if rule(key) is not None][:2]
+        faulty = {b: rule(a)} if repeated else {a: rule(b), b: rule(a)}
+        monkeypatch.setattr("wittgrass.witt_modules._image_rule",
+                            lambda *frame: lambda key: faulty.get(key, rule(key)))
+        with pytest.raises(ValueError, match=rf"^{which}'s image rows={re.escape(repr(rule(a)))}"):
+            getattr(cyclic_sequence(3, 4), which).images
 
     @pytest.mark.parametrize("call", [cyclic_sequence, lambda d, e: map_matrix("iota", d, e),
                                       duality_check], ids=["sequence", "map", "duality"])
@@ -672,7 +719,7 @@ class TestTransport:
         seq = cyclic_sequence(2, 2)
         kappa = seq.kappa
         degrees = list(kappa.source.degrees)
-        j = kappa.source.row_index[(0, 0)]
+        j = kappa.source.rank((0, 0))
         odd = next(deg for k, deg in enumerate(degrees)
                    if kappa.source.element(k).rho() % 2)
         degrees[j] = replace(degrees[j], base=odd.base)
