@@ -10,16 +10,18 @@ the jump-tuple encoding (``row_jumps``, on row tuples) and its inverse, the
 numeric invariants, transposition (``transpose_rows``, on row tuples), and
 evenness, stated once on the rows: all rows share one parity, and every value
 strictly between 0 and e occurs an even number of times.  ``is_even`` checks
-that rule; ``even_rows`` builds a frame's even row tuples from it, bottom-up by row
-count from blocks frames share (``EvenTails``) and with no ``FramedDiagram`` each;
-``even_counts`` counts their completions, by which ``even_rank`` ranks a row tuple.
-The maps between frames are in ``witt_modules``.
+that rule, and ``even_pattern`` on bytes, one byte per row; ``even_rows`` builds a
+frame's even keys from it, such bytes, bottom-up by row count from blocks frames
+share (``EvenTails``) and with no ``FramedDiagram`` each; ``even_counts`` counts
+their completions, by which ``even_rank`` ranks a row tuple or byte key.  The
+maps between frames are in ``witt_modules``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import re
 from collections import namedtuple
 
 
@@ -140,7 +142,7 @@ def row_jumps(rows: tuple[int, ...], e: int) -> tuple[tuple[int, ...], tuple[int
 class EvenTails:
     """The blocks of ``even_rows`` that frames of at most ``cols`` columns share:
     ``levels[k][v + 1]`` holds the k-row tails of first row v (for v > 0 a pair
-    block, for v = 0 the zeros) and ``levels[k][0]`` the one tail of no rows;
+    block, for v = 0 the zeros), as bytes, and ``levels[k][0]`` the one tail of no rows;
     ``full[d, e]`` holds a frame's full-row block, and ``counts(e)`` gives the count
     table of width e and ``rows`` rows.  A caller that shares one drops a full-row
     block with its frame."""
@@ -154,7 +156,7 @@ class EvenTails:
         block = self.full.get((k, e), ())  # that of (d - 1, e), else built from 0 rows
         for j in range(k + 1, d + 1):  # e, then a key of (j - 1, e) of e's parity
             tails = self._level(j - 1)[e - 1::-2]
-            block = tuple(map((e,).__add__, itertools.chain(block, *tails)))
+            block = tuple(map(bytes((e,)).__add__, itertools.chain(block, *tails)))
         self.full[d, e] = block
         return (*block, *itertools.chain(*self._level(d)[e::-1]))
 
@@ -163,28 +165,42 @@ class EvenTails:
         v, then zeros if v is even, are at v + 1, v - 1, ... down to 1 or 0.  Built
         up from the level two rows below (or none), each level drops it."""
         if k < 2:  # no pair fits
-            return [() if k else ((),), ((0,) * k,)] + [()] * (self.cols - 1)
+            return [() if k else (b"",), (bytes(k),)] + [()] * (self.cols - 1)
         low = k if k in self.levels else k - 2 if k - 2 in self.levels else k % 2
         for j in range(low + 2, k + 1, 2):
             below = self._level(j - 2)
-            self.levels[j] = [(), ((0,) * j,)] + [
-                tuple(map((v, v).__add__, itertools.chain(*below[v + 1::-2])))
+            self.levels[j] = [(), (bytes(j),)] + [
+                tuple(map(bytes((v, v)).__add__, itertools.chain(*below[v + 1::-2])))
                 for v in range(1, self.cols)]
             self.levels.pop(j - 2, None)
         return self.levels[k]
 
 
-def even_rows(d: int, e: int, tails: EvenTails | None = None) -> tuple[tuple[int, ...], ...]:
-    """Row tuples of the even diagrams of the d-by-e frame, largest first, by the
-    rule of ``FramedDiagram.is_even``: the full-row block, ``(e,) + t`` for each of
-    (d - 1, e) of e's parity; for v = e - 1 down to 1, the pair block of (d, v),
-    ``(v, v) + t`` for each (d - 2)-row tail t of pairs of v's parity, each at most
+def even_rows(d: int, e: int, tails: EvenTails | None = None) -> tuple[bytes, ...]:
+    """The even diagrams of the d-by-e frame as bytes, one byte per row, largest
+    first, by the rule of ``FramedDiagram.is_even``: the full-row block, ``e`` then
+    each key of (d - 1, e) of e's parity; for v = e - 1 down to 1, the pair block of
+    (d, v), ``v, v`` then each (d - 2)-row tail of pairs of v's parity, each at most
     v, then zero rows when v is even; then d zeros.  Each block is built bottom-up
     by row count, with no walk of the diagrams; a pair block does not depend on e,
     so frames built on one ``tails`` (by default, or if too narrow, new) share it."""
     if type(d) is not int or type(e) is not int or d < 1 or e < 1:
         raise ValueError("frame dimensions must be integers, at least 1")
+    if e > 255:
+        raise ValueError(f"a key has a byte per row: at most 255 columns, not {e}")
     return (tails if tails is not None and e <= tails.cols else EvenTails(d, e)).frame(d, e)
+
+
+@functools.cache  # one compiled pattern per width
+def even_pattern(e: int) -> re.Pattern:
+    """The rule of ``FramedDiagram.is_even`` on the byte keys of width e, which each
+    even key matches in full: rows of one parity p, the full ones if e has parity p,
+    then pairs of each value of parity p from e - 1 down to 1, then zeros if p is 0."""
+    def rows(p: int) -> bytes:
+        pairs = b"".join(b"(?:\\x%02x\\x%02x)*" % (v, v)
+                         for v in range(e - 1, 0, -1) if v % 2 == p)
+        return (b"\\x%02x*" % e if e % 2 == p else b"") + pairs + (b"" if p else b"\\x00*")
+    return re.compile(rows(0) + b"|" + rows(1))
 
 
 def even_counts(d: int, e: int) -> list[list[list[int]]]:
@@ -205,9 +221,9 @@ def even_counts(d: int, e: int) -> list[list[list[int]]]:
 
 
 def even_rank(rows, d: int, e: int, counts: list[list[list[int]]]) -> int | None:
-    """Position of ``rows`` in ``even_rows(d, e)``, or None when it is not there.
-    One pass: ``counts = even_counts(d, e)`` gives, at each row, how many come first."""
-    if type(rows) is not tuple or len(rows) != d or type(rows[0]) is not int:
+    """Position of ``rows`` (a tuple or bytes) in ``even_rows(d, e)``, or None when it is
+    not there.  One pass: ``counts = even_counts(d, e)`` gives, at each row, how many first."""
+    if type(rows) not in (tuple, bytes) or len(rows) != d or type(rows[0]) is not int:
         return None
     parity, it = rows[0] % 2, iter(rows)
     table, position, bound, k = counts[parity], 0, e, d  # k: the rows left

@@ -41,7 +41,7 @@ def total_witt_basis(d: int, e: int) -> GradedBasis:
     basis = build_basis(d, e)
     for rows in basis.checked:
         if not cond_even_rows(d, e, rows)[0]:
-            raise RuntimeError(f"twist cancellation fails for rows={rows}")
+            raise RuntimeError(f"twist cancellation fails for rows={tuple(rows)}")
     return basis
 
 
@@ -156,7 +156,7 @@ def duality_pair(d: int, e: int, basis: Callable[[int, int], GradedBasis]) -> tu
 
     def mirror_ranks(source: GradedBasis, target: GradedBasis) -> list:
         index = dict(zip(target.checked, range(len(target))))  # transposing breaks the order
-        return [index.get(transpose_rows(rows, source.e)) for rows in source.checked]
+        return [index.get(bytes(transpose_rows(rows, source.e))) for rows in source.checked]
 
     source, target = basis(d, e), basis(e, d)
     fwd = mirror_ranks(source, target)
@@ -170,12 +170,12 @@ def _duality_report(source: GradedBasis, target: GradedBasis, fwd: list,
     failures, degrees = [], target.degrees
     for i, (rows, deg, j) in enumerate(zip(source.keys, source.degrees, fwd)):
         if j is None:
-            failures.append((rows, "image not even in mirror frame"))
+            failures.append((tuple(rows), "image not even in mirror frame"))
             continue
         if (deg.shift, deg.det_twist) != (degrees[j].shift, degrees[j].det_twist):
-            failures.append((rows, "degree not preserved"))
+            failures.append((tuple(rows), "degree not preserved"))
         if back[j] != i:
-            failures.append((rows, "not an involution"))
+            failures.append((tuple(rows), "not an involution"))
     if len(set(fwd)) != len(source) or len(source) != len(target):
         failures.append(((), "not a bijection"))
     return DualityReport((source.d, source.e), len(source), tuple(failures))

@@ -7,7 +7,8 @@ The graded bases come from one store per run, which keeps two rows of frames
 at most, builds their keys from blocks they share and keeps one count table
 per width; every suite reads it.  The duality suite checks both frames of
 each mirror pair {(d, e), (e, d)} at the one with d <= e, from one transpose
-of each key; each suite's failures are sorted into (d, e) order.
+of each key, the mirrors (e, d), e > d, of row d on blocks of width d for that
+row alone; each suite's failures are sorted into (d, e) order.
 """
 
 from __future__ import annotations
@@ -87,16 +88,20 @@ _SUITES = {"exactness": lambda f: _failed([f.exact]),
            "induction": _induction}
 
 
-def _store_reader(bases: dict, tails: EvenTails, d: int) -> Callable[[int, int], GradedBasis]:
+def _store_reader(bases: dict, tails: EvenTails, mirrors: EvenTails | None,
+                  d: int) -> Callable[[int, int], GradedBasis]:
     """Basis lookup for the frames of row d: reads ``bases``, builds what it
     lacks on the run's ``tails`` and keeps the bases of rows d - 1 and d, the
-    rows the row's sequences read; any other frame, a duality mirror, is built
-    on its own for the one pair of checks that reads it."""
+    rows the row's sequences read; any other frame, a duality mirror (r, d), r > d,
+    is built on ``mirrors`` (None when no suite reads one) for the one pair of
+    checks that reads it."""
     def basis(r: int, c: int) -> GradedBasis:
         found = bases.get((r, c))
         if found is None:
-            if not d - 1 <= r <= d:
-                return build_basis(r, c)
+            if not d - 1 <= r <= d:  # in order of r: on (r - 1, c)'s full rows, which go
+                found = build_basis(r, c, mirrors)
+                mirrors.full.pop((r - 1, c), None)
+                return found
             found = bases[r, c] = build_basis(r, c, tails)
         return found
     return basis
@@ -127,7 +132,9 @@ def verify_suites(scope: str, max_frame: int) -> dict:
     bases: dict = {}  # (d, e) -> GradedBasis, of the two rows being swept
     tails = EvenTails(max_frame, max_frame)  # their keys' blocks, a count table per width
     for d in range(first, max_frame + 1):
-        basis = _store_reader(bases, tails, d)
+        # the row's duality mirrors (r, d), r > d: blocks of width d, for this row only
+        mirrors = EvenTails(max_frame, d) if "duality" in names else None
+        basis = _store_reader(bases, tails, mirrors, d)
         for e in range(first, max_frame + 1):
             frame = _Frame(d, e, primes, basis)
             for name in names:

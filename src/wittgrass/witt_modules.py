@@ -5,9 +5,9 @@ For a frame (d,e) the cyclic sequence runs
     F(d,e-1) --iota--> F(d,e) --kappa--> F(d-1,e) --bord--> F(d,e-1)
 
 with iota, kappa and bord stated once, by ``_image_rule``, as rules on a
-source's key (an even diagram's row tuple, or a point frame's int), each image
-found walking forward through the target's keys.  A basis holds its keys, checked
-once by ranking each by counting, and their graded degrees (shift in Z/4, a
+source's key (an even diagram's rows as bytes, a byte per row, or a point frame's
+int), each image found walking forward through the target's keys.  A basis holds
+its keys, checked once by one evenness pattern, and their graded degrees (shift in Z/4, a
 mod-2 base class, a det twist in Z/2); a frame with no rows or no columns has
 two point generators, the ints 0 and 1, each its own rank and det twist.
 Exactness is verified three independent ways: structurally, from the
@@ -20,9 +20,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from functools import cache, cached_property, partial
+from operator import gt
 
 from . import intmatrix
-from .diagrams import EvenTails, FramedDiagram, even_counts, even_rank, even_rows
+from .diagrams import EvenTails, FramedDiagram, even_counts, even_pattern, even_rank, even_rows
 
 MAP_NAMES = ("iota", "kappa", "bord")
 
@@ -51,14 +52,19 @@ def _graded_degree(n: int, shift: int, odd_rho: int, twist: int) -> GradedDegree
     return GradedDegree(shift, (n,) if odd_rho else (), twist)
 
 
-def degree(d: int, e: int, rows: tuple[int, ...]) -> GradedDegree:
+def degree(d: int, e: int, rows: tuple[int, ...] | bytes) -> GradedDegree:
     """Graded degree of the rows' generator: base BaseDet(d+e) when rho is odd."""
     rho = d - rows.count(0)
     return _graded_degree(d + e, sum(rows) % 4, rho % 2, (rows[0] + rho) % 2)
 
 
+def _shown(key):
+    """A key as it leaves the package: a byte key as its tuple of rows."""
+    return tuple(key) if type(key) is bytes else key
+
+
 class GradedBasis:
-    """One frame's keys (even row tuples, largest first, or a point frame's ints
+    """One frame's keys (even rows as bytes, largest first, or a point frame's ints
     0 and 1, each its own rank and det twist), degrees (None: built on first
     read) and count table (by default its own); read-only, ``checked`` checks them."""
 
@@ -86,20 +92,27 @@ class GradedBasis:
     @cached_property
     def checked(self) -> tuple:
         """The keys, once they pass the one check of a basis, made on first read:
-        that each key's rank is its position and all of the frame's are there."""
+        that each key's rank is its position and all of the frame's are there, by C-level
+        sweeps: the table's total of d-byte keys that ``even_pattern(e)`` matches, each
+        larger than the next.  A basis they refuse is ranked key by key, to name its fault."""
         keys, d, e, frame = self.keys, self.d, self.e, f"the {self.d}x{self.e} basis"
-        if d and e:
-            counts = self._counts
-            total = counts[0][d][e] + counts[1][d][e]
-            ranks = [even_rank(key, d, e, counts) for key in keys]
-        else:
-            total, ranks = 2, list(map(self.rank, keys))
-        if ranks == list(range(total)):
+        total = self._counts[0][d][e] + self._counts[1][d][e] if d and e else 2
+        if (d and e and len(keys) == total and set(map(type, keys)) == {bytes}
+                and set(map(len, keys)) == {d} and all(map(gt, keys, keys[1:]))
+                and all(map(even_pattern(e).fullmatch, keys))):
             return keys
-        n = len(keys)
+        ranks, n = list(map(self.rank, keys)), len(keys)
         i = next((i for i, rank in enumerate(ranks) if rank != i), n)  # the first amiss
+        if i == n == total and not (d and e):  # a point frame's ints
+            return keys
+        if i == n == total:  # in order by rank, but refused: a key the pattern misses
+            key = next((key for key in keys if type(key) is not bytes
+                        or not even_pattern(e).fullmatch(key)), keys[0])
+            raise ValueError(f"{frame} takes bytes its even pattern matches, got "
+                             f"{type(key).__name__} rows={_shown(key)!r}")
         if i < n and ranks[i] is None:
-            raise ValueError(f"{frame} takes its frame's even diagrams, got rows={keys[i]!r}")
+            raise ValueError(f"{frame} takes its frame's even diagrams, "
+                             f"got rows={_shown(keys[i])!r}")
         if i < n and ranks[i] < i:
             raise ValueError(f"{frame} holds an element twice")
         what = "is out of order" if n == total else f"holds {n} of its {total}"
@@ -114,7 +127,7 @@ class GradedBasis:
         return key if type(key) is int else FramedDiagram(self.d, self.e, key)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(str(key) if type(key) is tuple else f"pt{key}" for key in self.keys)
+        return tuple(f"pt{key}" if type(key) is int else str(tuple(key)) for key in self.keys)
 
 
 def check_frame(d: int, e: int) -> None:
@@ -157,7 +170,7 @@ class BasisMap(namedtuple("BasisMap", "which source target images")):
                 try:  # the rules keep the keys' order: each image comes after the last
                     found.append(None if image is None else (at := keys.index(image, at + 1)))
                 except ValueError:
-                    raise ValueError(f"{which}'s image rows={image!r} is not a "
+                    raise ValueError(f"{which}'s image rows={_shown(image)!r} is not a "
                                      f"{target.d}x{target.e} key after index {at}") from None
             return tuple(found)
         if len(images) != len(source):
@@ -198,20 +211,23 @@ def _image_rule(which: str, d: int, e: int) -> Callable:
     where r and s agree, so row k comes before it.  Each point branch gives one image."""
     if which == "iota":
         if e == 1:  # source is the point frame
-            full = (1,) * d
+            full = b"\x01" * d
             return lambda pt: full if pt == d % 2 else None
-        return lambda rows: None if rows.count(0) % 2 else tuple(map((1).__add__, rows))
+        return lambda rows: None if rows.count(0) % 2 else rows.translate(_UP)
     if which == "kappa":
         if d == 1:  # target is the point frame
             return lambda rows: 0 if rows[0] == 0 else None
         return lambda rows: rows[:-1] if rows[-1] == 0 else None
     # bord
     if d == 1:  # source is the point frame
-        image = 0 if e == 1 else (0,)  # the empty row when e > 1
+        image = 0 if e == 1 else b"\x00"  # the empty row when e > 1
         return lambda pt: image if pt == 1 else None
     if e == 1:  # target is the point frame
         return lambda rows: (d + 1) % 2 if rows[-1] % 2 else None
-    return lambda rows: (*map((-1).__add__, rows), 0) if rows[-1] % 2 else None
+    return lambda rows: rows.translate(_DOWN) + b"\x00" if rows[-1] % 2 else None
+
+
+_UP, _DOWN = bytes([*range(1, 256), 0]), bytes([255, *range(255)])  # each row +1, -1
 
 
 class CyclicSequence(namedtuple("CyclicSequence", "d e iota kappa bord")):
@@ -229,7 +245,7 @@ def cyclic_sequence(d: int, e: int,
 
     ``basis`` maps a frame (d, e) to its graded basis, such as a store that
     a caller shares between sequences; by default each is a new ``build_basis``.
-    Each basis passes its rank check (``checked``) here; each map's images
+    Each basis passes its one check (``checked``) here; each map's images
     are built on first read, by its rule on its source's checked keys.
     """
     check_frame(d, e)

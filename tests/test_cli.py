@@ -231,7 +231,7 @@ class TestVerificationFailure:
 
         def stray_term(d, e, rows):
             fiber, twist, admissible = original(d, e, rows)
-            if (d, e, rows) == diagram:
+            if (d, e, tuple(rows)) == diagram:
                 fiber ^= 1 << (d + e + jumps[0][0])  # TautDet(d_1)
             return fiber, twist, admissible
 
@@ -262,6 +262,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_frames_wider_than_255_columns_exit_2(self, capsys):
+        """A row is one byte: 255 columns enumerate, 256 are a usage error that
+        names the bound."""
+        code, out, err = run(capsys, "table", "--d", "1", "--e", "255")
+        assert (code, err) == (0, "") and json.loads(out)["total"] == 2
+        code, out, err = run(capsys, "table", "--d", "1", "--e", "256")
+        assert (code, out) == (2, "")
+        assert err == "error: a key has a byte per row: at most 255 columns, not 256\n"
 
     def test_unknown_choice_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from wittgrass import (FramedDiagram, JumpTuples, cyclic_sequence, enumerate_even,
-                       expected_rank, from_jump_tuples)
-from wittgrass.diagrams import EvenTails, even_rows, transpose_rows
+from wittgrass import (FramedDiagram, JumpTuples, build_basis, cyclic_sequence,
+                       enumerate_even, expected_rank, from_jump_tuples)
+from wittgrass.diagrams import EvenTails, even_pattern, even_rows, transpose_rows
 
 
 class TestValidation:
@@ -140,6 +140,27 @@ class TestEvenness:
                 assert FramedDiagram(d, e, (e,) * d).is_even()
 
 
+class TestEvenPattern:
+    def test_matches_the_oracle(self):
+        """On every weakly decreasing vector up to 8x8, the pattern of its width
+        matches in full exactly the even ones; it refuses every vector up to
+        5x5 that is not weakly decreasing."""
+        decreasing = other = 0
+        for d in range(1, 9):
+            for e in range(1, 9):
+                pattern = even_pattern(e)
+                for rows in helpers.all_row_vectors(d, e):
+                    assert (pattern.fullmatch(bytes(rows)) is not None) == \
+                        helpers.evenness_oracle(d, e, rows), (d, e, rows)
+                    decreasing += 1
+                if d < 6 and e < 6:
+                    for rows in itertools.product(range(e + 1), repeat=d):
+                        if list(rows) != sorted(rows, reverse=True):
+                            assert pattern.fullmatch(bytes(rows)) is None, (d, e, rows)
+                            other += 1
+        assert (decreasing, other) == (48602, 14112)
+
+
 class TestEnumeration:
     def test_frozen_orders(self):
         assert [dg.rows for dg in enumerate_even(2, 2)] == [
@@ -170,7 +191,7 @@ class TestEnumeration:
                 assert shared == even_rows(d, e), (d, e)
                 if d < 8 and e < 8:
                     assert list(shared) == sorted(
-                        (rows for rows in helpers.all_row_vectors(d, e)
+                        (bytes(rows) for rows in helpers.all_row_vectors(d, e)
                          if helpers.evenness_oracle(d, e, rows)),
                         reverse=True), (d, e)
         assert even_rows(3, 15, tails) == even_rows(3, 15)  # too narrow: not used
@@ -187,6 +208,20 @@ class TestEnumeration:
                 assert all(held[rows] is rows for rows in pairs), (d, e)
                 shared += len(pairs)
         assert shared  # not vacuous
+
+    def test_frames_of_255_columns_at_most(self):
+        """A row is one byte: the widest frame enumerates, one column more is a
+        ValueError naming the bound; a tall frame has no bound."""
+        assert even_rows(1, 255) == (b"\xff", b"\x00")
+        keys = even_rows(3, 255)
+        assert len(keys) == expected_rank(3, 255)
+        assert keys[:2] == (b"\xff" * 3, b"\xff\xfd\xfd")
+        bound = "^a key has a byte per row: at most 255 columns, not 256$"
+        for d in (1, 3):
+            for build in (even_rows, build_basis):
+                with pytest.raises(ValueError, match=bound):
+                    build(d, 256)
+        assert len(even_rows(300, 2)) == expected_rank(300, 2)
 
     def test_rule_count_is_the_closed_form(self):
         """The parity-and-pairs count, by binomials, is 2 * C(d//2 + e//2, e//2)

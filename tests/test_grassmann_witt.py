@@ -226,7 +226,7 @@ class TestDuality:
         original = grassmann_witt.transpose_rows
 
         def transpose_rows(rows, e):
-            return original(other.rows if rows == victim.rows else rows, e)
+            return original(other.rows if rows == bytes(victim.rows) else rows, e)
 
         monkeypatch.setattr(grassmann_witt, "transpose_rows", transpose_rows)
         report = duality_check(3, 4)

@@ -187,7 +187,7 @@ class TestTwist:
 
         def stray_term(d, e, rows):
             fiber, twist, admissible = original(d, e, rows)
-            if (d, e, rows) == broken:
+            if (d, e, tuple(rows)) == broken:
                 fiber ^= 1 << (d + e + jumps[0][0])  # TautDet(d_1)
             return fiber, twist, admissible
 
@@ -211,7 +211,7 @@ class TestTwist:
 
         def masks_failing_broken(d, e, rows):  # the same fault in the one-pass parity
             fiber, twist, admissible = masks(d, e, rows)
-            return fiber, twist, admissible and (d, e, rows) != broken
+            return fiber, twist, admissible and (d, e, tuple(rows)) != broken
 
         monkeypatch.setattr(picard, "_admissible", fails_broken)
         monkeypatch.setattr(picard, "_masks", masks_failing_broken)

@@ -231,18 +231,19 @@ class TestBasisStore:
     @pytest.mark.parametrize("scope", [*SUITE_FIRST_FRAME, "all"])
     def test_tails_hold_three_row_counts_at_most(self, run_tails, monkeypatch, scope):
         """At every frame of a run, the store's tails are of at most three
-        consecutive row counts."""
+        consecutive row counts, and so are those of the row's duality mirrors:
+        a run that checks duality makes one more tails object per row."""
         seen = []
         for name, suite in list(verify._SUITES.items()):
             def watched(frame, _suite=suite):
                 failures = _suite(frame)
-                seen.append(sorted(run_tails[0].levels))
+                seen.extend(sorted(tails.levels) for tails in (run_tails[0], run_tails[-1]))
                 return failures
 
             monkeypatch.setitem(verify._SUITES, name, watched)
         report = verify_suites(scope, 9)
         assert all(suite["ok"] for suite in report.values())
-        assert len(run_tails) == 1 and any(seen)
+        assert len(run_tails) == (1 + 9 if scope in ("duality", "all") else 1) and any(seen)
         assert all(counts[-1] - counts[0] <= 2 for counts in seen if counts)
 
     def test_last_frame_holds_only_its_sequences_full_rows(self, run_tails, monkeypatch):

@@ -69,7 +69,7 @@ class TestBases:
     def test_diagram_frame(self):
         basis = build_basis(2, 2)
         assert len(basis) == 4
-        assert all(type(key) is tuple for key in basis.keys)
+        assert all(type(key) is bytes for key in basis.keys)
         assert basis.labels()[0] == "(2, 2)"
         assert basis.rank((1, 1)) == 2
 
@@ -141,7 +141,7 @@ class TestMapMatrices:
         crooked = FramedDiagram(3, 3, (2, 1, 0))
         assert not crooked.is_even()
         intact = build_basis(3, 3)
-        broken = replace(intact, keys=(crooked.rows, *intact.keys[1:]))
+        broken = replace(intact, keys=(bytes(crooked.rows), *intact.keys[1:]))
         with pytest.raises(ValueError, match=r"rows=\(2, 1, 0\)"):
             cyclic_sequence(*anchor, lambda d, e: broken if (d, e) == (3, 3)
                             else build_basis(d, e))
@@ -150,7 +150,7 @@ class TestMapMatrices:
         """A basis's check ranks diagrams by rows alone, so it admits only
         diagrams of the basis's own frame, each once."""
         intact = build_basis(3, 3)
-        foreign = ((4, 4, 4), *intact.keys[1:])
+        foreign = (b"\4\4\4", *intact.keys[1:])
         repeated = intact.keys[:1] + intact.keys[:-1]
         for keys, match in ((foreign, r"rows=\(4, 4, 4\)"),
                             (repeated, "holds an element twice")):
@@ -166,7 +166,7 @@ class TestMapMatrices:
         fails every sequence that reads it with a ValueError naming the frame
         and the first position whose rank differs."""
         intact = build_basis(3, 3)
-        assert intact.keys == ((3, 3, 3), (3, 1, 1), (2, 2, 0), (0, 0, 0))
+        assert intact.keys == (b"\3\3\3", b"\3\1\1", b"\2\2\0", b"\0\0\0")
 
         def reading(broken):
             return lambda d, e: broken if (d, e) == (3, 3) else build_basis(d, e)
@@ -182,6 +182,25 @@ class TestMapMatrices:
         with pytest.raises(ValueError, match=r"^the 3x3 basis is out of order: its "
                                              r"element of rank 1 is not at position 1$"):
             cyclic_sequence(*anchor, reading(swapped))
+
+    def test_tuple_keys_are_refused(self):
+        """A basis whose rows are right but whose keys are tuples ranks in order,
+        key by key, and is refused all the same: its keys are bytes."""
+        intact = build_basis(3, 3)
+        rows = tuple(map(tuple, intact.keys))
+        assert list(map(intact.rank, rows)) == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match=r"^the 3x3 basis takes bytes its even pattern "
+                                             r"matches, got tuple rows=\(3, 3, 3\)$"):
+            replace(intact, keys=rows).checked
+
+    def test_a_pattern_that_refuses_is_an_error(self, monkeypatch):
+        """Keys the ranks find in order but the pattern refuses are an error, not
+        a basis: the check never passes on the ranks alone."""
+        monkeypatch.setattr("wittgrass.witt_modules.even_pattern",
+                            lambda e: re.compile(b"(?!)"))
+        with pytest.raises(ValueError, match=r"^the 3x3 basis takes bytes its even pattern "
+                                             r"matches, got bytes rows=\(3, 3, 3\)$"):
+            build_basis(3, 3).checked
 
     def test_images_keep_the_keys_order(self):
         """On every map up to 10x10, point frames included, the images strictly
@@ -225,7 +244,8 @@ class TestMapMatrices:
         faulty = {b: rule(a)} if repeated else {a: rule(b), b: rule(a)}
         monkeypatch.setattr("wittgrass.witt_modules._image_rule",
                             lambda *frame: lambda key: faulty.get(key, rule(key)))
-        with pytest.raises(ValueError, match=rf"^{which}'s image rows={re.escape(repr(rule(a)))}"):
+        shown = re.escape(repr(tuple(rule(a))))
+        with pytest.raises(ValueError, match=rf"^{which}'s image rows={shown}"):
             getattr(cyclic_sequence(3, 4), which).images
 
     @pytest.mark.parametrize("call", [cyclic_sequence, lambda d, e: map_matrix("iota", d, e),
