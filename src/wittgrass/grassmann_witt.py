@@ -114,11 +114,13 @@ def bord_vanishes(seq: CyclicSequence) -> bool:
     """
     d, e = seq.d, seq.e
     by_parity = d % 2 == 0 and e % 2 == 0
-    hit = [j for j, i in enumerate(seq.bord.images) if i is not None]
-    if by_parity and hit:
+    images = seq.bord.images
+    mapped = len(images) - images.count(None)
+    if by_parity and mapped:
+        hit = next(j for j, i in enumerate(images) if i is not None)
         raise RuntimeError(f"parity criterion says bord vanishes at ({d},{e}), but it "
-                           f"maps {seq.bord.source.labels()[hit[0]]} to a nonzero image")
-    if not by_parity and not hit:
+                           f"maps {seq.bord.source.labels()[hit]} to a nonzero image")
+    if not by_parity and not mapped:
         raise RuntimeError(f"parity criterion says bord is nonzero at ({d},{e}), but "
                            f"it maps all {len(seq.bord.source)} source elements to zero")
     return by_parity

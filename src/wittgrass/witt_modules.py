@@ -445,7 +445,7 @@ def verify_degree_transport(seq: CyclicSequence,
     """Check that every nonzero matrix entry moves degrees by the stated rule.
 
     The base class and det twist come from the localization lemma
-    (``picard.les_twists``, on bit masks by ``_les_target``); the shift moves
+    (``lattice.les_twists``, on bit masks by ``_les_target``); the shift moves
     by d under iota, 0 under kappa and 1 - d under bord.  With
     ``trivial_base`` the base classes are not compared.  Point-generator
     endpoints carry no assigned shift or base, so entries whose source or

@@ -193,6 +193,13 @@ class TestBordVanishing:
             with pytest.raises(RuntimeError, match=re.escape(f"maps {label} to")):
                 bord_vanishes(replace(seq, bord=replace(seq.bord, images=images)))
 
+    def test_first_of_several_added_images_is_named(self):
+        seq = cyclic_sequence(4, 4)
+        images = (None,) * (len(seq.bord.source) - 3) + (0, None, 1)
+        label = seq.bord.source.labels()[-3]
+        with pytest.raises(RuntimeError, match=re.escape(f"maps {label} to")):
+            bord_vanishes(replace(seq, bord=replace(seq.bord, images=images)))
+
     def test_removed_image_is_reported(self):
         for d, e in [(2, 3), (3, 2)]:
             seq = cyclic_sequence(d, e)

@@ -58,6 +58,41 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),
+    (["verify", "--scope", "all", "--max-frame", "3"], []),
+    (["table", "--d", "2", "--e", "2"], ["wittgrass.commands"]),
+    (["canonical", "--dvec", "1,3", "--evec", "0,2", "--ambient", "5"],
+     ["wittgrass.commands", "wittgrass.lattice"]),
+], ids=["import", "verify", "table", "canonical"])
+def test_commands_and_lattice_load_on_first_use(argv, loaded):
+    """``import wittgrass.cli`` and a verify run compile neither the other
+    commands (``commands``) nor the Picard-class calculus (``lattice``);
+    ``canonical`` alone loads ``lattice``."""
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import wittgrass.cli; "
+            f"out, sys.stdout = sys.stdout, io.StringIO(); argv = {argv!r}; "
+            "status = argv and wittgrass.cli.main(argv); sys.stdout = out; "
+            "print(status, sorted({'wittgrass.commands', 'wittgrass.lattice'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0, f"{0 if argv else None} {loaded}\n", "")
+
+
+def test_every_name_in_all_resolves():
+    """The package's ``__getattr__`` serves each name of ``lattice`` that
+    ``__all__`` lists, so the lazy import cannot drop a name, and refuses
+    every other name."""
+    import wittgrass
+    from wittgrass import lattice
+
+    for name in wittgrass.__all__:
+        value = getattr(wittgrass, name)
+        if name not in vars(wittgrass):
+            assert value is getattr(lattice, name), name
+    assert not hasattr(wittgrass, "les_twist")
+
+
 def test_all_lists_exactly_what_the_package_imports():
     """``wittgrass.__all__`` names the names ``__init__.py`` imports, and
     ``__version__``, so trimming one list cannot leave the other behind."""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from wittgrass import picard
+from wittgrass import lattice, picard
 from wittgrass import (FramedDiagram, JumpTuples, PicClass, PicClassMod2,
                        base_det, canonical_in_pullback_span,
                        cell_canonicals, cond_even_verdicts, enumerate_even,
@@ -309,7 +309,7 @@ class TestMasks:
         def unbuilt(*args):
             raise AssertionError("a Picard class was built")
 
-        monkeypatch.setattr(picard, "_validated_terms", unbuilt)
+        monkeypatch.setattr(lattice, "_validated_terms", unbuilt)
         with pytest.raises(AssertionError, match="was built"):
             twist_class(FramedDiagram(2, 2, (1, 1)))
         for dg in enumerate_even(5, 6):

@@ -15,7 +15,7 @@ from wittgrass import (FramedDiagram, GradedDegree, JumpTuples, build_basis,
 from wittgrass.diagrams import even_counts, even_rank
 from wittgrass.intmatrix import (SparseMatrix, diagonalize, kernel_rows, multiply,
                                  rank_mod_p, span_solver)
-from wittgrass.picard import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
+from wittgrass.lattice import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
 from wittgrass.verify import verify_suites
 from wittgrass.witt_modules import (MAP_NAMES, BasisMap, TransportFailure, _image_rule,
                                     _les_target, _linear_position, _mod_p_position,
