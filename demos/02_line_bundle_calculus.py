@@ -8,10 +8,9 @@ Run with: python3 demos/02_line_bundle_calculus.py
 """
 
 from wittgrass import (FramedDiagram, JumpTuples, base_det, cond_even_verdicts,
-                       pushforward_admissible, quotient_det,
+                       degree, pushforward_admissible, quotient_det,
                        rel_canonical_fiber, rel_canonical_flag,
-                       rel_canonical_grass, relative_dimension, taut_det,
-                       twist_class)
+                       rel_canonical_grass, relative_dimension, taut_det)
 
 
 def pretty(cls):
@@ -57,7 +56,9 @@ print("admissible and the canonical lies in the pullback span:")
 for rows in [(2, 2), (2, 0), (1, 1)]:
     dg = FramedDiagram(2, 2, rows)
     cancels, admissible, in_span = cond_even_verdicts(dg)
-    print(f"  rows={rows}: support {twist_class(dg).support}"
+    deg = degree(2, 2, rows)  # the twist: BaseDet(4) if rho is odd, TautDet(2) if its bit is set
+    support = (*(("BaseDet", i) for i in deg.base), *[("TautDet", 2)] * deg.det_twist)
+    print(f"  rows={rows}: support {support}"
           f"  cancels={cancels} admissible={admissible} in span={in_span}")
 print()
 

@@ -25,12 +25,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FramedDiagram", "JumpTuples", "enumerate_even", "from_jump_tuples",
-    "PicClass", "PicClassMod2", "base_det", "taut_det",
-    "taut_det2", "quotient_det", "rel_canonical_grass", "rel_canonical_flag",
-    "rel_canonical_fiber", "pullback_to_flag", "relative_dimension",
-    "twist_class", "verify_cond_even", "pushforward_admissible",
-    "canonical_in_pullback_span", "cell_canonicals", "cond_even_verdicts",
-    "les_twists",
+    "PicClass", "base_det", "taut_det", "quotient_det", "rel_canonical_grass",
+    "rel_canonical_flag", "rel_canonical_fiber", "relative_dimension",
+    "verify_cond_even", "pushforward_admissible", "canonical_in_pullback_span",
+    "cond_even_verdicts",
     "MAP_NAMES", "BasisMap", "CyclicSequence", "ExactnessReport", "GradedBasis",
     "GradedDegree", "TransportReport", "build_basis",
     "cyclic_sequence", "degree", "map_matrix", "verify_degree_transport",
@@ -46,9 +44,7 @@ def __getattr__(name):
     # PEP 562: `lattice` loads on first use, so `import wittgrass.cli` skips it
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .lattice import (PicClass, PicClassMod2, base_det, cell_canonicals,
-                          les_twists, pullback_to_flag, quotient_det,
-                          rel_canonical_fiber, rel_canonical_flag,
-                          rel_canonical_grass, relative_dimension, taut_det,
-                          taut_det2, twist_class)
+    from .lattice import (PicClass, base_det, quotient_det, rel_canonical_fiber,
+                          rel_canonical_flag, rel_canonical_grass,
+                          relative_dimension, taut_det)
     return locals()[name]

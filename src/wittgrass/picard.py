@@ -26,11 +26,12 @@ def _masks(d: int, e: int, rows: tuple[int, ...]) -> tuple[int, int, bool]:
     # on BaseDet(d_i+e_i) and d_i-d_{i-1}+e_i-e_{i+1} on TautDet(d_i), e_{k+1} = n,
     # as _flag_canonical with top_base = d; admissible: that TautDet parity even
     # but at block k, and at block 1 if e_1 = 0, where TautDet(d_1) is BaseDet(d_1)
-    n, co_first, blocks = d + e, e - rows[0], iter(dict.fromkeys(rows))
-    end = first = rows.count(next(blocks))  # d_1
+    n, co_first = d + e, e - rows[0]
+    end = first = rows.count(rows[0])  # d_1
     fiber = (d & 1) << n ^ (first & 1) << (first + co_first)
     owed, admissible = (first ^ co_first) & 1, True
-    for v in blocks:  # e_i completes the TautDet parity of block i - 1
+    while end < d:  # e_i completes the TautDet parity of block i - 1
+        v = rows[end]  # block i starts at row d_{i-1}, its size is v's count
         co = e - v
         owed ^= co & 1
         if owed:

@@ -384,8 +384,8 @@ def verify_exactness(seq: CyclicSequence, primes: tuple[int, ...] = ()) -> Exact
 
 def _les_target(which: str, d: int, e: int, base: tuple[int, ...],
                 t: int) -> tuple[tuple[int, ...], int]:
-    """Target BaseDet indices and det twist of one map, by ``les_twists`` on
-    bit masks: BaseDet(i) at bit i, TautDet(j) at bit n + j, n = d + e.
+    """Target BaseDet indices and det twist of one map, by the localization
+    lemma on bit masks: BaseDet(i) at bit i, TautDet(j) at bit n + j, n = d + e.
 
     The source twist is ``base`` plus t TautDet(d).  iota lands on the sub
     side, which adds TautDet(d), its det, and the quotient det BaseDet(n) +
@@ -444,8 +444,8 @@ def verify_degree_transport(seq: CyclicSequence,
                             trivial_base: bool = False) -> TransportReport:
     """Check that every nonzero matrix entry moves degrees by the stated rule.
 
-    The base class and det twist come from the localization lemma
-    (``lattice.les_twists``, on bit masks by ``_les_target``); the shift moves
+    The base class and det twist come from the localization lemma, on bit
+    masks by ``_les_target``, which builds no Picard class; the shift moves
     by d under iota, 0 under kappa and 1 - d under bord.  With
     ``trivial_base`` the base classes are not compared.  Point-generator
     endpoints carry no assigned shift or base, so entries whose source or

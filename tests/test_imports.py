@@ -1,7 +1,8 @@
 """Every name a package module imports is used by that module, every
 public name of the package has a caller, every private function is read in
-its own module, every parameter default is overridden by some call, and
-every Python file parses with the oldest supported Python's grammar."""
+its own module, every parameter default is overridden by some call, the
+tests' mod-2 oracle imports nothing from the package, and every Python file
+parses with the oldest supported Python's grammar."""
 
 import ast
 import subprocess
@@ -15,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "wittgrass"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the references a test checks the verified path against
-TEST_REFERENCES = {"cell_canonicals", "pullback_to_flag", "les_twists", "BasisMap.to_json"}
+TEST_REFERENCES = {"BasisMap.to_json"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +45,32 @@ def test_check_sees_an_unused_name():
               "import os.path\nfrom typing import Iterable, NamedTuple as NT\n"
               "x: NT = os.sep\n")
     assert unused_imports(source) == ["Iterable"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules an import statement of ``source``
+    names, with ``.`` for a relative import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_mod2_oracle_imports_the_standard_library_only():
+    """The mod-2 route the tests hold the masks and the degree transport to
+    imports no module but the standard library's: nothing from wittgrass,
+    and no test helper that does."""
+    found = imported_modules((ROOT / "tests" / "mod2_route.py").read_text())
+    assert "collections" in found and found <= sys.stdlib_module_names, found
+
+
+def test_import_check_sees_every_import():
+    source = ("import os.path, json as js\nfrom wittgrass.lattice import PicClass\n"
+              "from . import helpers\ndef f():\n    import wittgrass\n")
+    assert imported_modules(source) == {"os", "json", "wittgrass", "."}
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
+from mod2_route import (PicClassMod2, cell_canonicals, les_twists, mod2,
+                        pullback_to_flag, taut_det2, twist_class)
 from wittgrass import lattice, picard
-from wittgrass import (FramedDiagram, JumpTuples, PicClass, PicClassMod2,
-                       base_det, canonical_in_pullback_span,
-                       cell_canonicals, cond_even_verdicts, enumerate_even,
-                       les_twists,
-                       pullback_to_flag, pushforward_admissible, quotient_det,
+from wittgrass import (FramedDiagram, JumpTuples, PicClass, base_det,
+                       canonical_in_pullback_span, cond_even_verdicts,
+                       enumerate_even, pushforward_admissible, quotient_det,
                        rel_canonical_fiber, rel_canonical_flag,
                        rel_canonical_grass, relative_dimension, taut_det,
-                       taut_det2, twist_class, verify_cond_even)
+                       verify_cond_even)
 from wittgrass.diagrams import row_jumps
 from wittgrass.verify import verify_suites
 
@@ -66,8 +66,8 @@ class TestPicClassAlgebra:
 
     def test_mod2(self):
         cls = 2 * base_det(4, 4) + 3 * taut_det(4, 2) - base_det(4, 1)
-        assert cls.mod2().support == ((B, 1), (T, 2))
-        assert (cls + cls).mod2().is_zero()
+        assert mod2(cls).support == ((B, 1), (T, 2))
+        assert mod2(cls + cls).is_zero()
 
     def test_mod2_symmetric_difference(self):
         x = PicClassMod2(4, ((B, 4),)) + taut_det2(4, 2)
@@ -133,9 +133,9 @@ class TestCanonicalClasses:
                 n = d + e
                 for rows in helpers.all_row_vectors(d, e):
                     t = FramedDiagram(d, e, rows).jump_tuples()
-                    lhs = rel_canonical_fiber(t, d, e).mod2()
-                    rhs = (rel_canonical_flag(t, n).mod2()
-                           + pullback_to_flag(rel_canonical_grass(d, n).mod2(), t))
+                    lhs = mod2(rel_canonical_fiber(t, d, e))
+                    rhs = (mod2(rel_canonical_flag(t, n))
+                           + pullback_to_flag(mod2(rel_canonical_grass(d, n)), t))
                     assert lhs == rhs, rows
 
     def test_relative_dimension_frozen(self):
@@ -301,7 +301,7 @@ class TestMasks:
             t = dg.jump_tuples()
             fiber_mask, twist_mask, _ = picard._masks(d, e, dg.rows)
             assert _support(fiber_mask, n) == set(
-                rel_canonical_fiber(t, d, e).mod2().support), dg.rows
+                mod2(rel_canonical_fiber(t, d, e)).support), dg.rows
             assert _support(twist_mask, n) == set(
                 pullback_to_flag(twist_class(dg), t).support), dg.rows
 
@@ -311,7 +311,7 @@ class TestMasks:
 
         monkeypatch.setattr(lattice, "_validated_terms", unbuilt)
         with pytest.raises(AssertionError, match="was built"):
-            twist_class(FramedDiagram(2, 2, (1, 1)))
+            taut_det(4, 2)
         for dg in enumerate_even(5, 6):
             assert cond_even_verdicts(dg) == (True, True, True), dg.rows
             assert verify_cond_even(dg) and canonical_in_pullback_span(dg)
@@ -361,7 +361,7 @@ class TestLesTwists:
         assert comp.is_zero()
 
         sub, comp = les_twists(3, 2, taut_det2(5, 3))
-        vv1 = quotient_det(5).mod2()
+        vv1 = mod2(quotient_det(5))
         assert sub == vv1
         assert comp == taut_det2(5, 2) + vv1
 
@@ -374,7 +374,7 @@ class TestLesTwists:
     def test_frozen_d1(self):
         """At d = 1 TautDet(0) is trivial: the complementary side keeps only
         the quotient det."""
-        vv1 = quotient_det(4).mod2()
+        vv1 = mod2(quotient_det(4))
         sub, comp = les_twists(1, 3, PicClassMod2.zero(4))
         assert sub == taut_det2(4, 1) + vv1
         assert comp.is_zero()
@@ -401,7 +401,7 @@ class TestLesTwists:
                               PicClassMod2(n, ((B, n),)) + PicClassMod2(n, ((B, 1),))
                               + taut_det2(n, d)):
                     sub, _ = les_twists(d, e, twist)
-                    assert sub == twist + cell_canonicals(d, n).sub_grassmannian.mod2()
+                    assert sub == twist + mod2(cell_canonicals(d, n).sub_grassmannian)
 
     def test_complementary_side_is_the_exceptional_divisor_canonical(self):
         """The complementary side adds the relative canonical class of the
@@ -410,7 +410,7 @@ class TestLesTwists:
         for d in range(2, 11):
             for e in range(2, 11):
                 n = d + e
-                exc = cell_canonicals(d, n).exceptional_divisor.mod2()
+                exc = mod2(cell_canonicals(d, n).exceptional_divisor)
                 for twist in (PicClassMod2.zero(n), taut_det2(n, d),
                               PicClassMod2(n, ((B, n),)),
                               PicClassMod2(n, ((B, 1),)) + taut_det2(n, d),

@@ -8,14 +8,15 @@ import pytest
 
 import helpers
 from helpers import replace
+from mod2_route import BASE, TAUT, PicClassMod2, les_twists, mod2, taut_det2
 from wittgrass import (FramedDiagram, GradedDegree, JumpTuples, build_basis,
-                       cell_canonicals, cyclic_sequence, degree, duality_check,
-                       expected_rank, induction_report, intmatrix, map_matrix,
+                       cyclic_sequence, degree, duality_check, expected_rank,
+                       induction_report, intmatrix, map_matrix,
                        verify_degree_transport, verify_exactness)
 from wittgrass.diagrams import even_counts, even_rank
 from wittgrass.intmatrix import (SparseMatrix, diagonalize, kernel_rows, multiply,
                                  rank_mod_p, span_solver)
-from wittgrass.lattice import BASE, TAUT, PicClassMod2, les_twists, quotient_det, taut_det2
+from wittgrass.lattice import quotient_det
 from wittgrass.verify import verify_suites
 from wittgrass.witt_modules import (MAP_NAMES, BasisMap, TransportFailure, _image_rule,
                                     _les_target, _linear_position, _mod_p_position,
@@ -614,14 +615,15 @@ def _les_route(which, d, e, base, t):
     """``_les_target`` through Picard classes and ``les_twists``: the source
     twist is ``base`` plus t TautDet(d), read backwards along the relabeling
     first for bord; iota and bord read the sub side and its TautDet(d),
-    kappa the complementary side and the quotient det its relabeling adds."""
+    kappa the complementary side and its TautDet(d - 1), or at d = 1, where
+    TautDet(0) is trivial, the quotient det its relabeling adds."""
     n = d + e
     cls = PicClassMod2(n, tuple((BASE, i) for i in base))
     if which == "bord" and t:
-        cls = cls + quotient_det(n).mod2()
+        cls = cls + mod2(quotient_det(n))
     sub, comp = les_twists(d, e, cls + taut_det2(n, d) if t else cls)
     if which == "kappa":
-        side, det = comp, (comp + cls).has(BASE, n)
+        side, det = comp, comp.has(TAUT, d - 1) if d > 1 else (comp + cls).has(BASE, n)
     else:
         side, det = sub, sub.has(TAUT, d)
     return tuple(i for kind, i in side.support if kind == BASE), int(det)
@@ -837,8 +839,7 @@ def _records():
     seq = cyclic_sequence(2, 2)
     exact = verify_exactness(seq, (2,))
     return {"JumpTuples": JumpTuples((1,), (0,)), "FramedDiagram": FramedDiagram(1, 1, (0,)),
-            "PicClass": quotient_det(4), "PicClassMod2": taut_det2(4, 2),
-            "CellCanonicals": cell_canonicals(2, 4), "GradedDegree": degree(2, 2, (1, 1)),
+            "PicClass": quotient_det(4), "GradedDegree": degree(2, 2, (1, 1)),
             "GradedBasis": build_basis(2, 2),
             "BasisMap": seq.iota, "CyclicSequence": seq,
             "PositionVerdict": exact.positions[0], "ExactnessReport": exact,
