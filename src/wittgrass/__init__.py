@@ -12,14 +12,14 @@ frames.  Everything is integer arithmetic; nothing is floating point.
 from .diagrams import FramedDiagram, JumpTuples, enumerate_even, from_jump_tuples
 from .grassmann_witt import (DualityReport, GeneratorClass, bord_vanishes,
                              class_degree, classify, duality_check,
-                             expected_rank, induction_report, rank_table,
-                             table_json, total_witt_basis)
+                             induction_report, rank_table, table_json,
+                             total_witt_basis)
 from .picard import (canonical_in_pullback_span, cond_even_verdicts,
                      pushforward_admissible, verify_cond_even)
 from .witt_modules import (MAP_NAMES, BasisMap, CyclicSequence, ExactnessReport,
                            GradedBasis, GradedDegree, TransportReport,
-                           build_basis, cyclic_sequence, degree, map_matrix,
-                           verify_degree_transport, verify_exactness)
+                           build_basis, cyclic_sequence, degree, expected_rank,
+                           map_matrix, verify_degree_transport, verify_exactness)
 
 __version__ = "0.1.0"
 

@@ -5,7 +5,8 @@ table), verify (the suites of `wittgrass.verify` over a range of frames),
 maps (one of the three matrices), classify (strip-and-blocks families),
 canonical (symbolic canonical classes from jump tuples).  Output goes to
 stdout as ascii, svg or json; diagnostics go to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage error.  JSON output is byte-stable for a
+1 verification failure, 2 usage error, 141 (128 + SIGPIPE) when the reader of
+stdout closes it first, as ``| head`` does.  JSON output is byte-stable for a
 fixed command line.  The commands other than verify live in ``commands``.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .diagrams import FramedDiagram
@@ -90,15 +92,24 @@ def main(argv=None) -> int:
         parser.error("'--' is not a value")
     try:
         if args.command == "verify":
-            return _cmd_verify(args)
-        from .commands import COMMANDS
-        return COMMANDS[args.command](args)
+            code = _cmd_verify(args)
+        else:
+            from .commands import COMMANDS
+            code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader closed stdout, as ``| head`` does
+        # what stdout still buffers goes to devnull, so its flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -143,13 +143,11 @@ class EvenTails:
     """The blocks of ``even_rows`` that frames of at most ``cols`` columns share:
     ``levels[k][v + 1]`` holds the k-row tails of first row v (for v > 0 a pair
     block, for v = 0 the zeros), as bytes, and ``levels[k][0]`` the one tail of no rows;
-    ``full[d, e]`` holds a frame's full-row block, and ``counts(e)`` gives the count
-    table of width e and ``rows`` rows.  A caller that shares one drops a full-row
-    block with its frame."""
+    ``full[d, e]`` holds a frame's full-row block.  A caller that shares one drops a
+    full-row block with its frame."""
 
-    def __init__(self, rows: int, cols: int) -> None:
+    def __init__(self, cols: int) -> None:
         self.cols, self.levels, self.full = cols, {}, {}
-        self.counts = functools.cache(functools.partial(even_counts, rows))
 
     def frame(self, d: int, e: int) -> tuple[tuple[int, ...], ...]:
         k = d - 1 if (d - 1, e) in self.full else 0
@@ -183,12 +181,14 @@ def even_rows(d: int, e: int, tails: EvenTails | None = None) -> tuple[bytes, ..
     (d, v), ``v, v`` then each (d - 2)-row tail of pairs of v's parity, each at most
     v, then zero rows when v is even; then d zeros.  Each block is built bottom-up
     by row count, with no walk of the diagrams; a pair block does not depend on e,
-    so frames built on one ``tails`` (by default, or if too narrow, new) share it."""
+    so frames built on one ``tails`` (by default new ones, at least e wide) share it."""
     if type(d) is not int or type(e) is not int or d < 1 or e < 1:
         raise ValueError("frame dimensions must be integers, at least 1")
     if e > 255:
         raise ValueError(f"a key has a byte per row: at most 255 columns, not {e}")
-    return (tails if tails is not None and e <= tails.cols else EvenTails(d, e)).frame(d, e)
+    if tails is not None and e > tails.cols:
+        raise ValueError(f"tails of width {tails.cols} are too narrow for width {e}")
+    return (EvenTails(e) if tails is None else tails).frame(d, e)
 
 
 @functools.cache  # one compiled pattern per width

@@ -11,7 +11,6 @@ exactness, degree transport and the basis partition.
 from __future__ import annotations
 
 import enum
-import math
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -26,12 +25,6 @@ class GeneratorClass(enum.Enum):
     ROW_PLUS_BLOCKS = "RowPlusBlocks"
     COLUMN_PLUS_BLOCKS = "ColumnPlusBlocks"
     ROW_COLUMN_PLUS_BLOCKS = "RowColumnPlusBlocks"
-
-
-def expected_rank(d: int, e: int) -> int:
-    """Closed-form total rank 2 * C(d//2 + e//2, e//2); rejects what build_basis rejects."""
-    check_frame(d, e)
-    return 2 * math.comb(d // 2 + e // 2, e // 2)
 
 
 def total_witt_basis(d: int, e: int) -> GradedBasis:

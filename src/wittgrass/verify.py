@@ -4,11 +4,12 @@ Each frame's sequence and its exactness and transport reports are computed at
 most once, on first use, and shared by every suite that checks the frame; a
 map's images and a basis's degrees are built only when a suite reads them.
 The graded bases come from one store per run, which keeps two rows of frames
-at most, builds their keys from blocks they share and keeps one count table
-per width; every suite reads it.  The duality suite checks both frames of
-each mirror pair {(d, e), (e, d)} at the one with d <= e, from one transpose
-of each key, the mirrors (e, d), e > d, of row d on blocks of width d for that
-row alone; each suite's failures are sorted into (d, e) order.
+at most and builds their keys from blocks they share; every suite reads it,
+and only a basis its check refuses builds a count table, to name its fault.
+The duality suite checks both frames of each mirror pair {(d, e), (e, d)} at
+the one with d <= e, from one transpose of each key, the mirrors (e, d),
+e > d, of row d on blocks of width d for that row alone; each suite's
+failures are sorted into (d, e) order.
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ def verify_suites(scope: str, max_frame: int) -> dict:
     failures: dict[str, list] = {name: [] for name in names}
     first = min(SUITE_FIRST_FRAME[name] for name in names)
     bases: dict = {}  # (d, e) -> GradedBasis, of the two rows being swept
-    tails = EvenTails(max_frame, max_frame)  # their keys' blocks, a count table per width
+    tails = EvenTails(max_frame)  # their keys' blocks
     for d in range(first, max_frame + 1):
         # the row's duality mirrors (r, d), r > d: blocks of width d, for this row only
-        mirrors = EvenTails(max_frame, d) if "duality" in names else None
+        mirrors = EvenTails(d) if "duality" in names else None
         basis = _store_reader(bases, tails, mirrors, d)
         for e in range(first, max_frame + 1):
             frame = _Frame(d, e, primes, basis)

@@ -17,6 +17,7 @@ their matrices; and by ranks over prime fields.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Callable
 from functools import cache, cached_property, partial
@@ -65,12 +66,12 @@ def _shown(key):
 
 class GradedBasis:
     """One frame's keys (even rows as bytes, largest first, or a point frame's ints
-    0 and 1, each its own rank and det twist), degrees (None: built on first
-    read) and count table (by default its own); read-only, ``checked`` checks them."""
+    0 and 1, each its own rank and det twist) and degrees (None: built on first
+    read); read-only, ``checked`` checks them."""
 
     def __init__(self, d: int, e: int, keys: tuple,
-                 degrees: tuple[GradedDegree, ...] | None, counts: list | None = None) -> None:
-        vars(self).update(d=d, e=e, keys=keys, _counts=counts or even_counts(d, e))
+                 degrees: tuple[GradedDegree, ...] | None) -> None:
+        vars(self).update(d=d, e=e, keys=keys)
         if degrees is not None:
             if len(degrees) != len(keys):
                 raise ValueError(f"{len(degrees)} degrees given for {len(keys)} keys")
@@ -83,6 +84,10 @@ class GradedBasis:
     def degrees(self) -> tuple[GradedDegree, ...]:
         return tuple(map(partial(degree, self.d, self.e), self.checked))
 
+    @cached_property
+    def _counts(self) -> list:  # the frame's count table, for ``rank`` alone
+        return even_counts(self.d, self.e)
+
     def rank(self, key) -> int | None:
         """Position of ``key`` in the basis, or None unless it is an even key of the frame."""
         if self.d and self.e:
@@ -93,10 +98,10 @@ class GradedBasis:
     def checked(self) -> tuple:
         """The keys, once they pass the one check of a basis, made on first read:
         that each key's rank is its position and all of the frame's are there, by C-level
-        sweeps: the table's total of d-byte keys that ``even_pattern(e)`` matches, each
+        sweeps: ``expected_rank(d, e)`` d-byte keys that ``even_pattern(e)`` matches, each
         larger than the next.  A basis they refuse is ranked key by key, to name its fault."""
         keys, d, e, frame = self.keys, self.d, self.e, f"the {self.d}x{self.e} basis"
-        total = self._counts[0][d][e] + self._counts[1][d][e] if d and e else 2
+        total = expected_rank(d, e)
         if (d and e and len(keys) == total and set(map(type, keys)) == {bytes}
                 and set(map(len, keys)) == {d} and all(map(gt, keys, keys[1:]))
                 and all(map(even_pattern(e).fullmatch, keys))):
@@ -136,16 +141,21 @@ def check_frame(d: int, e: int) -> None:
         raise ValueError("frame dimensions must be integers, at least 0 and not both zero")
 
 
+def expected_rank(d: int, e: int) -> int:
+    """Closed-form total rank 2 * C(d//2 + e//2, e//2); rejects what build_basis rejects."""
+    check_frame(d, e)
+    return 2 * math.comb(d // 2 + e // 2, e // 2)
+
+
 def build_basis(d: int, e: int, tails: EvenTails | None = None) -> GradedBasis:
-    """Basis of the frame (d,e), keyed by ``even_rows`` on ``tails`` and ranked by
-    their count table of width e (by default new ones); degenerate frames get the
-    two point generators 0 and 1.  Equal degrees share one ``GradedDegree``."""
+    """Basis of the frame (d,e), keyed by ``even_rows`` on ``tails`` (by default
+    new ones); degenerate frames get the two point generators 0 and 1.  Equal
+    degrees share one ``GradedDegree``."""
     check_frame(d, e)
     if d == 0 or e == 0:
         return GradedBasis(d, e, (0, 1),
                            (GradedDegree(0, (), 0), GradedDegree(0, (), 1)))
-    tails = EvenTails(d, e) if tails is None else tails
-    return GradedBasis(d, e, even_rows(d, e, tails), None, tails.counts(e))
+    return GradedBasis(d, e, even_rows(d, e, tails), None)
 
 
 class BasisMap(namedtuple("BasisMap", "which source target images")):

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -43,6 +47,17 @@ class TestEnumerate:
             "rows=(2, 0)\n##\n..\n\n"
             "rows=(1, 1)\n#.\n#.\n\n"
             "rows=(0, 0)\n..\n..\n")
+
+    def test_annotated_ascii_golden(self, capsys):
+        """Each header adds the shift and det twist, and the base class when
+        it is not trivial."""
+        code, out, _ = run(capsys, "enumerate", "--d", "3", "--e", "2", "--annotate")
+        assert code == 0
+        assert out == (
+            "rows=(2, 2, 2) shift=2 twist=1 base=[5]\n##\n##\n##\n\n"
+            "rows=(2, 2, 0) shift=0 twist=0\n##\n##\n..\n\n"
+            "rows=(2, 0, 0) shift=2 twist=1 base=[5]\n##\n..\n..\n\n"
+            "rows=(0, 0, 0) shift=0 twist=0\n..\n..\n..\n")
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--d", "2", "--e", "2",
@@ -255,6 +270,31 @@ class TestVerificationFailure:
         witness = {"frame": [3, 4], "rows": [4, 2, 2]}
         assert payload["suites"]["cond-even"]["failures"] == [
             witness, {**witness, "reason": "admissibility"}]
+
+
+class TestClosedPipe:
+    """A reader that closes stdout first, as ``| head`` does, ends a command
+    with exit 141 (128 + SIGPIPE) and nothing on stderr, with stdout buffered
+    or not: while the command writes, after one line of an output larger than a
+    pipe buffer, or before a small one that stdout holds until exit."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, first", [
+        (["enumerate", "--d", "12", "--e", "12", "--format", "json"], b"{\n"),
+        (["table", "--d", "3", "--e", "3"], None)], ids=["large", "small"])
+    def test_exit_141_and_no_traceback(self, argv, first, unbuffered):
+        env = {name: value for name, value in os.environ.items()
+               if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        child = subprocess.Popen([sys.executable, "-m", "wittgrass.cli", *argv], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        if first is not None:
+            assert child.stdout.readline() == first
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (141, b"")
 
 
 class TestUsage:

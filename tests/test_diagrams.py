@@ -94,6 +94,9 @@ class TestJumpTuples:
         assert FramedDiagram(3, 2, (2, 2, 2)).jump_tuples() == JumpTuples((3,), (0,))
 
     def test_tuple_validation(self):
+        for dvec, evec in [((0, 2), (0, 1)), ((1, 2), (-1, 1))]:
+            with pytest.raises(ValueError, match=r"^need dvec\[0\] >= 1 and evec\[0\] >= 0$"):
+                JumpTuples(dvec, evec)
         with pytest.raises(ValueError):
             JumpTuples((2, 1), (0, 1))
         with pytest.raises(ValueError):
@@ -182,10 +185,10 @@ class TestEnumeration:
     def test_one_tails_object_serves_the_whole_sweep(self):
         """Frames built one after another on one EvenTails, row by row as a
         verify run builds them or column by column, equal the oracle up to
-        7x7 and a fresh enumeration up to 14x14."""
+        7x7 and a fresh enumeration up to 14x14; a wider frame is refused."""
         frames = [(d, e) for d in range(1, 15) for e in range(1, 15)]
         for order in (frames, sorted(frames, key=lambda frame: frame[::-1])):
-            tails = EvenTails(14, 14)
+            tails = EvenTails(14)
             for d, e in order:
                 shared = even_rows(d, e, tails)
                 assert shared == even_rows(d, e), (d, e)
@@ -194,12 +197,13 @@ class TestEnumeration:
                         (bytes(rows) for rows in helpers.all_row_vectors(d, e)
                          if helpers.evenness_oracle(d, e, rows)),
                         reverse=True), (d, e)
-        assert even_rows(3, 15, tails) == even_rows(3, 15)  # too narrow: not used
+        with pytest.raises(ValueError, match="^tails of width 14 are too narrow for width 15$"):
+            even_rows(3, 15, tails)
 
     def test_pair_blocks_are_shared_across_widths(self):
         """Each key (v, v) + t of a pair block is one tuple in every frame of
         its row that one EvenTails builds: (d, e) and (d, e + 1) hold the same."""
-        tails, shared = EvenTails(9, 9), 0
+        tails, shared = EvenTails(9), 0
         for d in range(2, 10):
             for e in range(2, 9):
                 narrow, wide = even_rows(d, e, tails), even_rows(d, e + 1, tails)

@@ -240,6 +240,20 @@ class TestDuality:
         assert not report.ok
         assert (victim.rows, "not an involution") in report.failures
 
+    def test_image_not_even_in_the_mirror_is_named(self, monkeypatch):
+        """A transpose that sends one key to a vector the mirror frame does not
+        hold as an even key names that key, and that key alone."""
+        victim = enumerate_even(3, 4)[1]
+        original = grassmann_witt.transpose_rows
+
+        def transpose_rows(rows, e):
+            return (3, 2, 1, 0) if rows == bytes(victim.rows) else original(rows, e)
+
+        monkeypatch.setattr(grassmann_witt, "transpose_rows", transpose_rows)
+        report = duality_check(3, 4)
+        assert not report.ok
+        assert report.failures == ((victim.rows, "image not even in mirror frame"),)
+
     def test_swapped_mirror_degree_names_the_diagrams(self, monkeypatch):
         """Two mirror elements with their degrees swapped fail, each named by
         the diagram whose mirror it is."""

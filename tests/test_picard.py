@@ -56,6 +56,17 @@ class TestPicClassAlgebra:
         assert (2 * a).terms == ((B, 4, 2),)
         assert 0 * a == PicClass(4)
 
+    def test_only_a_class_adds_to_a_class(self):
+        """Adding or subtracting anything but a class is a TypeError, a tuple of
+        terms and the class's own tuple form included."""
+        a = base_det(4, 4)
+        assert a.__add__(a.terms) is NotImplemented
+        for other in (1, a.terms, tuple(a)):
+            with pytest.raises(TypeError):
+                a + other
+            with pytest.raises(TypeError):
+                a - other
+
     def test_scalar_on_either_side(self):
         """A class is a tuple, but ``cls * k`` scales it, not repeats it."""
         a = PicClass(4, ((B, 2, 1), (T, 3, -2)))
@@ -102,6 +113,12 @@ class TestCanonicalClasses:
     def test_fiber_requires_matching_rank(self):
         with pytest.raises(ValueError):
             rel_canonical_fiber(JumpTuples((2,), (1,)), 3, 2)
+
+    def test_steps_beyond_the_frame_are_refused(self):
+        with pytest.raises(ValueError, match="^flag steps exceed the ambient rank$"):
+            rel_canonical_flag(JumpTuples((1, 3), (1, 4)), 6)
+        with pytest.raises(ValueError, match="^co-lengths must not exceed e$"):
+            rel_canonical_fiber(JumpTuples((1, 2), (1, 3)), 2, 2)
 
     def test_fiber_equals_flag_minus_grass_pullback(self):
         """Independent route: subtract the pulled-back Grassmann class."""

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 import weakref
 from collections import Counter
@@ -13,9 +14,8 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import replace
-from wittgrass import diagrams, grassmann_witt, verify, witt_modules
+from wittgrass import diagrams, expected_rank, grassmann_witt, verify, witt_modules
 from wittgrass.cli import main
-from wittgrass.grassmann_witt import expected_rank
 from wittgrass.verify import SUITE_FIRST_FRAME, verify_suites
 
 
@@ -68,8 +68,8 @@ def run_tails(monkeypatch):
     """Each EvenTails that verify_suites makes for its store, in order."""
     made = []
 
-    def recorded(rows, cols):
-        made.append(diagrams.EvenTails(rows, cols))
+    def recorded(cols):
+        made.append(diagrams.EvenTails(cols))
         return made[-1]
 
     monkeypatch.setattr(verify, "EvenTails", recorded)
@@ -401,6 +401,26 @@ class TestOnePass:
             (2, 5), (3, 4), (4, 3), (5, 2)]
 
 
+    def test_bord_that_maps_an_element_fails_its_frame(self, monkeypatch, capsys):
+        """A bord rule that maps (2,) of 1x2 to (1, 1) of 2x1, at the 2x2 frame,
+        where the parity criterion says bord vanishes, fails that frame alone,
+        with the criterion's message as its reason; the command exits 1."""
+        rule = witt_modules._image_rule
+
+        def faulty(which, d, e):
+            if (which, d, e) == ("bord", 2, 2):
+                return lambda key: b"\1\1" if key == b"\2" else None
+            return rule(which, d, e)
+
+        monkeypatch.setattr(witt_modules, "_image_rule", faulty)
+        reason = ("parity criterion says bord vanishes at (2,2), but it maps (2,) "
+                  "to a nonzero image")
+        bord = {"frames": 4, "failures": [{"frame": [2, 2], "reason": reason}], "ok": False}
+        assert verify_suites("bord", 3) == {"bord": bord}
+        assert main(["verify", "--scope", "bord", "--max-frame", "3"]) == 1
+        assert json.loads(capsys.readouterr().out)["suites"] == {"bord": bord}
+
+
 def test_a_passing_run_builds_no_diagram(monkeypatch):
     """Every suite reads basis keys and degrees: a passing run builds no
     FramedDiagram, which only output and failure records need."""
@@ -411,6 +431,27 @@ def test_a_passing_run_builds_no_diagram(monkeypatch):
     with pytest.raises(AssertionError, match="was built"):
         diagrams.FramedDiagram(1, 1, (0,))
     assert all(suite["ok"] for suite in verify_suites("all", 6).values())
+
+
+def test_only_a_refused_basis_builds_a_count_table(monkeypatch):
+    """A basis check compares its key count with the closed form, so a passing
+    run builds no count table; a refused basis builds its own, to be named by
+    the rank of the key at fault."""
+    built = Counter()
+    original = witt_modules.even_counts
+
+    def counted(d, e):
+        built[d, e] += 1
+        return original(d, e)
+
+    monkeypatch.setattr(witt_modules, "even_counts", counted)
+    assert all(suite["ok"] for suite in verify_suites("all", 8).values())
+    assert not built
+    intact = witt_modules.build_basis(3, 3)
+    repeated = replace(intact, keys=intact.keys[:1] + intact.keys[:-1])
+    with pytest.raises(ValueError, match="^the 3x3 basis holds an element twice$"):
+        repeated.checked
+    assert built == Counter({(3, 3): 1})
 
 
 class TestStrictInputs:

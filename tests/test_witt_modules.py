@@ -13,7 +13,7 @@ from wittgrass import (FramedDiagram, GradedDegree, JumpTuples, build_basis,
                        cyclic_sequence, degree, duality_check, expected_rank,
                        induction_report, intmatrix, map_matrix,
                        verify_degree_transport, verify_exactness)
-from wittgrass.diagrams import even_counts, even_rank
+from wittgrass.diagrams import EvenTails, even_counts, even_rank
 from wittgrass.intmatrix import (SparseMatrix, diagonalize, kernel_rows, multiply,
                                  rank_mod_p, span_solver)
 from wittgrass.lattice import quotient_det
@@ -82,6 +82,12 @@ class TestBases:
         for d, e in [(2.0, 0), (0, True), (2.0, 2), (True, 3)]:
             with pytest.raises(ValueError, match="frame dimensions must be integers"):
                 build_basis(d, e)
+
+    def test_tails_of_the_frames_width_build_its_basis(self):
+        """Tails as wide as the frame build its basis at any height: a basis is
+        checked against its frame alone, not a table the tails made."""
+        shared, own = build_basis(5, 3, EvenTails(3)), build_basis(5, 3)
+        assert (shared.keys, shared.degrees) == (own.keys, own.degrees)
 
     def test_equal_degrees_are_one_value(self):
         """A frame's elements share one GradedDegree per distinct degree, of
@@ -294,7 +300,8 @@ class TestGivenParts:
 
 
 class TestRank:
-    """A basis's one check: the rank of a key, read off its completion counts."""
+    """The rank of a key, read off its completion counts, which names the fault
+    of a basis its check refuses."""
 
     def test_positions_of_the_oracle_even_vectors(self):
         """On every row vector up to 8x8, the rank is the position among the
@@ -333,8 +340,7 @@ class TestRank:
 
     def test_taller_count_tables_rank_alike(self):
         """A count table of width e and n >= d rows ranks every row vector of the
-        d-by-e frame, and every malformed key, as the frame's own table does:
-        so a run keeps one table per width."""
+        d-by-e frame, and every malformed key, as the frame's own table does."""
         for e in range(1, 11):
             tables = [None] + [even_counts(n, e) for n in range(1, 11)]
             for d in range(1, 11):
